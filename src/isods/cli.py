@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve, enumerate_d_allowable
 from .orbits import (
     AdjointOrbit,
@@ -41,12 +42,21 @@ def _parse_type(args) -> LieType:
         raise CliError(str(exc))
 
 
+def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
+    """An exceptional orbit by Bala-Carter label.  The embedded catalogue
+    lists every G2 and F4 orbit, so other labels there are invalid input;
+    E6-E8 labels are passed through unchecked."""
+    if t.family in ("G2", "F4") and (t.family, label) not in xd.DIM_C:
+        raise CliError(f"unknown {t.family} orbit label {label!r}")
+    return NilpotentOrbit(t, label=label)
+
+
 def _parse_orbit(t: LieType, text: str) -> NilpotentOrbit:
     text = text.strip()
     if text.startswith("["):
         return NilpotentOrbit(t, partition(json.loads(text)))
     if t.is_exceptional:
-        return NilpotentOrbit(t, label=text)
+        return _labelled_orbit(t, text)
     raise CliError(f"classical orbits are given as JSON partitions, got {text!r}")
 
 
@@ -54,7 +64,7 @@ def _orbit_from_json(t: LieType, data: dict):
     kind = data.get("kind", "nilpotent")
     if kind == "nilpotent":
         if "label" in data:
-            return NilpotentOrbit(t, label=data["label"])
+            return _labelled_orbit(t, data["label"])
         return NilpotentOrbit(
             t,
             partition(data["partition"]),
@@ -76,10 +86,17 @@ def _tag(text):
         return str(text)
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+
+
 def _load_orbit(t: LieType, args):
     if getattr(args, "orbit_file", None):
-        with open(args.orbit_file, "r", encoding="utf-8") as fh:
-            return _orbit_from_json(t, json.load(fh))
+        return _orbit_from_json(t, _read_json(args.orbit_file, "orbit file"))
     if getattr(args, "orbit", None):
         text = args.orbit.strip()
         if text.startswith("{"):
@@ -92,8 +109,7 @@ def _load_hasse(args) -> HasseDiagram | None:
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return HasseDiagram.from_json(json.load(fh))
+    return HasseDiagram.from_json(_read_json(path, "Hasse file"))
 
 
 def _emit(obj) -> None:

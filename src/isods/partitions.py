@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -40,10 +41,9 @@ def transpose(p: Partition) -> Partition:
 
 
 def prefix_sums(p: Partition, upto: int) -> list[int]:
-    out, s = [], 0
-    for i in range(upto):
-        s += p[i] if i < len(p) else 0
-        out.append(s)
+    """The first `upto` prefix sums of p, padded with its total."""
+    out = list(accumulate(p[:upto]))
+    out += [out[-1] if out else 0] * (upto - len(out))
     return out
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
@@ -28,7 +29,7 @@ from .partitions import (
     lambda_evenly,
     partition,
     partitions_of,
-    sum_parts,
+    prefix_sums,
     union_parts,
 )
 from .root_data import (
@@ -245,33 +246,60 @@ class QCandidate:
     tail: Partition
 
 
-def _candidate_works(t, o_nu_part, linear, tail):
-    if t.family == "A":
-        total = sum_parts(list(linear) + [tail])
-    else:
-        dsum = sum_parts(linear)
-        width = max(len(dsum), len(tail))
-        total = partition(
-            tuple(
-                2 * (dsum[i] if i < len(dsum) else 0) + (tail[i] if i < len(tail) else 0)
-                for i in range(width)
-            )
-        )
-    return dominance_le(o_nu_part, total)
-
-
 def _valid_tails(t, total: int):
-    if t.family == "A":
-        return list(partitions_of(total))
     cls = parity_class(t)
     return [p for p in partitions_of(total) if is_valid(p, cls)]
+
+
+def _with_prefix_sums(pool, width: int) -> tuple[list[Partition], list[list[int]]]:
+    pool = list(pool)
+    return pool, [prefix_sums(p, width) for p in pool]
+
+
+def _clears(prefixes: list[int], bound: list[int]) -> bool:
+    return all(map(ge, prefixes, bound))
+
+
+def _anchor_bounds(
+    c: int, p_o: list[int], linear: tuple[Partition, ...], tail: Partition
+) -> tuple[bool, list[list[int]], list[int]]:
+    """The works test around one anchor, as bounds on prefix sums of the
+    threshold's width: whether the anchor itself works; for each slot j, the
+    bound that the prefix sums of a replacement for linear[j] must clear; and
+    the bound for a replacement of the tail.  c is the weight of a linear
+    factor in the sum (1 in type A, 2 otherwise)."""
+    width = len(p_o)
+    p_lin = [prefix_sums(p, width) for p in linear]
+    p_tail = prefix_sums(tail, width)
+    lin_sum = [sum(col) for col in zip(*p_lin)] if p_lin else [0] * width
+    works = all(o <= c * ls + pt for o, ls, pt in zip(p_o, lin_sum, p_tail))
+    # c * P_mu >= P_o - P_tail - c * (sum of the other factors), rounded up
+    slot_bounds = [
+        [-((c * (ls - pj) + pt - o) // c) for o, pt, ls, pj in zip(p_o, p_tail, lin_sum, pl)]
+        for pl in p_lin
+    ]
+    tail_bound = [o - c * ls for o, ls in zip(p_o, lin_sum)]
+    return works, slot_bounds, tail_bound
 
 
 def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -> list[QCandidate]:
     """Minimal orbits with the given eigenvalue multiplicities for which the
     verdict is affirmative: base factors are the evenly-distributed thresholds
     of the matching table row; one factor at a time is allowed to deviate and
-    its dominance-minimal working choices are kept."""
+    its dominance-minimal working choices are kept.
+
+    A candidate works when the threshold is dominated by the sum of its
+    factors (each doubled outside type A, where it stands for a pair +-a) and
+    its tail.  Componentwise sums of weakly decreasing sequences stay weakly
+    decreasing, so prefix sums add and the test is a set of linear bounds:
+    with c = 1 in type A and 2 otherwise and prefix sums P taken to width
+    N = sum(threshold), a choice mu for slot j works iff
+    c * P_mu >= P_threshold - P_tail - c * sum_{i != j} P_i pointwise, and a
+    tail works iff P_tail >= P_threshold - c * sum_i P_i (_anchor_bounds).
+    The prefix sums of every partition of a slot size and of every valid tail
+    are computed once per call and tested against those bounds per anchor;
+    the minimal working ones come from one scan in prefix-sum order
+    (_dominance_minimal)."""
     rows = o_nu_rows(t, s)
     row = rows[0]
     o_part = row.orbit.partition
@@ -321,51 +349,57 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
                 placed[k] = union_parts(lambda_evenly(slots[k] - 1, e), (1,))
                 anchors.append((tuple(placed), base_tail))
 
+    width = sum(o_part)
+    c = 1 if fam == "A" else 2
+    p_o = prefix_sums(o_part, width)
+    slot_choices = {M: _with_prefix_sums(partitions_of(M), width) for M in set(slots)}
+    if fam != "A":
+        tail_choices = _with_prefix_sums(_valid_tails(t, tail_total), width)
+
+    def minimal_working(pool, prefixes, bound) -> list[Partition]:
+        keep = [i for i, pp in enumerate(prefixes) if _clears(pp, bound)]
+        return _dominance_minimal([pool[i] for i in keep], [prefixes[i] for i in keep])
+
     cands: list[QCandidate] = []
+    seen: set[QCandidate] = set()
 
     def push(linear, tail):
-        c = QCandidate(tuple(linear), tail)
-        if c not in cands and _candidate_works(t, o_part, c.linear, c.tail):
-            cands.append(c)
+        cand = QCandidate(tuple(linear), tail)
+        if cand not in seen:
+            seen.add(cand)
+            cands.append(cand)
 
-    seen_anchor: set = set()
-    for anchor_lin, anchor_tail in anchors:
-        if (anchor_lin, anchor_tail) in seen_anchor:
-            continue
-        seen_anchor.add((anchor_lin, anchor_tail))
-        push(anchor_lin, anchor_tail)
-        for j in range(npos + (0 if fam == "A" else 1)):
-            if j < npos:
-                mins: list[Partition] = []
-                for mu in partitions_of(slots[j]):
-                    lin = list(anchor_lin)
-                    lin[j] = mu
-                    if _candidate_works(t, o_part, lin, anchor_tail):
-                        mins.append(mu)
-                for mu in _dominance_minimal(mins):
-                    lin = list(anchor_lin)
-                    lin[j] = mu
-                    push(lin, anchor_tail)
-            else:
-                for tl in _dominance_minimal(
-                    [
-                        tl
-                        for tl in _valid_tails(t, tail_total)
-                        if _candidate_works(t, o_part, anchor_lin, tl)
-                    ]
-                ):
-                    push(anchor_lin, tl)
+    for anchor_lin, anchor_tail in dict.fromkeys(anchors):
+        works, slot_bounds, tail_bound = _anchor_bounds(c, p_o, anchor_lin, anchor_tail)
+        if works:
+            push(anchor_lin, anchor_tail)
+        for j, bound in enumerate(slot_bounds):
+            for mu in minimal_working(*slot_choices[slots[j]], bound):
+                lin = list(anchor_lin)
+                lin[j] = mu
+                push(lin, anchor_tail)
+        if fam != "A":
+            for tl in minimal_working(*tail_choices, tail_bound):
+                push(anchor_lin, tl)
     return _prune_candidates(t, cands)
 
 
-def _dominance_minimal(pool: list[Partition]) -> list[Partition]:
-    out = []
-    for p in pool:
-        if any(q != p and dominance_le(q, p) for q in pool):
-            continue
-        if p not in out:
-            out.append(p)
-    return out
+def _dominance_minimal(pool: list[Partition], prefixes: list[list[int]]) -> list[Partition]:
+    """The dominance-minimal members of a pool of partitions of one total,
+    once each, in pool order.  prefixes[i] are the prefix sums of pool[i],
+    all to one width of at least the longest length.
+
+    Dominance is pointwise order on prefix sums, so a partition strictly
+    below another has a lexicographically smaller prefix-sum vector: sorting
+    by that vector is a linear extension of the order.  Scanning in it, every
+    element above another lies above a minimal one that was scanned and kept
+    before it, so an element is minimal iff no element kept so far lies below
+    it.  That costs O(|pool| * |minimal|) comparisons instead of O(|pool|^2)."""
+    kept: list[int] = []
+    for i in sorted(range(len(pool)), key=prefixes.__getitem__):
+        if not any(_clears(prefixes[i], prefixes[k]) for k in kept):
+            kept.append(i)
+    return [pool[i] for i in sorted(kept)]
 
 
 def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:

@@ -310,6 +310,19 @@ def test_criterion_9_q_equivalence():
           f"in {time.time() - t0:.1f}s")
 
 
+def test_criterion_9_q_equivalence_high_rank():
+    t0 = time.time()
+    rng = random.Random(20261018)
+    for fam in ("A", "B", "C", "D"):
+        for _ in range(50):
+            t, s, a = _random_adjoint(rng, fam, rng.randint(14, 20))
+            assert ds_solve(t, s, a).affirmative == ds_solve_q(t, s, a).affirmative, (
+                str(t), str(s), a.to_json(),
+            )
+    print(f"PASS criterion 9 (high rank): candidate route equals induction route on 200 seeded "
+          f"orbits at ranks 14-20 in {time.time() - t0:.1f}s")
+
+
 def test_criterion_10_row_overlap():
     cells = conflicts = 0
     for fam in ("A", "B", "C", "D"):

@@ -49,6 +49,41 @@ def test_solve_with_hasse_file(tmp_path, capsys):
     assert json.loads(out)["affirmative"] is False
 
 
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such.json")
+    cases = (
+        ["solve", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit-file", missing],
+        ["solve-q", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit-file", missing],
+        ["delta", "--type", "F4", "--slope", "5/6", "--orbit-file", missing],
+        ["solve", "--type", "E6", "--slope", "5/12", "--orbit", "2A2", "--hasse-file", missing],
+        ["solve", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit-file", str(tmp_path)],
+    )
+    for argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fam,sl", [("G2", "1/6"), ("F4", "5/6")])
+def test_unknown_exceptional_label_exit_2(tmp_path, capsys, fam, sl):
+    for label in ("FOO", "A9", "G2(a9)", "~A3"):
+        assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2
+        assert main(["delta", "--type", fam, "--slope", sl, "--orbit", label]) == 2
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"kind": "nilpotent", "label": label}))
+        assert main(["solve", "--type", fam, "--slope", sl, "--orbit-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown {fam} orbit label" in captured.err
+    # every catalogued label is still accepted
+    from isods import exceptional_data as xd
+
+    for f, label in xd.DIM_C:
+        if f == fam:
+            assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 0, label
+    capsys.readouterr()
+
+
 def test_solve_adjoint_file(tmp_path, capsys):
     orbit = {
         "kind": "adjoint",

@@ -2,12 +2,30 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isods.coxeter import UnsupportedSlopeError
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, cone_contains, ls_induction
-from isods.partitions import ParityClass, is_valid, is_very_even, partitions_of
+from isods.partitions import (
+    ParityClass,
+    dominance_le,
+    is_valid,
+    is_very_even,
+    partitions_of,
+    prefix_sums,
+    sum_parts,
+)
 from isods.root_data import is_regular, lie_type, slope
-from isods.solver import ds_solve, ds_solve_q, o_nu, o_nu_rows, q_candidates
+from isods.solver import (
+    _anchor_bounds,
+    _clears,
+    _dominance_minimal,
+    ds_solve,
+    ds_solve_q,
+    o_nu,
+    o_nu_rows,
+    q_candidates,
+)
 
 
 def test_o_nu_examples():
@@ -190,3 +208,87 @@ def test_ds_solve_q_equals_ds_solve_exhaustive_rank3():
                                     ds_solve(t, s, a).affirmative
                                     == ds_solve_q(t, s, a).affirmative
                                 ), (fam, n, str(s), a.to_json())
+
+
+def _pairwise_minimal(pool):
+    """Reference: minimal members by comparing every pair, in pool order."""
+    out = []
+    for p in pool:
+        if any(q != p and dominance_le(q, p) for q in pool):
+            continue
+        if p not in out:
+            out.append(p)
+    return out
+
+
+@st.composite
+def partition_pools(draw):
+    """A random subset, in random order, of the partitions of n <= 12,
+    optionally only those valid for a B/C/D parity class."""
+    n = draw(st.integers(0, 12))
+    parts = list(partitions_of(n))
+    fam = draw(st.sampled_from((None, "B", "C", "D")))
+    if fam is not None:
+        parts = [p for p in parts if is_valid(p, ParityClass[fam])]
+    if not parts:
+        return []
+    return draw(st.lists(st.sampled_from(parts), unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pools(), st.integers(0, 3))
+def test_dominance_minimal_matches_pairwise(pool, pad):
+    width = max(map(len, pool), default=0) + pad
+    assert _dominance_minimal(pool, [prefix_sums(p, width) for p in pool]) == _pairwise_minimal(pool)
+
+
+def _works_reference(t, o_part, linear, tail):
+    """Reference works test at the partition level: the threshold lies below
+    the sum of the factors (doubled outside type A) and the tail."""
+    if t.family == "A":
+        total = sum_parts(list(linear) + [tail])
+    else:
+        total = sum_parts([tuple(2 * x for x in sum_parts(linear)), tail])
+    return dominance_le(o_part, total)
+
+
+@st.composite
+def random_anchors(draw):
+    """A classical type of rank <= 8, a regular slope (nu >= 1 included), an
+    eigenvalue structure and an arbitrary orbit of it as the anchor."""
+    fam = draw(st.sampled_from("ABCD"))
+    n = draw(st.integers({"A": 1, "B": 2, "C": 2, "D": 3}[fam], 8))
+    t = lie_type(fam, n)
+    cap = n + 1 if fam == "A" else n
+    m = draw(st.sampled_from([m for m in range(1, 2 * cap + 1) if is_regular(t, m)]))
+    d = draw(st.sampled_from([d for d in range(1, 2 * m + 1) if gcd(d, m) == 1]))
+    zero_mult = draw(st.integers(0, cap))
+    rest, slots = cap - zero_mult, []
+    while rest:
+        slots.append(draw(st.integers(1, rest)))
+        rest -= slots[-1]
+    if fam == "A":
+        slots += [zero_mult] if zero_mult else []
+        tails = [()]
+    else:
+        tail_total = 2 * zero_mult + (1 if fam == "B" else 0)
+        tails = [p for p in partitions_of(tail_total) if is_valid(p, ParityClass[fam])]
+    linear = tuple(draw(st.sampled_from(partitions_of(M))) for M in slots)
+    return t, slope(d, m), slots, linear, draw(st.sampled_from(tails)), tails
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_anchors())
+def test_prefix_sum_works_test_matches_partition_reference(case):
+    t, s, slots, linear, tail, tails = case
+    o_part = o_nu_rows(t, s)[0].orbit.partition
+    width = sum(o_part)
+    p_o = prefix_sums(o_part, width)
+    works, slot_bounds, tail_bound = _anchor_bounds(1 if t.family == "A" else 2, p_o, linear, tail)
+    assert works == _works_reference(t, o_part, linear, tail)
+    for j, bound in enumerate(slot_bounds):
+        for mu in partitions_of(slots[j]):
+            lin = linear[:j] + (mu,) + linear[j + 1:]
+            assert _clears(prefix_sums(mu, width), bound) == _works_reference(t, o_part, lin, tail), (j, mu)
+    for tl in tails:
+        assert _clears(prefix_sums(tl, width), tail_bound) == _works_reference(t, o_part, linear, tl), tl
