@@ -1,146 +1,149 @@
-"""Cross-validation suite behind `ds check`: oracle equivalences, Delta
-agreement, and the row-overlap consistency of the threshold table."""
+"""Cross-validation suite behind `ds check` and the acceptance criteria:
+oracle equivalences, Delta agreement, and the row-overlap consistency of the
+threshold table.  Each check returns the number of cells it covered and, last,
+its first failure (None when every cell passed)."""
 
 from __future__ import annotations
 
 import random
-from math import gcd
 
 from .coxeter import UnsupportedSlopeError
-from .orbits import NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
-from .partitions import ParityClass, is_valid, partitions_of
-from .rigidity import closed_form_delta, delta_of_orbit
-from .root_data import coxeter_number, is_elliptic_regular, is_regular, lie_type, slope
+from .orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
+from .partitions import ParityClass, partitions_of, valid_partitions
+from .rigidity import closed_form_delta, coxeter_delta_column, delta_of_orbit
+from .root_data import coxeter_number, defining_dim, is_elliptic_regular, is_regular, lie_type, slope_cells
 from .skeleton import minimal_jordan_type_report
-from .solver import o_nu, o_nu_rows
+from .solver import ds_solve, ds_solve_q, o_nu, o_nu_rows
 
 
-def check_centralizer_oracle(max_total: int = 10) -> str:
+def check_centralizer_oracle(max_total: int = 10) -> tuple[int, str | None]:
+    """Closed-form centralizer dimensions against matrix kernels, for every
+    valid Jordan type of total at most max_total."""
+    cases = 0
     for fam in ("A", "B", "C", "D"):
-        lo = 3 if fam == "D" else (1 if fam == "A" else 2)
-        for n in range(lo, max_total // 2 + 2):
+        for n in range(3 if fam == "D" else (1 if fam == "A" else 2), max_total):
             t = lie_type(fam, n)
-            try:
-                N = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[fam]
-            except KeyError:
-                continue
+            N = defining_dim(t)
             if N > max_total:
-                continue
-            for p in partitions_of(N):
-                if fam != "A" and not is_valid(p, ParityClass[fam]):
-                    continue
+                break
+            for p in partitions_of(N) if fam == "A" else valid_partitions(N, ParityClass[fam]):
                 o = NilpotentOrbit(t, p)
                 if dim_centralizer(o) != dim_centralizer_oracle(o, bound=max_total):
-                    return f"mismatch at {fam}{n} {p}"
-    return "ok"
+                    return cases, f"mismatch at {fam}{n} {p}"
+                cases += 1
+    return cases, None
 
 
-def check_skeleton(max_rank: int = 5) -> str:
+def check_skeleton(max_rank: int = 5, seed: int = 0) -> tuple[int, str | None]:
+    """Skeleton minimal Jordan types against the thresholds at the elliptic
+    slopes d/m, d < 2m (type A from rank 1)."""
+    cases = 0
     for fam in ("A", "B", "C", "D"):
-        ranks = range(1, max_rank + 1) if fam == "A" else range(3 if fam == "D" else 2, max_rank + 1)
-        for n in ranks:
-            t = lie_type(fam, n)
-            for m in range(2, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                if fam == "A":
-                    if m != n + 1:
-                        continue
-                elif not is_elliptic_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    got, cert = minimal_jordan_type_report(t, s)
-                    if not cert or got != o_nu(t, s).partition:
-                        return f"mismatch at {fam}{n} {s}"
-    return "ok"
+        cells = slope_cells(
+            fam, max_rank, lambda t: range(2, 2 * t.rank + 2), lambda m: range(1, 2 * m),
+            min_rank=1 if fam == "A" else None,
+        )
+        for t, m, _, s in cells:
+            if not is_elliptic_regular(t, m):
+                continue
+            got, cert = minimal_jordan_type_report(t, s, seed=seed)
+            if not cert or got != o_nu(t, s).partition:
+                return cases, f"mismatch at {t} {s}"
+            cases += 1
+    return cases, None
 
 
-def check_delta(max_rank: int = 8) -> str:
+def check_delta(max_rank: int = 8) -> tuple[int, int, str | None]:
+    """Closed-form Delta rows against the direct Delta of the threshold, and
+    against the Coxeter columns at m = h, d <= h + 1.  Returns the agreeing
+    cells, the cells outside the rows' domain, and the first failure."""
+    cases = skipped = 0
     for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, max_rank + 1):
-            t = lie_type(fam, n)
+        cells = slope_cells(fam, max_rank, lambda t: range(1, 2 * t.rank + 2), lambda m: range(1, 2 * m))
+        for t, m, d, s in cells:
             h = coxeter_number(t)
-            for m in range(1, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    direct = delta_of_orbit(t, s, o_nu(t, s))
-                    try:
-                        cf = closed_form_delta(t, s)
-                    except UnsupportedSlopeError:
-                        if s.nu < 1 or (m == h and not (fam == "D" and d > m + 1)):
-                            return f"unexpectedly unsupported: {fam}{n} {s}"
-                        continue
-                    if cf != direct:
-                        return f"mismatch at {fam}{n} {s}: {cf} vs {direct}"
-    return "ok"
+            direct = delta_of_orbit(t, s, o_nu(t, s))
+            if direct < 0:
+                return cases, skipped, f"negative Delta at {t} {s}: {direct}"
+            try:
+                cf = closed_form_delta(t, s)
+            except UnsupportedSlopeError:
+                # the rows provably stop at nu = 1 away from m = h (and at
+                # the Airy slope for D)
+                if s.nu < 1 or (m == h and not (fam == "D" and d > m + 1)):
+                    return cases, skipped, f"unexpectedly unsupported: {t} {s}"
+                skipped += 1
+                continue
+            if cf != direct:
+                return cases, skipped, f"mismatch at {t} {s}: {cf} vs {direct}"
+            if m == h and d <= h + 1 and coxeter_delta_column(t, d) != direct:
+                return cases, skipped, f"Coxeter column mismatch at {t} {s}"
+            cases += 1
+    return cases, skipped, None
 
 
-def check_row_overlap(max_rank: int = 12) -> str:
+def check_row_overlap(max_rank: int = 12) -> tuple[int, str | None]:
+    """Every applicable threshold-table row gives the same orbit."""
+    cases = 0
     for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, max_rank + 1):
-            t = lie_type(fam, n)
-            for m in range(1, 2 * n + 1):
-                if not is_regular(t, m):
-                    continue
-                for d in range(1, 2 * m + 1):
-                    if gcd(d, m) != 1:
-                        continue
-                    rows = o_nu_rows(t, slope(d, m))
-                    parts = {r.orbit.partition for r in rows}
-                    if len(parts) != 1:
-                        return f"row conflict at {fam}{n} {d}/{m}: {sorted(parts)}"
-    return "ok"
+        cells = slope_cells(fam, max_rank, lambda t: range(1, 2 * t.rank + 1), lambda m: range(1, 2 * m + 1))
+        for t, m, d, s in cells:
+            parts = {r.orbit.partition for r in o_nu_rows(t, s)}
+            if len(parts) != 1:
+                return cases, f"row conflict at {t} {d}/{m}: {sorted(parts)}"
+            cases += 1
+    return cases, None
 
 
-def check_q_equivalence(per_type: int = 100, max_rank: int = 6, seed: int = 11) -> str:
-    from .orbits import AdjointOrbit, Block
-    from .solver import ds_solve, ds_solve_q
+def _random_adjoint(rng: random.Random, fam: str, n: int):
+    """A seeded draw of (type, slope, adjoint orbit) at rank n: a regular m,
+    a slope d/m with d <= 2m, the multiplicities and the partitions."""
+    t = lie_type(fam, n)
+    cap = n + 1 if fam == "A" else n
+    m = rng.choice([m for m in range(1, 2 * cap + 1) if is_regular(t, m)])
+    cells = slope_cells(fam, n, lambda t: (m,), lambda m: range(1, 2 * m + 1), min_rank=n)
+    s = rng.choice([s for *_, s in cells])
+    zero_mult = rng.randint(0, cap)
+    rest = cap - zero_mult
+    mults = []
+    while rest:
+        x = rng.randint(1, rest)
+        mults.append(x)
+        rest -= x
+    eps = 1 if fam == "B" else 0
+    tail_total = zero_mult if fam == "A" else 2 * zero_mult + eps
+    tails = partitions_of(tail_total) if fam == "A" else valid_partitions(tail_total, ParityClass[fam])
+    blocks = tuple(
+        Block(f"a{i}", mults[i], rng.choice(list(partitions_of(mults[i]))))
+        for i in range(len(mults))
+    )
+    return t, s, AdjointOrbit(t, blocks, rng.choice(tails))
 
+
+def check_q_equivalence(
+    per_type: int = 100, max_rank: int = 6, seed: int = 11, min_rank: int | None = None
+) -> tuple[int, str | None]:
+    """The candidate route against the induction route on per_type seeded
+    orbits of each classical family, at ranks from min_rank (by default the
+    lowest: 3 in D, 2 otherwise) to max_rank."""
     rng = random.Random(seed)
+    cases = 0
     for fam in ("A", "B", "C", "D"):
         for _ in range(per_type):
-            n = rng.randint(3 if fam == "D" else 2, max_rank)
-            t = lie_type(fam, n)
-            cap = n + 1 if fam == "A" else n
-            m = rng.choice([m for m in range(1, 2 * cap + 1) if is_regular(t, m)])
-            d = rng.choice([d for d in range(1, 2 * m + 1) if gcd(d, m) == 1])
-            s = slope(d, m)
-            zero_mult = rng.randint(0, cap)
-            rest = cap - zero_mult
-            mults = []
-            while rest:
-                x = rng.randint(1, rest)
-                mults.append(x)
-                rest -= x
-            eps = 1 if fam == "B" else 0
-            tail_total = zero_mult if fam == "A" else 2 * zero_mult + eps
-            if fam == "A":
-                tails = list(partitions_of(tail_total)) if tail_total else [()]
-            else:
-                tails = [p for p in partitions_of(tail_total) if is_valid(p, ParityClass[fam])]
-                tails = tails or [()]
-            blocks = tuple(
-                Block(f"a{i}", mults[i], rng.choice(list(partitions_of(mults[i]))))
-                for i in range(len(mults))
-            )
-            a = AdjointOrbit(t, blocks, rng.choice(tails))
+            n = rng.randint(min_rank or (3 if fam == "D" else 2), max_rank)
+            t, s, a = _random_adjoint(rng, fam, n)
             if ds_solve(t, s, a).affirmative != ds_solve_q(t, s, a).affirmative:
-                return f"mismatch at {fam}{n} {s} {a.to_json()}"
-    return "ok"
+                return cases, f"mismatch at {t} {s} {a.to_json()}"
+            cases += 1
+    return cases, None
 
 
 def run_all(max_rank: int = 5) -> dict[str, str]:
-    return {
+    results = {
         "centralizer_oracle": check_centralizer_oracle(10),
         "skeleton_vs_tables": check_skeleton(max_rank),
         "delta_agreement": check_delta(max_rank + 2),
         "row_overlap": check_row_overlap(max_rank + 4),
         "q_equivalence": check_q_equivalence(60, max_rank),
     }
+    return {name: result[-1] or "ok" for name, result in results.items()}

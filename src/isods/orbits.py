@@ -147,15 +147,6 @@ def zero_orbit(t: LieType) -> NilpotentOrbit:
     return NilpotentOrbit(t, partition((1,) * defining_dim(t)))
 
 
-def regular_orbit(t: LieType) -> NilpotentOrbit:
-    if t.is_exceptional:
-        return NilpotentOrbit(t, label=t.family)
-    N = defining_dim(t)
-    if t.family == "D":
-        return NilpotentOrbit(t, partition((N - 1, 1)))
-    return NilpotentOrbit(t, partition((N,)))
-
-
 # ---------------------------------------------------------------------------
 # Centralizer dimensions
 # ---------------------------------------------------------------------------

@@ -100,12 +100,6 @@ def partitions_exact_parts(n: int, r: int) -> Iterator[Partition]:
             yield tuple(q[i] + 1 if i < len(q) else 1 for i in range(r))
 
 
-def partitions_max_parts(n: int, r: int) -> Iterator[Partition]:
-    for p in partitions_of(n):
-        if len(p) <= r:
-            yield p
-
-
 def dominance_minimum(items: Iterable[Partition]) -> Partition | None:
     """The element <= all others, or None if no unique minimum exists."""
     pool = list(items)
@@ -144,22 +138,6 @@ def lambda_tilde(n: int, r: int) -> Partition:
     return best
 
 
-def smallest_excluding_evenly(n: int, r: int) -> Partition | None:
-    """Dominance minimum over partitions of n with at most r parts,
-    excluding lambda_evenly(n, r); None when absent or not unique.
-
-    Coincides with lambda_tilde when the latter is defined and r | n, and
-    extends it to n == r (where the exact-parts version has no candidates).
-    """
-    if r < 1 or n < 1:
-        return None
-    lam = lambda_evenly(n, r)
-    pool = [p for p in partitions_max_parts(n, r) if p != lam]
-    if not pool:
-        return None
-    return dominance_minimum(pool)
-
-
 def is_very_even(p: Partition) -> bool:
     return all(x % 2 == 0 for x in p)
 
@@ -173,6 +151,12 @@ def is_valid(p: Partition, cls: ParityClass) -> bool:
     if cls is ParityClass.C:
         return total % 2 == 0 and all(c % 2 == 0 for v, c in counts.items() if v % 2 == 1)
     return total % 2 == 0 and all(c % 2 == 0 for v, c in counts.items() if v % 2 == 0)
+
+
+@lru_cache(maxsize=None)
+def valid_partitions(n: int, cls: ParityClass) -> tuple[Partition, ...]:
+    """All partitions of n in the parity class cls, in partitions_of order."""
+    return tuple(p for p in partitions_of(n) if is_valid(p, cls))
 
 
 def collapse(p: Partition, cls: ParityClass) -> Partition:

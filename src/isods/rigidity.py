@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
@@ -19,7 +18,7 @@ from .root_data import (
     is_elliptic_regular,
     is_regular,
     phi_count,
-    slope,
+    slope_cells,
 )
 from .solver import ds_solve, o_nu
 
@@ -131,6 +130,24 @@ def _kd(m: int, d: int) -> tuple[int, int]:
     return k, m - k * d
 
 
+def _orthogonal_row(ell: int, m: int, d: int) -> Fraction:
+    """The B/D row of Delta_nu when m divides an orthogonal block count
+    (2n in B, 2n or 2n - 2 in D) into ell blocks; ell is odd only for even m."""
+    F = Fraction
+    k, dp = _kd(m, d)
+    lead = F(ell * (ell - 1), 4) * dp * (d - dp)
+    if ell % 2:
+        if k % 2 == 0:
+            return lead + F(ell, 4) * dp * (d - dp - 1)
+        return lead + F(ell, 4) * (dp + 1) * (d - dp - 2) + F(ell - 1, 2)
+    if m % 2 == 0 and d == 1:
+        return F(0)
+    shift = 2 if m % 2 == 0 else 1
+    if k % 2 == 0:
+        return lead + F(ell, 4) * ((dp - 2) * (d - dp - 1) - shift)
+    return lead + F(ell, 4) * ((dp - 1) * (d - dp - 2) - shift)
+
+
 def closed_form_delta(t: LieType, s: Slope) -> Fraction:
     """Row formulas for Delta_nu in the classical types.
 
@@ -155,85 +172,29 @@ def closed_form_delta(t: LieType, s: Slope) -> Fraction:
         # the D rows extend past nu = 1 only to the Airy slope 1 + 1/h
         raise UnsupportedSlopeError(f"Delta rows for D stop at d = h + 1; got {s}")
     k, dp = _kd(m, d)
-    vals: list[Fraction] = []
     F = Fraction
     if fam == "A":
-        N = n + 1
-        if N % m == 0:
-            ell = N // m
-            vals.append(F(ell * (ell - 1), 2) * dp * (d - dp) + F(ell, 2) * (dp - 1) * (d - dp - 1))
-        if (N - 1) % m == 0:
-            ell = (N - 1) // m
-            vals.append(F(ell * (ell - 1), 2) * dp * (d - dp) + F(ell, 2) * (dp - 1) * (d - dp - 1))
-    elif fam == "B":
-        if m % 2 == 0 and (2 * n) % m == 0:
-            ell = 2 * n // m
-            if ell % 2 == 0:
-                if d == 1:
-                    vals.append(F(0))
-                elif k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 2))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 2))
-            else:
-                if k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * dp * (d - dp - 1))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * (dp + 1) * (d - dp - 2) + F(ell - 1, 2))
-        if m % 2 == 1 and n % m == 0:
-            ell = 2 * n // m
-            if k % 2 == 0:
-                vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 1))
-            else:
-                vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 1))
+        vals = [
+            F(ell * (ell - 1), 2) * dp * (d - dp) + F(ell, 2) * (dp - 1) * (d - dp - 1)
+            for ell in (N // m for N in (n + 1, n) if N % m == 0)
+        ]
     elif fam == "C":
         ell = 2 * n // m
         lead = F(ell * (ell - 1), 4) * dp * (d - dp)
         if m % 2 == 0:
             if k % 2 == 0:
-                vals.append(lead + F(ell, 4) * dp * (d - dp - 1))
+                vals = [lead + F(ell, 4) * dp * (d - dp - 1)]
             else:
-                vals.append(lead + F(ell, 4) * (dp - 1) * (d - dp))
+                vals = [lead + F(ell, 4) * (dp - 1) * (d - dp)]
         else:
             if k % 2 == 0:
-                vals.append(lead + F(ell, 4) * (dp * (d - dp - 1) + 1))
+                vals = [lead + F(ell, 4) * (dp * (d - dp - 1) + 1)]
             else:
-                vals.append(lead + F(ell, 4) * ((dp - 1) * (d - dp) + 1))
-    else:  # D
-        if n % m == 0:
-            ell = 2 * n // m
-            if m % 2 == 0:
-                if d == 1:
-                    vals.append(F(0))
-                elif k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 2))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 2))
-            else:
-                if k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 1))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 1))
-        if (2 * n - 2) % m == 0 and (n - 1) % m != 0:
-            ell = (2 * n - 2) // m
-            if k % 2 == 0:
-                vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * dp * (d - dp - 1))
-            else:
-                vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * (dp + 1) * (d - dp - 2) + F(ell - 1, 2))
-        if (n - 1) % m == 0:
-            ell = (2 * n - 2) // m
-            if m % 2 == 0:
-                if d == 1:
-                    vals.append(F(0))
-                elif k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 2))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 2))
-            else:
-                if k % 2 == 0:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 2) * (d - dp - 1) - 1))
-                else:
-                    vals.append(F(ell * (ell - 1), 4) * dp * (d - dp) + F(ell, 4) * ((dp - 1) * (d - dp - 2) - 1))
+                vals = [lead + F(ell, 4) * ((dp - 1) * (d - dp) + 1)]
+    else:
+        # B carries one orthogonal block count, 2n; D two, 2n and 2n - 2
+        counts = (2 * n, 2 * n - 2) if fam == "D" else (2 * n,)
+        vals = [_orthogonal_row(c // m, m, d) for c in counts if c % m == 0]
     if not vals:
         raise UnsupportedSlopeError(f"no Delta row matches {t} at {s}")
     assert all(v == vals[0] for v in vals), (t, s, vals)
@@ -302,10 +263,10 @@ def rigid_predicate(fam: str, n: int, m: int, d: int) -> bool:
     return m == 2 * n - 2 and ((2 * n) % d == 0 or (2 * n - 1) % d == 0)
 
 
-def scan_rigid(family: str, max_rank: int, d_limit_factor: int = 2):
-    """All (rank, m, d) with elliptic m, gcd(d, m) = 1, d < d_limit_factor*m
-    and Delta = 0, each with its threshold orbit.  For exceptional families,
-    returns the embedded numerics rows instead."""
+def scan_rigid(family: str, max_rank: int):
+    """All (rank, m, d) with elliptic m, gcd(d, m) = 1, d < 2m and Delta = 0,
+    each with its threshold orbit.  For exceptional families, returns the
+    embedded numerics rows instead."""
     if family in ("G2", "F4", "E6", "E7", "E8"):
         out = []
         for fam, nu, lbl, exist in xd.POTENTIALLY_RIGID_EXC:
@@ -321,25 +282,11 @@ def scan_rigid(family: str, max_rank: int, d_limit_factor: int = 2):
                 )
         return out
     out = []
-    lo = 3 if family == "D" else 2
-    for n in range(lo, max_rank + 1):
-        t = LieType(family, n)
-        h = coxeter_number(t)
-        for m in range(2, h + 1):
-            if not is_regular(t, m) or not is_elliptic_regular(t, m):
-                continue
-            for d in range(1, d_limit_factor * m):
-                if gcd(d, m) != 1:
-                    continue
-                s = slope(d, m)
-                orbit = o_nu(t, s)
-                if delta_of_orbit(t, s, orbit) == 0:
-                    out.append(
-                        {
-                            "rank": n,
-                            "m": m,
-                            "d": d,
-                            "orbit": list(orbit.partition),
-                        }
-                    )
+    cells = slope_cells(family, max_rank, lambda t: range(2, coxeter_number(t) + 1), lambda m: range(1, 2 * m))
+    for t, m, d, s in cells:
+        if not is_elliptic_regular(t, m):
+            continue
+        orbit = o_nu(t, s)
+        if delta_of_orbit(t, s, orbit) == 0:
+            out.append({"rank": t.rank, "m": m, "d": d, "orbit": list(orbit.partition)})
     return out

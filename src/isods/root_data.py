@@ -278,6 +278,21 @@ def is_elliptic_regular(t: LieType, m: int) -> bool:
     return dim_cartan_fixed(t, m) == 0
 
 
+def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | None = None):
+    """The slope cells (t, m, d, d/m) of a classical family, rank by rank:
+    every regular m in m_range(t) and every d in d_range(m) prime to m.  The
+    ranks run from min_rank, by default the lowest rank of the classical
+    tables (3 in D, 2 otherwise), to max_rank."""
+    lo = (3 if family == "D" else 2) if min_rank is None else min_rank
+    for n in range(lo, max_rank + 1):
+        t = LieType(family, n)
+        for m in m_range(t):
+            if is_regular(t, m):
+                for d in d_range(m):
+                    if gcd(d, m) == 1:
+                        yield t, m, d, slope(d, m)
+
+
 @dataclass(frozen=True)
 class AffineDiagram:
     """Affine Dynkin diagram: node 0 is the affine node, marks n_alpha."""
@@ -289,11 +304,6 @@ class AffineDiagram:
     @property
     def finite_nodes(self) -> tuple[int, ...]:
         return self.nodes[1:]
-
-    def levi_factors(self, J) -> tuple[str, ...]:
-        """Irreducible factors of the Levi with simple roots J inside the
-        finite diagram, as type strings ('A2', '~A1', 'B3', 'D4', ...)."""
-        return levi_factor_types(self.type, J)
 
 
 @lru_cache(maxsize=None)

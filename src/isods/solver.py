@@ -24,13 +24,13 @@ from .orbits import (
 from .partitions import (
     Partition,
     dominance_le,
-    is_valid,
     is_very_even,
     lambda_evenly,
     partition,
     partitions_of,
     prefix_sums,
     union_parts,
+    valid_partitions,
 )
 from .root_data import (
     LieType,
@@ -246,11 +246,6 @@ class QCandidate:
     tail: Partition
 
 
-def _valid_tails(t, total: int):
-    cls = parity_class(t)
-    return [p for p in partitions_of(total) if is_valid(p, cls)]
-
-
 def _with_prefix_sums(pool, width: int) -> tuple[list[Partition], list[list[int]]]:
     pool = list(pool)
     return pool, [prefix_sums(p, width) for p in pool]
@@ -354,7 +349,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     p_o = prefix_sums(o_part, width)
     slot_choices = {M: _with_prefix_sums(partitions_of(M), width) for M in set(slots)}
     if fam != "A":
-        tail_choices = _with_prefix_sums(_valid_tails(t, tail_total), width)
+        tail_choices = _with_prefix_sums(valid_partitions(tail_total, parity_class(t)), width)
 
     def minimal_working(pool, prefixes, bound) -> list[Partition]:
         keep = [i for i, pp in enumerate(prefixes) if _clears(pp, bound)]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import io
-from math import gcd
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
 from .orbits import dim_centralizer, NilpotentOrbit
 from .rigidity import closed_form_delta, delta_of_orbit, scan_rigid
-from .root_data import coxeter_number, is_regular, lie_type, slope
+from .root_data import coxeter_number, lie_type, slope_cells
 from .solver import o_nu, o_nu_rows
 
 TABLE_NAMES = (
@@ -36,19 +35,16 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _denominators(t):
+    return range(2, 2 * t.rank + 2)
+
+
 def t_clCox(family: str, max_rank: int) -> str:
     rows = []
-    lo = 3 if family == "D" else 2
-    for n in range(lo, max_rank + 1):
-        t = lie_type(family, n)
-        h = coxeter_number(t)
-        for d in range(1, h):
-            if gcd(d, h) != 1:
-                continue
-            s = slope(d, h)
-            orbit = o_nu(t, s)
-            delta = delta_of_orbit(t, s, orbit)
-            rows.append([family, str(n), str(d), _fmt_partition(orbit.partition), str(delta)])
+    for t, _, d, s in slope_cells(family, max_rank, lambda t: (coxeter_number(t),), lambda h: range(1, h)):
+        orbit = o_nu(t, s)
+        delta = delta_of_orbit(t, s, orbit)
+        rows.append([family, str(t.rank), str(d), _fmt_partition(orbit.partition), str(delta)])
     return _csv(["family", "rank", "d", "o_nu", "delta"], rows)
 
 
@@ -61,20 +57,9 @@ def t_excCox() -> str:
 
 def t_completecl(family: str, max_rank: int) -> str:
     rows = []
-    lo = 3 if family == "D" else 2
-    for n in range(lo, max_rank + 1):
-        t = lie_type(family, n)
-        for m in range(2, 2 * n + 2):
-            if not is_regular(t, m):
-                continue
-            for d in range(1, m):
-                if gcd(d, m) != 1:
-                    continue
-                s = slope(d, m)
-                for row in o_nu_rows(t, s):
-                    rows.append(
-                        [family, str(n), str(m), str(d), row.row_id, _fmt_partition(row.orbit.partition)]
-                    )
+    for t, m, d, s in slope_cells(family, max_rank, _denominators, lambda m: range(1, m)):
+        for row in o_nu_rows(t, s):
+            rows.append([family, str(t.rank), str(m), str(d), row.row_id, _fmt_partition(row.orbit.partition)])
     return _csv(["family", "rank", "m", "d", "row", "o_nu"], rows)
 
 
@@ -99,21 +84,12 @@ def t_clq(family: str, rank: int, s, mults: tuple[int, ...], zero_mult: int) -> 
 
 def t_cl_index_rig(family: str, max_rank: int) -> str:
     rows = []
-    lo = 3 if family == "D" else 2
-    for n in range(lo, max_rank + 1):
-        t = lie_type(family, n)
-        for m in range(2, 2 * n + 2):
-            if not is_regular(t, m):
-                continue
-            for d in range(1, 2 * m):
-                if gcd(d, m) != 1:
-                    continue
-                s = slope(d, m)
-                try:
-                    delta = closed_form_delta(t, s)
-                except UnsupportedSlopeError:
-                    continue
-                rows.append([family, str(n), str(m), str(d), str(delta)])
+    for t, m, d, s in slope_cells(family, max_rank, _denominators, lambda m: range(1, 2 * m)):
+        try:
+            delta = closed_form_delta(t, s)
+        except UnsupportedSlopeError:
+            continue
+        rows.append([family, str(t.rank), str(m), str(d), str(delta)])
     return _csv(["family", "rank", "m", "d", "delta"], rows)
 
 

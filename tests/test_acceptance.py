@@ -2,21 +2,21 @@
 its measured scope.  All tolerances are exact (integer/rational arithmetic).
 """
 
-import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from isods import exceptional_data as xd
-from isods.coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve
-from isods.orbits import (
-    AdjointOrbit,
-    Block,
-    NilpotentOrbit,
-    builtin_hasse,
-    dim_centralizer,
-    dim_centralizer_oracle,
+from isods.checks import (
+    check_centralizer_oracle,
+    check_delta,
+    check_q_equivalence,
+    check_row_overlap,
+    check_skeleton,
 )
+from isods.coxeter import coxeter_candidates, coxeter_solve
+from isods.orbits import NilpotentOrbit, builtin_hasse, dim_centralizer
 from isods.partitions import (
     ParityClass,
     dominance_le,
@@ -25,18 +25,44 @@ from isods.partitions import (
     partition,
     partitions_of,
 )
-from isods.rigidity import closed_form_delta, delta_of_orbit, rigid_predicate, scan_rigid
+from isods.rigidity import delta_of_orbit, rigid_predicate, scan_rigid
 from isods.root_data import (
     coxeter_number,
     is_elliptic_regular,
-    is_regular,
     lie_type,
     phi_count,
     slope,
+    slope_cells,
 )
-from isods.skeleton import minimal_jordan_type_report
-from isods.solver import ds_solve, ds_solve_q, o_nu, o_nu_rows
-from isods.tables import t_cl_ell_rig, t_cl_index_rig, t_clCox
+from isods.solver import o_nu, o_nu_rows
+from isods.tables import generate, t_cl_ell_rig, t_cl_index_rig, t_clCox
+
+# Committed table outputs that criterion 11 compares byte for byte.  After a
+# deliberate change to a table, rewrite them with
+#   PYTHONPATH=src python tests/test_acceptance.py
+GOLDEN_DIR = Path(__file__).parent / "golden"
+_CLQ_CELLS = (
+    ("B", 4, 1, 4, (2, 1), 1),
+    ("B", 6, 1, 6, (2,), 4),
+    ("C", 4, 1, 2, (1, 1), 2),
+    ("C", 6, 7, 12, (2, 1), 3),
+    ("D", 5, 3, 4, (1, 1, 1), 2),
+    ("D", 6, 1, 5, (3,), 3),
+)
+GOLDEN = {
+    **{
+        f"{name}-{fam}10.csv": {"name": name, "family": fam, "max_rank": 10}
+        for name in ("t_clCox", "t_completecl", "t_cl_index_rig", "t_cl_ell_rig")
+        for fam in ("A", "B", "C", "D")
+    },
+    **{f"{name}.csv": {"name": name} for name in ("t_excCox", "DSsolnF4", "potigexc-numerics")},
+    **{
+        f"t_clq-{fam}{n}-{d}_{m}-{'.'.join(map(str, mults))}-z{z}.csv": {
+            "name": "t_clq", "family": fam, "rank": n, "slope": slope(d, m), "mults": mults, "zero_mult": z,
+        }
+        for fam, n, d, m, mults, z in _CLQ_CELLS
+    },
+}
 
 
 def _clcox_closed_form(fam, n, d):
@@ -53,19 +79,15 @@ def test_criterion_1_coxeter_classical_agreement():
     t0 = time.time()
     cells = 0
     for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, 11):
-            t = lie_type(fam, n)
-            h = coxeter_number(t)
-            for d in range(1, 3 * h):
-                if gcd(d, h) != 1:
-                    continue
-                cells += 1
-                derived = coxeter_solve(t, d).partition
-                assert derived == _clcox_closed_form(fam, n, d), (fam, n, d)
-                # path cross-agreement with the table route
-                assert derived == o_nu(t, slope(d, h)).partition, (fam, n, d)
+        for t, h, d, s in slope_cells(fam, 10, lambda t: (coxeter_number(t),), lambda h: range(1, 3 * h)):
+            cells += 1
+            derived = coxeter_solve(t, d).partition
+            assert derived == _clcox_closed_form(fam, t.rank, d), (fam, t.rank, d)
+            # path cross-agreement with the table route
+            assert derived == o_nu(t, s).partition, (fam, t.rank, d)
     elapsed = time.time() - t0
     assert elapsed < 30
+    assert cells == 492
     print(f"PASS criterion 1: Coxeter-classical agreement on {cells} cells in {elapsed:.1f}s")
 
 
@@ -115,55 +137,18 @@ def test_criterion_3_collapse_oracle():
 
 def test_criterion_4_centralizer_oracle():
     t0 = time.time()
-    cases = 0
-    for fam, dim_of, lo in (
-        ("B", lambda n: 2 * n + 1, 2),
-        ("C", lambda n: 2 * n, 2),
-        ("D", lambda n: 2 * n, 3),
-    ):
-        n = lo
-        while dim_of(n) <= 14:
-            t = lie_type(fam, n)
-            for p in partitions_of(dim_of(n)):
-                if not is_valid(p, ParityClass[fam]):
-                    continue
-                o = NilpotentOrbit(t, p)
-                assert dim_centralizer(o) == dim_centralizer_oracle(o), (fam, n, p)
-                cases += 1
-            n += 1
-    for N in range(2, 15):
-        t = lie_type("A", N - 1)
-        for p in partitions_of(N):
-            o = NilpotentOrbit(t, p)
-            assert dim_centralizer(o) == dim_centralizer_oracle(o), ("A", N, p)
-            cases += 1
+    cases, failure = check_centralizer_oracle(14)
+    assert failure is None, failure
+    assert cases == 842
     print(f"PASS criterion 4: closed-form centralizer dims equal matrix kernels on {cases} Jordan types "
           f"in {time.time() - t0:.1f}s")
 
 
 def test_criterion_5_skeleton_equivalence():
     t0 = time.time()
-    cases = 0
-    for fam in ("A", "B", "C", "D"):
-        ranks = range(1, 7) if fam == "A" else range(3 if fam == "D" else 2, 7)
-        for n in ranks:
-            t = lie_type(fam, n)
-            for m in range(2, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                if fam == "A":
-                    if m != n + 1:
-                        continue
-                elif not is_elliptic_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    got, certified = minimal_jordan_type_report(t, s, seed=17)
-                    assert certified, (fam, n, str(s))
-                    assert got == o_nu(t, s).partition, (fam, n, str(s))
-                    cases += 1
+    cases, failure = check_skeleton(6, seed=17)
+    assert failure is None, failure
+    assert cases == 178
     elapsed = time.time() - t0
     assert elapsed < 120
     print(f"PASS criterion 5: skeleton minimal Jordan types equal thresholds on {cases} elliptic slopes "
@@ -172,34 +157,9 @@ def test_criterion_5_skeleton_equivalence():
 
 def test_criterion_6_delta_agreement():
     t0 = time.time()
-    cells = skipped = 0
-    for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, 11):
-            t = lie_type(fam, n)
-            h = coxeter_number(t)
-            for m in range(1, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    direct = delta_of_orbit(t, s, o_nu(t, s))
-                    assert direct >= 0
-                    try:
-                        cf = closed_form_delta(t, s)
-                    except UnsupportedSlopeError:
-                        # the rows provably stop at nu = 1 away from m = h
-                        # (and at the Airy slope for D); see the ledger
-                        assert s.nu >= 1 and (m != h or (fam == "D" and d > m + 1)), (fam, n, m, d)
-                        skipped += 1
-                        continue
-                    assert cf == direct, (fam, n, m, d, cf, direct)
-                    cells += 1
-                    from isods.rigidity import coxeter_delta_column
-
-                    if m == h and d <= h + 1:
-                        assert coxeter_delta_column(t, d) == direct, (fam, n, d)
+    cells, skipped, failure = check_delta(10)
+    assert failure is None, failure
+    assert (cells, skipped) == (553, 316)
     print(f"PASS criterion 6: closed-form Delta equals direct Delta on {cells} cells "
           f"({skipped} cells outside the rows' domain) in {time.time() - t0:.1f}s")
 
@@ -207,15 +167,11 @@ def test_criterion_6_delta_agreement():
 def test_criterion_7_rigid_classification():
     for fam in ("A", "B", "C", "D"):
         got = {(r["rank"], r["m"], r["d"]) for r in scan_rigid(fam, 10)}
-        want = set()
-        for n in range(3 if fam == "D" else 2, 11):
-            t = lie_type(fam, n)
-            for m in range(2, 2 * n + 1):
-                if not is_regular(t, m) or not is_elliptic_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) == 1 and rigid_predicate(fam, n, m, d):
-                        want.add((n, m, d))
+        want = {
+            (t.rank, m, d)
+            for t, m, d, _ in slope_cells(fam, 10, lambda t: range(2, 2 * t.rank + 1), lambda m: range(1, 2 * m))
+            if is_elliptic_regular(t, m) and rigid_predicate(fam, t.rank, m, d)
+        }
         assert got == want, (fam, sorted(got ^ want))
     print("PASS criterion 7: rigid scan reproduces the classification predicate rows, ranks <= 10")
 
@@ -225,16 +181,10 @@ def test_criterion_7_documented_corrections():
     # m = 2n (proper even divisors keep d = 1 alone), and D has the
     # m = n even, d = 3 family
     deltas_c = set()
-    for n in range(2, 11):
-        t = lie_type("C", n)
-        for m in range(2, 2 * n + 1):
-            if not is_regular(t, m) or not is_elliptic_regular(t, m) or m == 2 * n:
-                continue
-            for d in range(2, m):
-                if gcd(d, m) == 1 and ((m - 1) % d == 0 or (m + 1) % d == 0):
-                    s = slope(d, m)
-                    if delta_of_orbit(t, s, o_nu(t, s)) != 0:
-                        deltas_c.add((n, m, d))
+    for t, m, d, s in slope_cells("C", 10, lambda t: range(2, 2 * t.rank), lambda m: range(2, m)):
+        if is_elliptic_regular(t, m) and ((m - 1) % d == 0 or (m + 1) % d == 0):
+            if delta_of_orbit(t, s, o_nu(t, s)) != 0:
+                deltas_c.add((t.rank, m, d))
     assert deltas_c, "expected nonrigid C cells with d | m+-1 at proper divisors"
     for n in (4, 6, 8, 10):
         t = lie_type("D", n)
@@ -271,74 +221,28 @@ def test_criterion_8_exceptional_delta_consistency():
     print(f"PASS criterion 8: nu|Phi| - 2 Delta = dim C holds for {checked} embedded exceptional rows")
 
 
-def _random_adjoint(rng, fam, n):
-    t = lie_type(fam, n)
-    cap = n + 1 if fam == "A" else n
-    m = rng.choice([m for m in range(1, 2 * cap + 1) if is_regular(t, m)])
-    d = rng.choice([d for d in range(1, 2 * m + 1) if gcd(d, m) == 1])
-    s = slope(d, m)
-    zero_mult = rng.randint(0, cap)
-    rest = cap - zero_mult
-    mults = []
-    while rest:
-        x = rng.randint(1, rest)
-        mults.append(x)
-        rest -= x
-    eps = 1 if fam == "B" else 0
-    tail_total = zero_mult if fam == "A" else 2 * zero_mult + eps
-    if fam == "A":
-        tails = list(partitions_of(tail_total)) if tail_total else [()]
-    else:
-        tails = [p for p in partitions_of(tail_total) if is_valid(p, ParityClass[fam])] or [()]
-    blocks = tuple(
-        Block(f"a{i}", mults[i], rng.choice(list(partitions_of(mults[i]))))
-        for i in range(len(mults))
-    )
-    return t, s, AdjointOrbit(t, blocks, rng.choice(tails))
-
-
 def test_criterion_9_q_equivalence():
     t0 = time.time()
-    rng = random.Random(20240808)
-    for fam in ("A", "B", "C", "D"):
-        for _ in range(500):
-            t, s, a = _random_adjoint(rng, fam, rng.randint(3 if fam == "D" else 2, 8))
-            assert ds_solve(t, s, a).affirmative == ds_solve_q(t, s, a).affirmative, (
-                str(t), str(s), a.to_json(),
-            )
-    print(f"PASS criterion 9: candidate route equals induction route on 2000 seeded orbits "
+    cases, failure = check_q_equivalence(500, 8, seed=20240808)
+    assert failure is None, failure
+    assert cases == 2000
+    print(f"PASS criterion 9: candidate route equals induction route on {cases} seeded orbits "
           f"in {time.time() - t0:.1f}s")
 
 
 def test_criterion_9_q_equivalence_high_rank():
     t0 = time.time()
-    rng = random.Random(20261018)
-    for fam in ("A", "B", "C", "D"):
-        for _ in range(50):
-            t, s, a = _random_adjoint(rng, fam, rng.randint(14, 20))
-            assert ds_solve(t, s, a).affirmative == ds_solve_q(t, s, a).affirmative, (
-                str(t), str(s), a.to_json(),
-            )
-    print(f"PASS criterion 9 (high rank): candidate route equals induction route on 200 seeded "
+    cases, failure = check_q_equivalence(50, 20, seed=20261018, min_rank=14)
+    assert failure is None, failure
+    assert cases == 200
+    print(f"PASS criterion 9 (high rank): candidate route equals induction route on {cases} seeded "
           f"orbits at ranks 14-20 in {time.time() - t0:.1f}s")
 
 
 def test_criterion_10_row_overlap():
-    cells = conflicts = 0
-    for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, 13):
-            t = lie_type(fam, n)
-            for m in range(1, 2 * n + 1):
-                if not is_regular(t, m):
-                    continue
-                for d in range(1, 2 * m + 1):
-                    if gcd(d, m) != 1:
-                        continue
-                    rows = o_nu_rows(t, slope(d, m))
-                    cells += 1
-                    if len({r.orbit.partition for r in rows}) != 1:
-                        conflicts += 1
-    assert conflicts == 0
+    cells, failure = check_row_overlap(12)
+    assert failure is None, failure
+    assert cells == 1304
     # spot instance: D4 at m = 2, d = 1 has two applicable rows agreeing
     rows = o_nu_rows(lie_type("D", 4), slope(1, 2))
     assert len(rows) > 1 and {r.orbit.partition for r in rows} == {(3, 2, 2, 1)}
@@ -359,4 +263,17 @@ def test_criterion_11_golden_stability():
     assert snapshots[0] == snapshots[1]
     for text in snapshots[0]:
         assert "\r" not in text and text.endswith("\n")
-    print("PASS criterion 11: regenerated table CSVs are byte-stable across runs")
+    for fname, kw in GOLDEN.items():
+        assert generate(**kw).encode() == (GOLDEN_DIR / fname).read_bytes(), fname
+    print(f"PASS criterion 11: regenerated table CSVs are byte-stable across runs and equal "
+          f"{len(GOLDEN)} golden files")
+
+
+def regenerate_golden():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for fname, kw in GOLDEN.items():
+        (GOLDEN_DIR / fname).write_bytes(generate(**kw).encode())
+
+
+if __name__ == "__main__":
+    regenerate_golden()

@@ -13,9 +13,9 @@ from isods.partitions import (
     partition,
     partitions_exact_parts,
     partitions_of,
-    smallest_excluding_evenly,
     sum_parts,
     transpose,
+    valid_partitions,
 )
 
 
@@ -105,19 +105,21 @@ def test_lambda_tilde_properties():
                     assert dominance_le(lt, q)
 
 
-def test_smallest_excluding_evenly():
-    assert smallest_excluding_evenly(4, 4) == (2, 1, 1)
-    assert smallest_excluding_evenly(2, 2) == (2,)
-    assert smallest_excluding_evenly(6, 2) == (4, 2)
-    assert smallest_excluding_evenly(1, 3) is None
-
-
 def test_parity_examples():
     assert is_valid((2, 2, 1), ParityClass.B)
     assert not is_valid((3, 2, 1), ParityClass.C)
     assert is_valid((4, 4), ParityClass.D) and is_very_even((4, 4))
     assert not is_valid((4, 3, 2), ParityClass.B)  # two violations
     assert not is_valid((2, 2), ParityClass.B)  # wrong total parity
+
+
+def test_valid_partitions_filters_and_memoises():
+    for cls in ParityClass:
+        for n in range(12):
+            valid = valid_partitions(n, cls)
+            assert valid == tuple(p for p in partitions_of(n) if is_valid(p, cls))
+            assert valid_partitions(n, cls) is valid
+    assert valid_partitions(4, ParityClass.C) == ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
 def test_collapse_examples():

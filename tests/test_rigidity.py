@@ -1,22 +1,20 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from isods.coxeter import UnsupportedSlopeError
+from isods.checks import check_delta
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit
 from isods.rigidity import (
     closed_form_delta,
     coxeter_delta_column,
     delta,
-    delta_of_orbit,
     is_cohomologically_rigid,
     non_resonant,
     rigid_predicate,
     rigidity_report,
     scan_rigid,
 )
-from isods.root_data import is_regular, lie_type, slope
+from isods.root_data import lie_type, slope
 from isods.solver import o_nu
 
 
@@ -65,22 +63,10 @@ def test_closed_form_examples():
 
 
 def test_closed_form_matches_direct_rank8():
-    for fam in ("A", "B", "C", "D"):
-        for n in range(3 if fam == "D" else 2, 9):
-            t = lie_type(fam, n)
-            for m in range(1, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    direct = delta_of_orbit(t, s, o_nu(t, s))
-                    assert direct >= 0
-                    try:
-                        assert closed_form_delta(t, s) == direct, (fam, n, m, d)
-                    except UnsupportedSlopeError:
-                        assert s.nu >= 1
+    cells, skipped, failure = check_delta(8)
+    assert failure is None, failure
+    assert cells and skipped
+
 
 def test_non_resonant_examples():
     C2 = lie_type("C", 2)

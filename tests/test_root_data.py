@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from isods.root_data import (
@@ -8,11 +10,13 @@ from isods.root_data import (
     highest_root,
     is_elliptic_regular,
     is_regular,
+    levi_factor_types,
     lie_type,
     parse_slope,
     phi_count,
     positive_roots,
     slope,
+    slope_cells,
 )
 
 ALL_TYPES = (
@@ -87,21 +91,34 @@ def test_highest_root_e8():
     assert sum(highest_root(lie_type("E8"))) == coxeter_number(lie_type("E8")) - 1
 
 
+def test_slope_cells():
+    cells = list(slope_cells("B", 2, lambda t: range(1, 5), lambda m: range(1, m)))
+    B2 = lie_type("B", 2)
+    assert cells == [(B2, 2, 1, slope(1, 2)), (B2, 4, 1, slope(1, 4)), (B2, 4, 3, slope(3, 4))]
+    cells = list(slope_cells("D", 5, lambda t: range(1, 2 * t.rank + 1), lambda m: range(1, 2 * m)))
+    assert [t.rank for t, *_ in cells] == sorted(t.rank for t, *_ in cells)
+    assert {t.rank for t, *_ in cells} == {3, 4, 5}
+    assert all(is_regular(t, m) and gcd(d, m) == 1 and s == slope(d, m) for t, m, d, s in cells)
+    assert not list(slope_cells("A", 1, lambda t: (2,), lambda m: range(1, 4)))
+    assert [(t.rank, d) for t, _, d, _ in slope_cells("A", 1, lambda t: (2,), lambda m: range(1, 4), min_rank=1)] == [
+        (1, 1), (1, 3),
+    ]
+
+
 def test_levi_factors():
-    d = affine_marks(lie_type("B", 4))
-    assert d.levi_factors({1, 3, 4}) == ("A1", "B2")
-    assert d.levi_factors({4}) == ("B1",)
-    d5 = affine_marks(lie_type("D", 5))
-    assert d5.levi_factors({4, 5}) == ("D2",)
-    assert d5.levi_factors({1, 4}) == ("A1", "A1")
-    assert d5.levi_factors({3, 4, 5}) == ("D3",)
-    f4 = affine_marks(lie_type("F4"))
-    assert f4.levi_factors({1, 2, 4}) == ("A2", "~A1")
-    assert f4.levi_factors({2, 3, 4}) == ("C3",)
-    e7 = affine_marks(lie_type("E7"))
-    assert e7.levi_factors({2, 3, 5, 7}) == ("A1", "A1", "A1", "A1")
+    B4 = lie_type("B", 4)
+    assert levi_factor_types(B4, {1, 3, 4}) == ("A1", "B2")
+    assert levi_factor_types(B4, {4}) == ("B1",)
+    D5 = lie_type("D", 5)
+    assert levi_factor_types(D5, {4, 5}) == ("D2",)
+    assert levi_factor_types(D5, {1, 4}) == ("A1", "A1")
+    assert levi_factor_types(D5, {3, 4, 5}) == ("D3",)
+    F4 = lie_type("F4")
+    assert levi_factor_types(F4, {1, 2, 4}) == ("A2", "~A1")
+    assert levi_factor_types(F4, {2, 3, 4}) == ("C3",)
+    assert levi_factor_types(lie_type("E7"), {2, 3, 5, 7}) == ("A1", "A1", "A1", "A1")
     with pytest.raises(ValueError):
-        affine_marks(lie_type("A", 3)).levi_factors({0, 1})
+        levi_factor_types(lie_type("A", 3), {0, 1})
 
 
 def test_regular_examples():

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
+from isods.checks import check_skeleton
 from isods.coxeter import UnsupportedSlopeError
-from isods.root_data import is_elliptic_regular, is_regular, lie_type, slope
+from isods.root_data import lie_type, slope
 from isods.skeleton import (
     QuadraticSpace,
     _orthogonal_kind,
@@ -17,7 +17,6 @@ from isods.skeleton import (
     model_type_a,
     model_type_c,
 )
-from isods.solver import o_nu
 
 
 def test_type_a_model():
@@ -80,22 +79,6 @@ def test_block_size_window():
 
 
 def test_oracle_equivalence_rank_le_5():
-    for fam in ("A", "B", "C", "D"):
-        ranks = range(1, 6) if fam == "A" else range(3 if fam == "D" else 2, 6)
-        for n in ranks:
-            t = lie_type(fam, n)
-            for m in range(2, 2 * n + 2):
-                if not is_regular(t, m):
-                    continue
-                if fam == "A":
-                    if m != n + 1:
-                        continue
-                elif not is_elliptic_regular(t, m):
-                    continue
-                for d in range(1, 2 * m):
-                    if gcd(d, m) != 1:
-                        continue
-                    s = slope(d, m)
-                    got, cert = minimal_jordan_type_report(t, s, seed=3)
-                    assert cert
-                    assert got == o_nu(t, s).partition, (fam, n, str(s))
+    cases, failure = check_skeleton(5, seed=3)
+    assert failure is None, failure
+    assert cases

@@ -15,7 +15,7 @@ from isods.partitions import (
     prefix_sums,
     sum_parts,
 )
-from isods.root_data import is_regular, lie_type, slope
+from isods.root_data import is_regular, lie_type, slope, slope_cells
 from isods.solver import (
     _anchor_bounds,
     _clears,
@@ -70,16 +70,9 @@ def test_o_nu_unsupported():
 
 
 def test_o_nu_never_very_even():
-    for n in range(3, 11):
-        t = lie_type("D", n)
-        for m in range(2, 2 * n + 1):
-            if not is_regular(t, m):
-                continue
-            for d in range(1, m):
-                if gcd(d, m) != 1:
-                    continue
-                p = o_nu(t, slope(d, m)).partition
-                assert not is_very_even(p), (n, m, d, p)
+    for t, m, d, s in slope_cells("D", 10, lambda t: range(2, 2 * t.rank + 1), lambda m: range(1, m)):
+        p = o_nu(t, s).partition
+        assert not is_very_even(p), (t.rank, m, d, p)
 
 
 def test_row_overlap_spot_instance():
