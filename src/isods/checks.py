@@ -7,13 +7,46 @@ from __future__ import annotations
 
 import random
 
-from .coxeter import UnsupportedSlopeError
+from .coxeter import UnsupportedSlopeError, coxeter_solve
 from .orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
-from .partitions import ParityClass, partitions_of, valid_partitions
+from .partitions import ParityClass, lambda_evenly, partition, partitions_of, valid_partitions
 from .rigidity import closed_form_delta, coxeter_delta_column, delta_of_orbit
 from .root_data import coxeter_number, defining_dim, is_elliptic_regular, is_regular, lie_type, slope_cells
 from .skeleton import minimal_jordan_type_report
 from .solver import ds_solve, ds_solve_q, o_nu, o_nu_rows
+
+
+def _coxeter_closed_form(t, d: int):
+    """The t_clCox column: the threshold at a classical Coxeter slope d/h
+    splits the defining dimension evenly into d parts (2n - 1 in D, plus a
+    part 1)."""
+    if t.family == "D":
+        return partition(lambda_evenly(2 * t.rank - 1, d) + (1,))
+    return lambda_evenly(defining_dim(t), d)
+
+
+def check_coxeter(
+    max_rank: int = 10, per_family: int | None = None, seed: int = 0, min_rank: int | None = None
+) -> tuple[int, str | None]:
+    """The Coxeter route against the closed form and the table route at the
+    Coxeter slopes d/h, d < 3h, of the classical families: every cell from
+    min_rank (by default the lowest: 3 in D, 2 otherwise) to max_rank, or,
+    with per_family, that many seeded cells per family with d < h (a nonzero
+    threshold), the first at max_rank."""
+    rng = random.Random(seed)
+    cases = 0
+    for fam in ("A", "B", "C", "D"):
+        cells = list(slope_cells(fam, max_rank, lambda t: (coxeter_number(t),), lambda h: range(1, 3 * h), min_rank))
+        if per_family is not None:
+            pool = [c for c in cells if c[2] < c[1]]
+            top = [c for c in pool if c[0].rank == max_rank]
+            cells = [rng.choice(top)] + [rng.choice(pool) for _ in range(per_family - 1)]
+        for t, _, d, s in cells:
+            derived = coxeter_solve(t, d).partition
+            if derived != _coxeter_closed_form(t, d) or derived != o_nu(t, s).partition:
+                return cases, f"mismatch at {t} d={d}: {derived}"
+            cases += 1
+    return cases, None
 
 
 def check_centralizer_oracle(max_total: int = 10) -> tuple[int, str | None]:

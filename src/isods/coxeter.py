@@ -1,6 +1,16 @@
 """The d-allowable-subset route to the threshold orbit at Coxeter slope d/h:
-enumerate allowable subsets of the affine diagram, decode regular-in-Levi
-orbits, take the closure minimum.
+the closure minimum of the regular-in-Levi orbits of the minimal d-allowable
+subsets J of the finite diagram.
+
+In the classical types the orbit of J depends only on its chain shape: the
+lengths of its components, the tail component (B, C) and whether J holds
+both fork nodes (D).  There the candidates come from a walk over chain
+shapes (`_chain_shape_candidates`): its states number a constant times
+rank^2 times the partitions of the numbers up to the rank, not 2^rank.
+G2, F4 and E6-E8 (rank <= 8) scan all 2^rank subsets
+(`minimal_allowable_in_finite`), which the tests keep as the classical
+oracle.  The marks come from `affine_marks` alone; the route reads none of
+the table code it is checked against.
 """
 
 from __future__ import annotations
@@ -114,35 +124,91 @@ def minimal_allowable_in_finite(t: LieType, d: int) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _runs_partition(t: LieType, runs, tail: int) -> Partition:
+    """Jordan type of a regular nilpotent of a classical Levi: A-type
+    components with `runs` nodes each, plus a tail component of `tail` nodes
+    (0 for none).  The tail is the component holding node n in B and C, and
+    in D the so(2*tail) spanned by the components meeting both fork nodes."""
+    fam = t.family
+    if fam == "A":
+        parts = [r + 1 for r in runs]
+    else:
+        parts = [r + 1 for r in runs for _ in (0, 1)]
+        if tail:
+            parts += {"B": [2 * tail + 1], "C": [2 * tail], "D": [2 * tail - 1, 1]}[fam]
+    parts += [1] * (defining_dim(t) - sum(parts))
+    return partition(parts)
+
+
 def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
     fam, n = t.family, t.rank
     comps = components(t, J)
-    parts: list[int] = []
-    if fam == "A":
-        for comp in comps:
-            parts.append(len(comp) + 1)
-    elif fam in ("B", "C"):
-        for comp in comps:
-            if n in comp:
-                c0 = len(comp)
-                parts.append(2 * c0 + 1 if fam == "B" else 2 * c0)
-            else:
-                parts.extend([len(comp) + 1, len(comp) + 1])
-    else:
+    if fam in ("B", "C"):
+        tail_comps = [c for c in comps if n in c]
+    elif fam == "D" and {n - 1, n} <= J:
         # D: both fork nodes together span an so(2*c0) tail even when the
         # connecting node n-2 is absent (alpha_{n-1} and alpha_n are then
         # orthogonal but act on the same four coordinates).
-        fork = {n - 1, n}
-        if fork <= J:
-            tail_nodes = frozenset().union(*(c for c in comps if c & fork))
-            c0 = len(tail_nodes)
-            parts.extend([2 * c0 - 1, 1])
-            comps = [c for c in comps if not (c & fork)]
-        for comp in comps:
-            parts.extend([len(comp) + 1, len(comp) + 1])
-    total = defining_dim(t)
-    parts += [1] * (total - sum(parts))
-    return partition(parts)
+        tail_comps = [c for c in comps if c & {n - 1, n}]
+    else:
+        tail_comps = []
+    runs = [len(c) for c in comps if c not in tail_comps]
+    return _runs_partition(t, runs, sum(len(c) for c in tail_comps))
+
+
+def _chain_shape_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
+    """The distinct orbits of the minimal d-allowable subsets of a classical
+    finite diagram, in the order of `sorted(J)`, by a walk over chain shapes.
+
+    The walk adds nodes in increasing order, so its preorder is the
+    lexicographic order of sorted(J).  A state is (last node, open run
+    length, sorted closed run lengths, tail length, mark sum, smallest mark
+    in J): the orbit of every completion depends only on it, so a state seen
+    before can only yield orbits already emitted and is skipped.  A walk
+    stops once the mark sum reaches h - d (supersets of an allowable subset
+    are not minimal) or can no longer reach it.
+    """
+    fam, n = t.family, t.rank
+    marks = affine_marks(t).marks
+    need = coxeter_number(t) - d
+    if need <= 0:
+        return [zero_orbit(t)]
+    # reach[k]: the mark sum of the nodes after k
+    reach = [sum(marks[a] for a in range(k + 1, n + 1)) for k in range(n + 1)]
+    out: dict[Partition, NilpotentOrbit] = {}
+    seen = set()
+    # J empty: `low` is never read, since need > 0
+    stack = [(0, 0, (), 0, 0, max(marks.values()))]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        last, run, closed, tail, s, low = state
+        if s >= need:
+            if s - low < need:
+                p = _runs_partition(t, closed + (run,) if run else closed, tail)
+                if p not in out:
+                    out[p] = NilpotentOrbit(t, p)
+            continue
+        if s + reach[last] < need:
+            continue
+        # a node not adjacent to the run closes it and starts its own
+        restart = (1, tuple(sorted(closed + (run,))) if run else closed, 0)
+        children = []
+        for k in range(last + 1, n + 1):
+            if fam == "D" and k == n and last == n - 1:
+                k_run, k_closed, k_tail = 0, closed, run + 1  # both fork nodes: the so(2c) tail
+            elif last == (k - 2 if fam == "D" and k == n else k - 1):
+                k_run, k_closed, k_tail = run + 1, closed, 0  # k joins the run of its lower neighbour
+            else:
+                k_run, k_closed, k_tail = restart
+            if k == n and fam in ("B", "C"):
+                k_run, k_tail = 0, k_run
+            m = marks[k]
+            children.append((k, k_run, k_closed, k_tail, s + m, m if m < low else low))
+        stack.extend(reversed(children))
+    return list(out.values())
 
 
 def _f4_component_label(comp: frozenset[int]) -> str:
@@ -264,7 +330,10 @@ def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
 
 def coxeter_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     """Orbits attached to the minimal d-allowable subsets of the finite
-    diagram (duplicates removed, order deterministic)."""
+    diagram, duplicates removed, in the order of sorted(J): by the chain-shape
+    walk in A-D, by the subset scan in G2, F4 and E6-E8."""
+    if not t.is_exceptional:
+        return _chain_shape_candidates(t, d)
     seen = []
     for J in sorted(minimal_allowable_in_finite(t, d), key=sorted):
         o = orbit_J_reg(t, J)
@@ -280,6 +349,8 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
     the embedded Coxeter table after checking the candidate set is sane.
     """
     h = coxeter_number(t)
+    if d < 1:
+        raise UnsupportedSlopeError(f"d={d} is not positive")
     if gcd(d, h) != 1:
         raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
     marks = affine_marks(t).marks
@@ -298,9 +369,13 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         if label not in [c.label for c in cands]:
             raise AssertionError(f"table orbit {label} missing from candidates for {key}")
         return NilpotentOrbit(t, label=label)
-    minima = [
-        o for o in cands if all(closure_le(o, other) for other in cands)
-    ]
-    if len(minima) != 1:
+    # One pass moves to each candidate below the current one, so it ends on
+    # the least candidate if there is one; a second pass checks that there is
+    # (the candidates can number thousands at rank 30, too many for pairs).
+    least = cands[0]
+    for o in cands[1:]:
+        if closure_le(o, least):
+            least = o
+    if not all(closure_le(least, o) for o in cands):
         raise AssertionError(f"no unique closure-minimal candidate for {t}, d={d}: {cands}")
-    return minima[0]
+    return least

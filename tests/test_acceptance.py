@@ -10,6 +10,7 @@ from pathlib import Path
 from isods import exceptional_data as xd
 from isods.checks import (
     check_centralizer_oracle,
+    check_coxeter,
     check_delta,
     check_q_equivalence,
     check_row_overlap,
@@ -21,8 +22,6 @@ from isods.partitions import (
     ParityClass,
     dominance_le,
     is_valid,
-    lambda_evenly,
-    partition,
     partitions_of,
 )
 from isods.rigidity import delta_of_orbit, rigid_predicate, scan_rigid
@@ -65,30 +64,25 @@ GOLDEN = {
 }
 
 
-def _clcox_closed_form(fam, n, d):
-    if fam == "A":
-        return lambda_evenly(n + 1, d)
-    if fam == "B":
-        return lambda_evenly(2 * n + 1, d)
-    if fam == "C":
-        return lambda_evenly(2 * n, d)
-    return partition(lambda_evenly(2 * n - 1, d) + (1,))
-
-
 def test_criterion_1_coxeter_classical_agreement():
     t0 = time.time()
-    cells = 0
-    for fam in ("A", "B", "C", "D"):
-        for t, h, d, s in slope_cells(fam, 10, lambda t: (coxeter_number(t),), lambda h: range(1, 3 * h)):
-            cells += 1
-            derived = coxeter_solve(t, d).partition
-            assert derived == _clcox_closed_form(fam, t.rank, d), (fam, t.rank, d)
-            # path cross-agreement with the table route
-            assert derived == o_nu(t, s).partition, (fam, t.rank, d)
+    cells, failure = check_coxeter(10)
     elapsed = time.time() - t0
+    assert failure is None, failure
     assert elapsed < 30
     assert cells == 492
     print(f"PASS criterion 1: Coxeter-classical agreement on {cells} cells in {elapsed:.1f}s")
+
+
+def test_criterion_1_coxeter_high_rank():
+    t0 = time.time()
+    cells, failure = check_coxeter(30, per_family=15, seed=20261018, min_rank=14)
+    elapsed = time.time() - t0
+    assert failure is None, failure
+    assert elapsed < 30
+    assert cells == 60
+    print(f"PASS criterion 1 (high rank): Coxeter-classical agreement on {cells} cells "
+          f"at ranks 14-30 in {elapsed:.1f}s")
 
 
 def test_criterion_2_coxeter_exceptional_agreement():

@@ -84,6 +84,54 @@ def test_unknown_exceptional_label_exit_2(tmp_path, capsys, fam, sl):
     capsys.readouterr()
 
 
+def _embedded_labels(fam):
+    from isods import exceptional_data as xd
+
+    return (
+        {label for f, label in xd.DIM_C if f == fam}
+        | {label for (f, _), (label, _) in xd.EXC_COXETER.items() if f == fam}
+        | {label for f, _, label, _ in xd.POTENTIALLY_RIGID_EXC if f == fam}
+    )
+
+
+@pytest.mark.parametrize("fam,sl", [("E6", "5/12"), ("E7", "7/18"), ("E8", "7/30")])
+def test_e_type_label_grammar(tmp_path, capsys, fam, sl):
+    too_big = {"E6": "A6+A1", "E7": "E7+A1", "E8": "E8+A1"}[fam]
+    for label in ("FOO", "A9", "A4(a1)", "2D4", "D3", "(A5)", "(A5)'''", "A1+", "0+A1", too_big):
+        assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2, label
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"kind": "nilpotent", "label": label}))
+        assert main(["delta", "--type", fam, "--slope", sl, "--orbit-file", str(path)]) == 2, label
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 2 and f"unknown {fam} orbit label" in captured.err
+    # every label of the embedded data, and the primed E7 forms, still parse
+    labels = _embedded_labels(fam) | ({"(3A1)''", "(A3+A1)'", "(A5)''"} if fam == "E7" else set())
+    assert len(labels) >= 8
+    for label in sorted(labels):
+        assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) in (0, 3), label
+    capsys.readouterr()
+
+
+def test_coxeter_show_subsets_rank_budget(capsys):
+    from isods.cli import SHOW_SUBSETS_MAX_RANK
+
+    code = main(["coxeter", "--type", "B", "--rank", str(SHOW_SUBSETS_MAX_RANK + 1), "--d", "1", "--show-subsets"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "--show-subsets" in captured.err
+    code, out = run_cli(capsys, "coxeter", "--type", "B", "--rank", str(SHOW_SUBSETS_MAX_RANK), "--d", "1", "--show-subsets")
+    assert code == 0 and json.loads(out)["o_nu"]["partition"] == [2 * SHOW_SUBSETS_MAX_RANK + 1]
+
+
+def test_coxeter_rank_30_answers(capsys):
+    code, out = run_cli(capsys, "coxeter", "--type", "B", "--rank", "30", "--d", "1")
+    assert code == 0 and json.loads(out) == {"o_nu": {"kind": "nilpotent", "partition": [61]}}
+    code, out = run_cli(capsys, "coxeter", "--type", "D", "--rank", "30", "--d", "21")
+    assert code == 0 and json.loads(out)["o_nu"]["partition"] == [3] * 17 + [2] * 4 + [1]
+    assert main(["coxeter", "--type", "B", "--rank", "4", "--d", "-1"]) == 2
+
+
 def test_solve_adjoint_file(tmp_path, capsys):
     orbit = {
         "kind": "adjoint",

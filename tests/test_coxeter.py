@@ -126,3 +126,25 @@ def test_candidates_contain_table_answer_quick():
     E8 = lie_type("E8")
     labels = {c.label for c in coxeter_candidates(E8, 7)}
     assert "A4+A2+A1" in labels
+
+
+def _subset_scan_candidates(t, d):
+    """The candidate list from the 2^rank subset scan: orbit_J_reg over the
+    minimal subsets in sorted(J) order, first occurrences kept."""
+    out = []
+    for J in sorted(minimal_allowable_in_finite(t, d), key=sorted):
+        o = orbit_J_reg(t, J)
+        if o not in out:
+            out.append(o)
+    return out
+
+
+def test_chain_shape_walk_equals_subset_scan():
+    cells = 0
+    for fam in ("A", "B", "C", "D"):
+        for n in range(1 if fam == "A" else (3 if fam == "D" else 2), 11):
+            t = lie_type(fam, n)
+            for d in range(1, 3 * coxeter_number(t)):
+                assert coxeter_candidates(t, d) == _subset_scan_candidates(t, d), (t, d)
+                cells += 1
+    assert cells == 1071
