@@ -60,12 +60,18 @@ def _levi_rank(label: str) -> int:
 def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
     """An exceptional orbit by Bala-Carter label.  The embedded catalogue
     lists every G2 and F4 orbit, so other labels there are invalid input;
-    E6-E8 labels must parse as Bala-Carter labels whose Levi rank is at most
-    the rank of the type."""
+    E6-E8 labels must parse as Bala-Carter labels whose Levi rank is below
+    the rank of the type, or be a single E_r term: the only Levi subalgebra
+    of full rank is the whole algebra."""
     if t.family in ("G2", "F4") and (t.family, label) not in xd.DIM_C:
         raise CliError(f"unknown {t.family} orbit label {label!r}")
-    if t.family in ("E6", "E7", "E8") and not (re.fullmatch(_BC_LABEL, label) and _levi_rank(label) <= t.rank):
-        raise CliError(f"unknown {t.family} orbit label {label!r}: not a Bala-Carter label of rank <= {t.rank}")
+    full_rank = rf"{t.family}(?:\([ab][1-9]\))?"
+    if t.family in ("E6", "E7", "E8") and not (
+        re.fullmatch(_BC_LABEL, label) and (_levi_rank(label) < t.rank or re.fullmatch(full_rank, label))
+    ):
+        raise CliError(
+            f"unknown {t.family} orbit label {label!r}: not a Bala-Carter label of rank < {t.rank} or of {t.family}"
+        )
     return NilpotentOrbit(t, label=label)
 
 
@@ -155,9 +161,10 @@ def cmd_solve_q(args) -> int:
 
 
 # `coxeter --show-subsets` lists every allowable subset of the affine
-# diagram: 2^(rank+1) subsets, each with a coin search.  The slowest d (near
-# h) took about 2 s at rank 12, 5 s at rank 13 and 20 s at rank 14 on a
-# shared 2-core host.
+# diagram: 2^(rank+1) subsets, each with a witness search whose cost does not
+# grow with d.  The slowest d of B took about 0.2 s at rank 12, 0.5 s at rank
+# 13 and 1.4 s at rank 14 on a shared 2-core host, and the listing itself
+# doubles with each rank.
 SHOW_SUBSETS_MAX_RANK = 12
 
 

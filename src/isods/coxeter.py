@@ -15,6 +15,7 @@ the table code it is checked against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,11 +28,10 @@ from .root_data import (
     LieType,
     affine_marks,
     cartan_matrix,
-    components,
     coxeter_number,
     defining_dim,
+    levi_factor_types,
     positive_roots,
-    simply_laced_component_type,
 )
 
 
@@ -49,29 +49,49 @@ class AllowableSubset:
     is_minimal: bool
 
 
+@lru_cache(maxsize=None)
+def _gaps(marks: frozenset[int]) -> tuple[int, frozenset[int]]:
+    """(g, gaps): the sums of the marks with coefficients >= 0 are the
+    multiples of g = gcd(marks) outside the finite set gaps.  Every gap lies
+    below g * (max/g)^2, since the Frobenius number of coprime a < b is
+    (a-1)(b-1) - 1; marks are at most 6, so the table stays small."""
+    g = gcd(*marks)
+    basis = [m // g for m in marks]
+    bound = max(basis) ** 2
+    reach = [True] + [False] * bound
+    for x in range(1, bound + 1):
+        reach[x] = any(b <= x and reach[x - b] for b in basis)
+    return g, frozenset(g * x for x in range(bound + 1) if not reach[x])
+
+
+def _fills(marks: tuple[int, ...], x: int) -> bool:
+    """Is x a sum of the marks with every coefficient >= 1?"""
+    x -= sum(marks)
+    if not marks:
+        return x == 0
+    g, gaps = _gaps(frozenset(marks))
+    return x >= 0 and x % g == 0 and x not in gaps
+
+
 def _witness(marks: list[tuple[int, int]], d: int) -> dict[int, int] | None:
     """Positive integers k_a with sum k_a * n_a = d over the given (node, mark)
-    list, or None.  Small coin-problem search."""
+    list, or None.  Nodes are taken by falling mark, and each gets the least k
+    whose remainder the later marks can still fill: the lexicographically
+    least witness in that order.  Past the first few k every remainder in the
+    right residue class fills, so each node takes a number of steps bounded
+    independently of d; the last node takes the whole remainder."""
     nodes = sorted(marks, key=lambda nm: -nm[1])
-    if sum(n for _, n in nodes) > d:
+    if not _fills(tuple(n for _, n in nodes), d):
         return None
     out: dict[int, int] = {}
-
-    def go(i: int, rem: int) -> bool:
-        if i == len(nodes):
-            return rem == 0
-        node, n = nodes[i]
-        tail = sum(m for _, m in nodes[i + 1 :])
-        k = 1
-        while n * k + tail <= rem:
-            out[node] = k
-            if go(i + 1, rem - n * k):
-                return True
+    for i, (node, n) in enumerate(nodes):
+        rest = tuple(m for _, m in nodes[i + 1 :])
+        k = 1 if rest else d // n
+        while not _fills(rest, d - n * k):
             k += 1
-        out.pop(node, None)
-        return False
-
-    return dict(out) if go(0, d) else None
+        out[node] = k
+        d -= n * k
+    return out
 
 
 def enumerate_d_allowable(t: LieType, d: int) -> list[AllowableSubset]:
@@ -141,19 +161,9 @@ def _runs_partition(t: LieType, runs, tail: int) -> Partition:
 
 
 def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
-    fam, n = t.family, t.rank
-    comps = components(t, J)
-    if fam in ("B", "C"):
-        tail_comps = [c for c in comps if n in c]
-    elif fam == "D" and {n - 1, n} <= J:
-        # D: both fork nodes together span an so(2*c0) tail even when the
-        # connecting node n-2 is absent (alpha_{n-1} and alpha_n are then
-        # orthogonal but act on the same four coordinates).
-        tail_comps = [c for c in comps if c & {n - 1, n}]
-    else:
-        tail_comps = []
-    runs = [len(c) for c in comps if c not in tail_comps]
-    return _runs_partition(t, runs, sum(len(c) for c in tail_comps))
+    factors = levi_factor_types(t, J)
+    runs = [int(f[1:]) for f in factors if f[0] == "A"]
+    return _runs_partition(t, runs, sum(int(f[1:]) for f in factors if f[0] != "A"))
 
 
 def _chain_shape_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
@@ -211,38 +221,15 @@ def _chain_shape_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     return list(out.values())
 
 
-def _f4_component_label(comp: frozenset[int]) -> str:
-    from .root_data import _F4_MIXED
-
-    longs = comp & {1, 2}
-    shorts = comp & {3, 4}
-    if longs and shorts:
-        return _F4_MIXED[comp]
-    if shorts:
-        return f"~A{len(comp)}"
-    return f"A{len(comp)}"
-
-
-def _g2_component_label(comp: frozenset[int]) -> str:
-    if comp == frozenset({1, 2}):
-        return "G2"
-    return "~A1" if comp == frozenset({2}) else "A1"
-
-
 @lru_cache(maxsize=None)
-def _e7_prime_reference() -> dict[str, dict[tuple, str]]:
-    """Orthogonal-complement invariants separating the primed/double-primed
-    Levi classes of E7 (shapes 3A1, A3+A1, A5).  The primed class is the one
-    conjugate into the standard E6 parabolic (nodes 1..6)."""
-    from .root_data import lie_type
-
-    t = lie_type("E7")
+def _e7_primed_invariants() -> dict[str, tuple]:
+    """Orthogonal-complement invariants of the primed Levi classes of E7
+    (shapes 3A1, A3+A1, A5); the double-primed class of a shape has another.
+    The primed class is the one conjugate into the standard E6 parabolic
+    (nodes 1..6)."""
+    t = LieType("E7", 7)
     refs = {"3A1": frozenset({2, 3, 5}), "A3+A1": frozenset({1, 3, 4, 6}), "A5": frozenset({1, 3, 4, 5, 6})}
-    out: dict[str, dict[tuple, str]] = {}
-    for shape, J in refs.items():
-        inv = _perp_invariant(t, J)
-        out[shape] = {inv: "'"}
-    return out
+    return {shape: _perp_invariant(t, J) for shape, J in refs.items()}
 
 
 def _perp_invariant(t: LieType, J: frozenset[int]) -> tuple:
@@ -264,52 +251,18 @@ def _perp_invariant(t: LieType, J: frozenset[int]) -> tuple:
     return (sparse_rank(rows), len(perp))
 
 
-def _e7_prime_suffix(t: LieType, J: frozenset[int], shape: str) -> str:
-    refs = _e7_prime_reference()
-    if shape not in refs:
-        return ""
-    inv = _perp_invariant(t, J)
-    return "'" if refs[shape].get(inv) == "'" else "''"
-
-
 def _exceptional_label(t: LieType, J: frozenset[int]) -> str:
-    fam = t.family
-    comps = components(t, J)
-    if not comps:
+    """Bala-Carter label of the regular orbit of the Levi on J: its factor
+    types by falling rank, A-type factors after the others of their rank and
+    long-root ones before short-root (~) ones, equal factors counted, and the
+    E7 prime of 3A1, A3+A1 and A5."""
+    factors = sorted(levi_factor_types(t, J), key=lambda f: (-int(f[-1]), f.lstrip("~")[0] == "A", f))
+    if not factors:
         return "0"
-    if fam == "G2":
-        pieces = [(_g2_component_label(c), c) for c in comps]
-    elif fam == "F4":
-        pieces = [(_f4_component_label(c), c) for c in comps]
-    else:
-        pieces = []
-        for c in comps:
-            cf, cr = simply_laced_component_type(t, c)
-            pieces.append((f"{cf}{cr}", c))
-
-    def sort_key(item):
-        name = item[0]
-        tilde = name.startswith("~")
-        body = name.lstrip("~")
-        fam_order = {"F": 0, "G": 0, "E": 0, "D": 1, "B": 1, "C": 1, "A": 2}[body[0]]
-        rank = int(body[1:]) if body[1:].isdigit() else 9
-        return (-rank, fam_order, tilde, name)
-
-    pieces.sort(key=sort_key)
-    names = [p[0] for p in pieces]
-    grouped: list[str] = []
-    i = 0
-    while i < len(names):
-        j = i
-        while j < len(names) and names[j] == names[i]:
-            j += 1
-        count = j - i
-        grouped.append(f"{count}{names[i]}" if count > 1 else names[i])
-        i = j
-    label = "+".join(grouped)
-    if fam == "E7" and label in ("3A1", "A3+A1", "A5"):
-        suffix = _e7_prime_suffix(t, J, label)
-        label = f"({label}){suffix}" if suffix else label
+    label = "+".join(f"{k}{f}" if k > 1 else f for f, k in Counter(factors).items())
+    if t.family == "E7" and label in _e7_primed_invariants():
+        prime = "'" if _perp_invariant(t, J) == _e7_primed_invariants()[label] else "''"
+        label = f"({label}){prime}"
     return label
 
 
@@ -317,9 +270,6 @@ def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
     """Nilpotent orbit of a regular nilpotent element of the Levi with simple
     roots J (J inside the finite diagram)."""
     J = frozenset(J)
-    bad = J - set(affine_marks(t).finite_nodes)
-    if bad:
-        raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
     if t.is_exceptional:
         return NilpotentOrbit(t, label=_exceptional_label(t, J))
     p = _classical_levi_partition(t, J)

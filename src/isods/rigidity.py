@@ -11,6 +11,7 @@ from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
 from .orbits import AdjointOrbit, NilpotentOrbit, dim_centralizer, ls_induction
 from .root_data import (
+    EXCEPTIONAL_RANK,
     LieType,
     Slope,
     coxeter_number,
@@ -50,19 +51,25 @@ def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fractio
     return delta_of_orbit(t, s, o_nil)
 
 
-def rigidity_report(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> RigidityReport:
-    if isinstance(orbit, AdjointOrbit):
-        o_nil = ls_induction(orbit)
-        try:
-            nonres: bool | None = non_resonant(orbit)
-        except ValueError:
-            nonres = None
-    else:
-        o_nil = orbit
-        nonres = True
+def rigidity_verdict(
+    t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit, o_nil: NilpotentOrbit
+) -> tuple[Fraction, bool, bool | None, bool]:
+    """(Delta, elliptic, non-resonant, rigid) for an orbit whose induced
+    nilpotent orbit o_nil is already known.  A nilpotent orbit is
+    non-resonant; None marks an undecidable adjoint orbit.  Rigid needs an
+    elliptic denominator, a non-resonant orbit and Delta = 0."""
     d = delta_of_orbit(t, s, o_nil)
+    try:
+        nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
+    except ValueError:
+        nonres = None
     ell = is_elliptic_regular(t, s.m)
-    rigid = bool(ell and nonres and d == 0)
+    return d, ell, nonres, bool(ell and nonres and d == 0)
+
+
+def rigidity_report(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> RigidityReport:
+    o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
+    d, ell, nonres, rigid = rigidity_verdict(t, s, orbit, o_nil)
     return RigidityReport(
         delta=d,
         nu_phi=s.nu * phi_count(t),
@@ -267,13 +274,13 @@ def scan_rigid(family: str, max_rank: int):
     """All (rank, m, d) with elliptic m, gcd(d, m) = 1, d < 2m and Delta = 0,
     each with its threshold orbit.  For exceptional families, returns the
     embedded numerics rows instead."""
-    if family in ("G2", "F4", "E6", "E7", "E8"):
+    if family in EXCEPTIONAL_RANK:
         out = []
         for fam, nu, lbl, exist in xd.POTENTIALLY_RIGID_EXC:
             if fam == family:
                 out.append(
                     {
-                        "rank": {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}[fam],
+                        "rank": EXCEPTIONAL_RANK[fam],
                         "m": nu.denominator,
                         "d": nu.numerator,
                         "orbit": lbl,

@@ -371,7 +371,8 @@ def levi_factor_types(t: LieType, J) -> tuple[str, ...]:
     fam, n = t.family, t.rank
     shorts = short_nodes(t)
     out = []
-    for comp in components(t, J):
+    comps = components(t, J)
+    for comp in comps:
         if fam == "G2":
             out.append("G2" if len(comp) == 2 else ("~A1" if comp <= shorts else "A1"))
         elif fam == "F4":
@@ -392,7 +393,7 @@ def levi_factor_types(t: LieType, J) -> tuple[str, ...]:
                 continue  # merged below
             out.append(f"A{len(comp)}")
     if fam == "D" and {n - 1, n} <= J:
-        tail = frozenset().union(*(c for c in components(t, J) if c & {n - 1, n}))
+        tail = frozenset().union(*(c for c in comps if c & {n - 1, n}))
         out.append(f"D{len(tail)}")
     return tuple(sorted(out))
 

@@ -159,6 +159,15 @@ def _quotient_basis(q: int, lag: list[tuple[Fraction, ...]]):
     return free, reduce
 
 
+def _orthogonal_space(t: LieType, m: int, kind: str) -> QuadraticSpace:
+    """The quadratic space Q of a B/D kind (see model_orthogonal): scalars
+    1..ell on the ell blocks, after a zero-eigenvalue line in B-odd/D-odd."""
+    n = t.rank
+    ell = (2 * n - 2) // m if kind == "D-odd" else 2 * n // m
+    zero = [Fraction(0)] if kind in ("B-odd", "D-odd") else []
+    return QuadraticSpace(zero + [Fraction(i) for i in range(1, ell + 1)], m)
+
+
 def model_orthogonal(
     t: LieType,
     m: int,
@@ -166,38 +175,24 @@ def model_orthogonal(
     lag: list[tuple[Fraction, ...]] | None = None,
     *,
     kind: str,
-    rng: random.Random | None = None,
+    space: QuadraticSpace | None = None,
 ) -> GradedModel:
     """Graded model for the B/D cases.
 
     kind: "B-even" (extra killed line from the odd-dimensional complement),
     "B-odd"/"D-odd" (zero-eigenvalue line inside Q; D-odd adds a killed line),
-    "D-even" (no extras).
+    "D-even" (no extras).  space is Q when the caller already holds it.
     """
-    n = t.rank
-    if kind in ("B-even", "D-even"):
-        ell = 2 * n // m
-        cvals = [Fraction(i) for i in range(1, ell + 1)]
-        zero_line = False
-        isolated = 1 if kind == "B-even" else 0
-    elif kind == "B-odd":
-        ell = 2 * n // m
-        cvals = [Fraction(0)] + [Fraction(i) for i in range(1, ell + 1)]
-        zero_line = True
-        isolated = 0
-    else:  # D-odd
-        ell = (2 * n - 2) // m
-        cvals = [Fraction(0)] + [Fraction(i) for i in range(1, ell + 1)]
-        zero_line = True
-        isolated = 1
-    space = QuadraticSpace(cvals, m)
+    if space is None:
+        space = _orthogonal_space(t, m, kind)
+    zero_line = kind in ("B-odd", "D-odd")
+    isolated = 1 if kind in ("B-even", "D-odd") else 0
     q = space.q
     k = q // 2
     if lag is None:
         lag = space.certified_lagrangian()
     mid = list(range(1, q)) if zero_line else list(range(q))
     nmid = len(mid)
-    assert nmid == ell
     free, reduce = _quotient_basis(q, lag)
 
     # basis layout: [L (deg -1)] [Q0-mid deg 0..m-2] [Q/L (deg m-1)]
@@ -282,14 +277,14 @@ def minimal_jordan_type_report(
 
     kind = _orthogonal_kind(t, m)
     rng = random.Random(seed)
-    base = model_orthogonal(t, m, d, kind=kind)
+    space = _orthogonal_space(t, m, kind)
+    base = model_orthogonal(t, m, d, kind=kind, space=space)
     jt = jordan_type(base)
     _assert_block_range(base, jt)
-    space = QuadraticSpace([Fraction(x) for x in _cvals_for(kind, t, m)], m)
     if d > 1:
         samples = max(0, min(2, search_budget))
         for _ in range(samples):
-            other = model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind)
+            other = model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind, space=space)
             assert jordan_type(other) == jt, "Jordan type must not depend on the Lagrangian"
         return jt, True
     # d == 1: the certified construction attains s = 1
@@ -297,19 +292,10 @@ def minimal_jordan_type_report(
     certified = s_rank == 1
     best = jt
     for _ in range(max(0, min(2, search_budget))):
-        other = jordan_type(model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind))
+        other = jordan_type(model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind, space=space))
         if other != best and dominance_le(other, best):
             best = other
     return best, certified
-
-
-def _cvals_for(kind: str, t: LieType, m: int) -> list[int]:
-    n = t.rank
-    if kind in ("B-even", "D-even"):
-        return list(range(1, 2 * n // m + 1))
-    if kind == "B-odd":
-        return [0] + list(range(1, 2 * n // m + 1))
-    return [0] + list(range(1, (2 * n - 2) // m + 1))
 
 
 def _assert_block_range(model: GradedModel, jt: Partition) -> None:

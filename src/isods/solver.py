@@ -36,7 +36,6 @@ from .root_data import (
     LieType,
     Slope,
     coxeter_number,
-    is_elliptic_regular,
     is_regular,
 )
 
@@ -179,23 +178,6 @@ def o_nu_path(t: LieType, s: Slope) -> tuple[NilpotentOrbit, str]:
 # ---------------------------------------------------------------------------
 
 
-def _attach_rigidity(t, s, o_nil, affirmative, resonant_free):
-    from .rigidity import delta_of_orbit
-
-    if affirmative is not True or o_nil is None:
-        return None, "n/a"
-    try:
-        dlt = delta_of_orbit(t, s, o_nil)
-    except (ValueError, KeyError):
-        return None, "n/a"
-    if resonant_free is None:
-        return dlt, "n/a"
-    rigid = bool(
-        is_elliptic_regular(t, s.m) and resonant_free and dlt == 0
-    )
-    return dlt, rigid
-
-
 def ds_solve(
     t: LieType,
     s: Slope,
@@ -206,30 +188,27 @@ def ds_solve(
     isoclinic slope s: affirmative iff the threshold orbit lies below the
     orbit's induced nilpotent orbit."""
     threshold, path = o_nu_path(t, s)
-    notes: list[str] = []
-    if isinstance(orbit, AdjointOrbit):
-        if orbit.type != t:
-            raise ValueError("orbit type mismatch")
-        o_nil = ls_induction(orbit)
-        from .rigidity import non_resonant
-
-        try:
-            resonant_free = non_resonant(orbit)
-        except ValueError:
-            resonant_free = None
-    else:
-        if orbit.type != t:
-            raise ValueError("orbit type mismatch")
-        o_nil = orbit
-        resonant_free = True
+    if orbit.type != t:
+        raise ValueError("orbit type mismatch")
+    o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
     try:
         verdict, ambiguous = closure_le_detail(threshold, o_nil, hasse)
     except UnsupportedComparisonError:
         return DSAnswer("unknown-needs-hasse", threshold, o_nil, None, "n/a", path)
-    if ambiguous:
-        notes.append("very-even comparison decided by dominance only")
-    delta, rigid = _attach_rigidity(t, s, o_nil, verdict, resonant_free)
-    return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, tuple(notes))
+    notes = ("very-even comparison decided by dominance only",) if ambiguous else ()
+    # Delta and rigidity are reported for affirmative verdicts only; rigid is
+    # "n/a" when Delta is undefined or the orbit's resonance is undecidable
+    delta, rigid = None, "n/a"
+    if verdict is True:
+        from .rigidity import rigidity_verdict
+
+        try:
+            dlt, _, nonres, rig = rigidity_verdict(t, s, orbit, o_nil)
+        except (ValueError, KeyError):
+            pass
+        else:
+            delta, rigid = dlt, ("n/a" if nonres is None else rig)
+    return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
 from .orbits import dim_centralizer, NilpotentOrbit
 from .rigidity import closed_form_delta, delta_of_orbit, scan_rigid
-from .root_data import coxeter_number, lie_type, slope_cells
-from .solver import o_nu, o_nu_rows
+from .root_data import coxeter_number, lie_type, phi_count, slope_cells
+from .solver import o_nu, o_nu_rows, q_candidates
 
 TABLE_NAMES = (
     "t_clCox",
@@ -64,8 +64,6 @@ def t_completecl(family: str, max_rank: int) -> str:
 
 
 def t_clq(family: str, rank: int, s, mults: tuple[int, ...], zero_mult: int) -> str:
-    from .solver import q_candidates
-
     t = lie_type(family, rank)
     cands = q_candidates(t, s, mults, zero_mult)
     rows = []
@@ -119,8 +117,6 @@ def potigexc_numerics() -> str:
     rows = []
     for fam, nu, label, exist in xd.POTENTIALLY_RIGID_EXC:
         t = lie_type(fam)
-        from .root_data import phi_count
-
         nuphi = nu * phi_count(t)
         dc = dim_centralizer(NilpotentOrbit(t, label=label))
         rows.append(

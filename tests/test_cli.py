@@ -113,6 +113,17 @@ def test_e_type_label_grammar(tmp_path, capsys, fam, sl):
     capsys.readouterr()
 
 
+def test_e_type_full_rank_labels(capsys):
+    # the only Levi subalgebra of full rank is the whole algebra
+    for fam, sl, label in (("E7", "7/18", "A7"), ("E8", "7/30", "E7+A1"), ("E6", "5/12", "D5+A1")):
+        assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2, label
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown {fam} orbit label" in captured.err
+    assert main(["solve", "--type", "E7", "--slope", "7/18", "--orbit", "E7(a1)"]) in (0, 3)
+    assert json.loads(capsys.readouterr().out)["o_nil"]["label"] == "E7(a1)"
+    assert main(["solve", "--type", "E8", "--slope", "7/30", "--orbit", "A7"]) in (0, 3)
+
+
 def test_coxeter_show_subsets_rank_budget(capsys):
     from isods.cli import SHOW_SUBSETS_MAX_RANK
 

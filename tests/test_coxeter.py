@@ -2,6 +2,7 @@ import pytest
 
 from isods.coxeter import (
     UnsupportedSlopeError,
+    _witness,
     coxeter_candidates,
     coxeter_solve,
     enumerate_d_allowable,
@@ -148,3 +149,51 @@ def test_chain_shape_walk_equals_subset_scan():
                 assert coxeter_candidates(t, d) == _subset_scan_candidates(t, d), (t, d)
                 cells += 1
     assert cells == 1071
+
+
+def _witness_search(marks, d):
+    """The backtracking coin search: positive k_a with sum k_a * n_a = d,
+    nodes by falling mark, the first success in lexicographic order."""
+    nodes = sorted(marks, key=lambda nm: -nm[1])
+    if sum(n for _, n in nodes) > d:
+        return None
+    out = {}
+
+    def go(i, rem):
+        if i == len(nodes):
+            return rem == 0
+        node, n = nodes[i]
+        tail = sum(m for _, m in nodes[i + 1 :])
+        k = 1
+        while n * k + tail <= rem:
+            out[node] = k
+            if go(i + 1, rem - n * k):
+                return True
+            k += 1
+        out.pop(node, None)
+        return False
+
+    return dict(out) if go(0, d) else None
+
+
+def test_witness_equals_coin_search():
+    types = [lie_type(f, n) for f in "ABCD" for n in range({"A": 1, "D": 3}.get(f, 2), 7)]
+    types += [lie_type(x) for x in ("G2", "F4", "E6")]
+    cases = 0
+    for t in types:
+        marks = affine_marks(t).marks
+        nodes = sorted(marks)
+        for mask in range(1, 2 ** len(nodes)):
+            comp = [(a, marks[a]) for i, a in enumerate(nodes) if mask >> i & 1]
+            for d in range(1, 41):
+                assert _witness(comp, d) == _witness_search(comp, d), (t, comp, d)
+                cases += 1
+    assert cases == 40 * sum(2 ** (t.rank + 1) - 1 for t in types)
+
+
+def test_witness_bounded_in_d():
+    # B4 marks 1, 1, 2, 2, 2: the last node takes the remainder, whatever d is
+    comp = list(affine_marks(lie_type("B", 4)).marks.items())
+    w = _witness(comp, 10**9 + 1)
+    assert w == {2: 1, 3: 1, 4: 1, 0: 1, 1: 10**9 + 1 - 7}
+    assert _witness([(a, n) for a, n in comp if n == 2], 10**9 + 1) is None

@@ -15,7 +15,7 @@ from isods.rigidity import (
     scan_rigid,
 )
 from isods.root_data import lie_type, slope
-from isods.solver import o_nu
+from isods.solver import ds_solve, o_nu
 
 
 def test_delta_examples():
@@ -49,6 +49,28 @@ def test_rigid_false_when_not_elliptic():
     B3 = lie_type("B", 3)
     rep = rigidity_report(B3, slope(2, 3), o_nu(B3, slope(2, 3)))
     assert rep.delta == 0 and not rep.m_elliptic and rep.rigid is False
+
+
+def test_ds_solve_rigidity_fields():
+    C3, s = lie_type("C", 3), slope(1, 6)
+    # symbolic and rational tags: Delta is defined, the resonance undecidable
+    mixed = AdjointOrbit(C3, (Block("a", 1, (1,)), Block(Fraction(1, 3), 2, (2,))), ())
+    ans = ds_solve(C3, s, mixed)
+    assert ans.affirmative is True and ans.delta == 0 and ans.rigid == "n/a"
+    assert ans.to_json()["delta"] == "0" and ans.to_json()["rigid"] == "n/a"
+    # resonant: the long root doubles 1/2 to 1
+    resonant = AdjointOrbit(C3, (Block(Fraction(1, 2), 3, (3,)),), ())
+    ans = ds_solve(C3, s, resonant)
+    assert ans.affirmative is True and ans.delta == 0 and ans.rigid is False
+    B2, s = lie_type("B", 2), slope(3, 4)
+    ans = ds_solve(B2, s, NilpotentOrbit(B2, (1,) * 5))
+    assert ans.affirmative is False and ans.delta is None and ans.rigid == "n/a"
+    ans = ds_solve(B2, s, NilpotentOrbit(B2, (2, 2, 1)))
+    assert ans.affirmative is True and ans.delta == 0 and ans.rigid is True
+    # affirmative, but Delta needs a centralizer dimension that is not embedded
+    E7 = lie_type("E7")
+    ans = ds_solve(E7, slope(19, 18), NilpotentOrbit(E7, label="A6"))
+    assert ans.affirmative is True and ans.delta is None and ans.rigid == "n/a"
 
 
 def test_closed_form_examples():
