@@ -10,7 +10,7 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
 
@@ -58,6 +58,39 @@ def dominance_le(p: Partition, q: Partition) -> bool:
         if sp > sq:
             return False
     return True
+
+
+def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:
+    """The dominance-least partition of n whose prefix sums, taken to width
+    W = len(bound), are >= bound pointwise; None if no partition of n does.
+
+    The prefix sums P_0 = 0, P_1, ..., P_W = n of the partitions of n with at
+    most W parts are the integer sequences that are concave (parts weakly
+    decreasing) and bounded by n.  A pointwise minimum of such sequences is
+    one again, and it still clears the bound: the set that clears it is
+    closed under the dominance meet (Brylawski, The lattice of integer
+    partitions, 1973), so it has a least element.  That element is the least
+    fixed point of P_k >= max(b_k, 0, ceil((P_{k-1} + P_{k+1}) / 2)) with
+    P_W = n, reached by raising entries from below; no entry ever passes the
+    one of a solution, so once one passes n there is none."""
+    width = len(bound)
+    prefix = [0, *(max(b, 0) for b in bound)]
+    if max(prefix) > n or (width == 0 and n):
+        return None
+    prefix[width] = n
+    todo = list(range(1, width))
+    while todo:
+        k = todo.pop()
+        need = (prefix[k - 1] + prefix[k + 1] + 1) // 2
+        if need > prefix[k]:
+            if need > n:
+                return None
+            prefix[k] = need
+            if k > 1:
+                todo.append(k - 1)
+            if k < width - 1:
+                todo.append(k + 1)
+    return tuple(b - a for a, b in zip(prefix, prefix[1:]) if b > a)
 
 
 def lambda_evenly(n: int, r: int) -> Partition:

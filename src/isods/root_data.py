@@ -48,7 +48,7 @@ def lie_type(family: str, rank: int | None = None) -> LieType:
     if rank is None:
         if family in EXCEPTIONAL_RANK:
             return LieType(family, EXCEPTIONAL_RANK[family])
-        head = family[0]
+        head = family[:1]
         if head in ("A", "B", "C", "D") and family[1:].isdigit():
             return LieType(head, int(family[1:]))
         raise ValueError(f"cannot parse Lie type {family!r}")
@@ -77,7 +77,7 @@ class Slope:
 
 
 def slope(d: int, m: int) -> Slope:
-    g = gcd(d, m)
+    g = gcd(d, m) or 1  # 0/0 is left to Slope to reject
     return Slope(d // g, m // g)
 
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import ge
+from typing import Sequence
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
@@ -22,12 +24,13 @@ from .orbits import (
     zero_orbit,
 )
 from .partitions import (
+    ParityClass,
     Partition,
     dominance_le,
     is_very_even,
     lambda_evenly,
+    least_clearing,
     partition,
-    partitions_of,
     prefix_sums,
     union_parts,
     valid_partitions,
@@ -225,11 +228,6 @@ class QCandidate:
     tail: Partition
 
 
-def _with_prefix_sums(pool, width: int) -> tuple[list[Partition], list[list[int]]]:
-    pool = list(pool)
-    return pool, [prefix_sums(p, width) for p in pool]
-
-
 def _clears(prefixes: list[int], bound: list[int]) -> bool:
     return all(map(ge, prefixes, bound))
 
@@ -262,6 +260,10 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     of the matching table row; one factor at a time is allowed to deviate and
     its dominance-minimal working choices are kept.
 
+    The multiplicities must be positive and the zero multiplicity
+    nonnegative, and together they must fill the defining representation:
+    sum(mults) + zero_mult is rank + 1 in type A and rank otherwise.
+
     A candidate works when the threshold is dominated by the sum of its
     factors (each doubled outside type A, where it stands for a pair +-a) and
     its tail.  Componentwise sums of weakly decreasing sequences stay weakly
@@ -270,15 +272,32 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     N = sum(threshold), a choice mu for slot j works iff
     c * P_mu >= P_threshold - P_tail - c * sum_{i != j} P_i pointwise, and a
     tail works iff P_tail >= P_threshold - c * sum_i P_i (_anchor_bounds).
-    The prefix sums of every partition of a slot size and of every valid tail
-    are computed once per call and tested against those bounds per anchor;
-    the minimal working ones come from one scan in prefix-sum order
-    (_dominance_minimal)."""
+
+    The choices that clear a bound are closed under the dominance meet, the
+    pointwise minimum of prefix sums, so a slot has at most one minimal
+    working choice: partitions.least_clearing computes it in closed form,
+    without listing the partitions of the slot size.  The tails must also lie
+    in a parity class, which the meet does not respect, so there may be
+    several minimal ones: they come from one scan of the valid tails in
+    prefix-sum order (_dominance_minimal) over a pool that is built once per
+    tail size, parity class and width (_tail_pool)."""
+    fam = t.family
+    if t.is_exceptional:
+        raise ValueError("fixed-characteristic-polynomial route is classical only")
+    if any(M < 1 for M in mults):
+        raise ValueError(f"multiplicities must be positive, got {list(mults)}")
+    if zero_mult < 0:
+        raise ValueError(f"zero multiplicity must be >= 0, got {zero_mult}")
+    cap = t.rank + 1 if fam == "A" else t.rank
+    if sum(mults) + zero_mult != cap:
+        raise ValueError(
+            f"multiplicities {list(mults)} and zero multiplicity {zero_mult} sum to"
+            f" {sum(mults) + zero_mult}, expected {cap} for {t}"
+        )
     rows = o_nu_rows(t, s)
     row = rows[0]
     o_part = row.orbit.partition
     e = row.parts_bound
-    fam = t.family
     if fam == "A":
         # the zero eigenvalue behaves like any other linear factor
         slots = list(mults) + ([zero_mult] if zero_mult else [])
@@ -326,13 +345,8 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     width = sum(o_part)
     c = 1 if fam == "A" else 2
     p_o = prefix_sums(o_part, width)
-    slot_choices = {M: _with_prefix_sums(partitions_of(M), width) for M in set(slots)}
     if fam != "A":
-        tail_choices = _with_prefix_sums(valid_partitions(tail_total, parity_class(t)), width)
-
-    def minimal_working(pool, prefixes, bound) -> list[Partition]:
-        keep = [i for i, pp in enumerate(prefixes) if _clears(pp, bound)]
-        return _dominance_minimal([pool[i] for i in keep], [prefixes[i] for i in keep])
+        tail_pool = _tail_pool(tail_total, parity_class(t), width)
 
     cands: list[QCandidate] = []
     seen: set[QCandidate] = set()
@@ -348,20 +362,35 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
         if works:
             push(anchor_lin, anchor_tail)
         for j, bound in enumerate(slot_bounds):
-            for mu in minimal_working(*slot_choices[slots[j]], bound):
+            mu = least_clearing(slots[j], bound)
+            if mu is not None:
                 lin = list(anchor_lin)
                 lin[j] = mu
                 push(lin, anchor_tail)
         if fam != "A":
-            for tl in minimal_working(*tail_choices, tail_bound):
+            for tl in _dominance_minimal(*tail_pool, tail_bound):
                 push(anchor_lin, tl)
     return _prune_candidates(t, cands)
 
 
-def _dominance_minimal(pool: list[Partition], prefixes: list[list[int]]) -> list[Partition]:
-    """The dominance-minimal members of a pool of partitions of one total,
-    once each, in pool order.  prefixes[i] are the prefix sums of pool[i],
-    all to one width of at least the longest length.
+@lru_cache(maxsize=None)
+def _tail_pool(
+    total: int, cls: ParityClass, width: int
+) -> tuple[tuple[Partition, ...], tuple[list[int], ...], tuple[int, ...]]:
+    """The valid partitions of total in cls, their prefix sums to width and
+    their indices sorted by prefix sums (see _dominance_minimal)."""
+    pool = valid_partitions(total, cls)
+    prefixes = tuple(prefix_sums(p, width) for p in pool)
+    return pool, prefixes, tuple(sorted(range(len(pool)), key=prefixes.__getitem__))
+
+
+def _dominance_minimal(
+    pool: Sequence[Partition], prefixes: Sequence[list[int]], order: Sequence[int], bound: list[int]
+) -> list[Partition]:
+    """The dominance-minimal members of a pool of partitions of one total
+    among those whose prefix sums clear bound, once each, in pool order.
+    prefixes[i] are the prefix sums of pool[i], all to one width of at least
+    the longest length, and order lists the indices sorted by them.
 
     Dominance is pointwise order on prefix sums, so a partition strictly
     below another has a lexicographically smaller prefix-sum vector: sorting
@@ -370,8 +399,8 @@ def _dominance_minimal(pool: list[Partition], prefixes: list[list[int]]) -> list
     before it, so an element is minimal iff no element kept so far lies below
     it.  That costs O(|pool| * |minimal|) comparisons instead of O(|pool|^2)."""
     kept: list[int] = []
-    for i in sorted(range(len(pool)), key=prefixes.__getitem__):
-        if not any(_clears(prefixes[i], prefixes[k]) for k in kept):
+    for i in order:
+        if _clears(prefixes[i], bound) and not any(_clears(prefixes[i], prefixes[k]) for k in kept):
             kept.append(i)
     return [pool[i] for i in sorted(kept)]
 
@@ -434,8 +463,6 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
     """Verdict from the explicit candidate orbits for the eigenvalue structure
     of `a`: affirmative iff some candidate is componentwise below the input.
     Independent of the induction route used by ds_solve."""
-    if t.is_exceptional:
-        raise ValueError("fixed-characteristic-polynomial route is classical only")
     if a.type != t:
         raise ValueError("orbit type mismatch")
     mults = tuple(b.mult for b in a.blocks)

@@ -41,6 +41,8 @@ from isods.tables import generate, t_cl_ell_rig, t_cl_index_rig, t_clCox
 #   PYTHONPATH=src python tests/test_acceptance.py
 GOLDEN_DIR = Path(__file__).parent / "golden"
 _CLQ_CELLS = (
+    ("A", 15, 5, 16, (16,), 0),
+    ("A", 15, 3, 16, (6, 4, 3, 2), 1),
     ("B", 4, 1, 4, (2, 1), 1),
     ("B", 6, 1, 6, (2,), 4),
     ("C", 4, 1, 2, (1, 1), 2),

@@ -1,8 +1,11 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isods.cli import main
 
@@ -172,6 +175,88 @@ def test_solve_q_matches_solve(capsys):
     code, out2 = run_cli(capsys, "solve-q", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit", orbit)
     assert code == 0
     assert json.loads(out1)["affirmative"] == json.loads(out2)["affirmative"]
+
+
+def _adjoint_json(mults, zero_block):
+    blocks = [{"eig": f"a{i}", "mult": m, "partition": [1] * max(m, 0)} for i, m in enumerate(mults)]
+    return json.dumps({"kind": "adjoint", "blocks": blocks, "zero_block": list(zero_block)})
+
+
+def test_inconsistent_slot_data_exit_2(capsys):
+    # each multiplicity is positive, the zero multiplicity is nonnegative, and
+    # together they fill rank + 1 (type A) or rank (types B/C/D)
+    cases = (
+        (["--family", "C", "--rank", "4", "--slope", "1/2", "--mults", "3,3"], "sum to 6, expected 4"),
+        (["--family", "A", "--rank", "5", "--slope", "1/2", "--mults", "4"], "sum to 4, expected 6"),
+        (["--family", "D", "--rank", "4", "--slope", "1/2", "--mults", "2"], "sum to 2, expected 4"),
+        (["--family", "C", "--rank", "4", "--slope", "1/2", "--mults", "4", "--zero-mult=-1"],
+         "zero multiplicity must be >= 0"),
+        (["--family", "C", "--rank", "4", "--slope", "1/2", "--mults", "0,4"], "multiplicities must be positive"),
+        (["--family", "B", "--rank", "4", "--slope", "1/2", "--mults=-1,5"], "multiplicities must be positive"),
+    )
+    for argv, message in cases:
+        assert main(["tables", "--name", "t_clq", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, (argv, captured.err)
+    # the same structures are accepted once they are consistent
+    assert main(["tables", "--name", "t_clq", "--family", "C", "--rank", "6", "--slope", "1/2", "--mults", "3,3"]) == 0
+    assert main(["tables", "--name", "t_clq", "--family", "A", "--rank", "5", "--slope", "1/2", "--mults", "4",
+                 "--zero-mult", "2"]) == 0
+    capsys.readouterr()
+    # an eigenvalue of multiplicity 0 in an orbit given to solve-q
+    orbit = _adjoint_json([0, 2], [1, 1, 1, 1, 1])
+    assert main(["solve-q", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit", orbit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "multiplicities must be positive" in captured.err
+
+
+def _usually(valid, malformed):
+    """valid three times in four, malformed otherwise."""
+    return st.sampled_from((True, True, True, False)).flatmap(lambda ok: valid if ok else malformed)
+
+
+@st.composite
+def q_argv(draw):
+    """argv of solve-q or tables --name t_clq: each of family, rank, slope,
+    multiplicities and zero multiplicity is usually well formed (the
+    multiplicities then fill the type) and otherwise malformed."""
+    family = draw(_usually(st.sampled_from("ABCD"), st.sampled_from(("G2", "E6", "Q", "", " ", "b", "B4"))))
+    rank = draw(_usually(st.integers(1, 9), st.integers(-2, 0)))
+    slope = draw(_usually(
+        st.builds("{}/{}".format, st.integers(1, 21), st.integers(1, 20)),
+        st.one_of(
+            st.builds("{}/{}".format, st.integers(-1, 2), st.integers(-1, 2)),
+            st.sampled_from(("abc", "1/0", "0/0", "3", "", "2/4", "1/2/3", "/2", "1/")),
+        ),
+    ))
+    cap = rank + 1 if family == "A" else rank
+    zero_mult = draw(_usually(st.integers(0, max(cap, 0)), st.integers(-2, 12)))
+    mults, rest = [], cap - zero_mult
+    while rest > 0:
+        mults.append(draw(st.integers(1, rest)))
+        rest -= mults[-1]
+    mults = draw(_usually(st.just(mults), st.lists(st.integers(-2, 9), max_size=4)))
+    argv = [f"--slope={slope}", f"--rank={draw(_usually(st.just(str(rank)), st.sampled_from(('x', '1.5', ''))))}"]
+    if draw(st.booleans()):
+        tail = zero_mult if family == "A" else 2 * zero_mult + (family == "B")
+        zero_block = [1] * draw(_usually(st.just(max(tail, 0)), st.integers(0, 19)))
+        return ["solve-q", f"--type={family}", "--orbit", _adjoint_json(mults, zero_block), *argv]
+    return ["tables", "--name", "t_clq", f"--family={family}", f"--mults={','.join(map(str, mults))}",
+            f"--zero-mult={zero_mult}", *argv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_argv())
+def test_q_verbs_exit_with_documented_codes(argv):
+    """solve-q and tables --name t_clq on malformed family, rank, slope,
+    multiplicities and zero multiplicity end in a documented exit code and
+    never in a traceback."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_delta_command(capsys):

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isods.coxeter import UnsupportedSlopeError
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, cone_contains, ls_induction
@@ -11,6 +11,7 @@ from isods.partitions import (
     dominance_le,
     is_valid,
     is_very_even,
+    least_clearing,
     partitions_of,
     prefix_sums,
     sum_parts,
@@ -229,10 +230,48 @@ def partition_pools(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(partition_pools(), st.integers(0, 3))
-def test_dominance_minimal_matches_pairwise(pool, pad):
+@given(partition_pools(), st.integers(0, 3), st.data())
+def test_dominance_minimal_matches_pairwise(pool, pad, data):
     width = max(map(len, pool), default=0) + pad
-    assert _dominance_minimal(pool, [prefix_sums(p, width) for p in pool]) == _pairwise_minimal(pool)
+    prefixes = [prefix_sums(p, width) for p in pool]
+    order = sorted(range(len(pool)), key=prefixes.__getitem__)
+    top = max(map(sum, pool), default=0)
+    bound = data.draw(st.lists(st.integers(-2, top + 1), min_size=width, max_size=width))
+    cleared = [p for p, pp in zip(pool, prefixes) if _clears(pp, bound)]
+    assert _dominance_minimal(pool, prefixes, order, bound) == _pairwise_minimal(cleared)
+    assert _dominance_minimal(pool, prefixes, order, [0] * width) == _pairwise_minimal(pool)
+
+
+@st.composite
+def clearing_cases(draw):
+    """A slot size M <= 22, a width from M to 34 and a bound of that width:
+    the prefix sums of a partition of M lowered at random (so some partition
+    clears it, and it is often negative or not monotone), optionally with an
+    entry above M before the last position, or entries drawn at random."""
+    M = draw(st.integers(0, 22))
+    width = draw(st.integers(M, 34))
+    kind = draw(st.sampled_from(("lowered", "above", "random")))
+    if kind == "random":
+        return M, draw(st.lists(st.integers(-3, M + 2), min_size=width, max_size=width))
+    p = draw(st.sampled_from(partitions_of(M)))
+    drops = draw(st.lists(st.integers(0, 4 if kind == "lowered" else M + 3), min_size=width, max_size=width))
+    bound = [x - y for x, y in zip(prefix_sums(p, width), drops)]
+    if kind == "above" and width >= 2:
+        k = draw(st.one_of(st.just(width - 2), st.integers(0, width - 2)))
+        bound[k] = M + draw(st.integers(1, 3))
+    return M, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(clearing_cases())
+@example((3, [0, 0, 4, 0]))  # above M before the last position, unseen from the ends
+@example((1, [1, 0, 0, 1]))  # needs the ceiling
+def test_least_clearing_matches_enumeration(case):
+    M, bound = case
+    width = len(bound)
+    cleared = [p for p in partitions_of(M) if _clears(prefix_sums(p, width), bound)]
+    least = least_clearing(M, bound)
+    assert _pairwise_minimal(cleared) == ([least] if least is not None else [])
 
 
 def _works_reference(t, o_part, linear, tail):
