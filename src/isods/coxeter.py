@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -247,7 +246,7 @@ def _perp_invariant(t: LieType, J: frozenset[int]) -> tuple:
         for g in positive_roots(t)
         if all(pair_with_simple(g, j - 1) == 0 for j in sorted(J))
     ]
-    rows = [{i: Fraction(x) for i, x in enumerate(g) if x} for g in perp]
+    rows = [{i: x for i, x in enumerate(g) if x} for g in perp]
     return (sparse_rank(rows), len(perp))
 
 

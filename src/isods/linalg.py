@@ -1,40 +1,65 @@
-"""Exact rational linear algebra on small sparse/dense matrices."""
+"""Exact linear algebra over Q on small sparse/dense matrices, by
+fraction-free integer elimination.
+
+A row with rational entries is first multiplied by the lcm of its
+denominators.  Elimination then stays in the integers, as in the
+fraction-free methods of Bareiss (Math. Comp. 22, 1968): a row with entry b
+in the lead column c of a stored row with lead a becomes
+(a/g)·row − (b/g)·stored, g = gcd(a, b), and a row multiplied this way is
+divided by the gcd of its entries to keep the numbers small.  Each step
+replaces a row by a nonzero multiple of itself plus a multiple of a stored
+row, so the span over Q of the rows seen so far does not change.  The stored
+rows have distinct lead columns, so they are independent, and a row that
+reduces to zero lies in their span: their number is the rank over Q, the
+rank that elimination with Fraction pivots gives.  No rational number is
+formed inside the loops.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Row = dict[int, Fraction]
+Row = dict[int, int | Fraction]
+_INT = frozenset({int})
 
 
 def sparse_rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of a matrix given as sparse rows (col -> value)."""
-    pivots: dict[int, Row] = {}
-    rank = 0
+    """Rank over Q of a matrix given as sparse rows (col -> int or Fraction)."""
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}  # lead column -> (lead, rest of the row)
     for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
+        row = {c: v for c, v in raw.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         while row:
             c = min(row)
-            if c in pivots:
-                f = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    nv = row.get(cc, 0) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                f = row.pop(c)
-                pivots[c] = {cc: vv / f for cc, vv in row.items()}
-                rank += 1
+            b = row.pop(c)
+            if c not in pivots:
+                pivots[c] = (b, row)
                 break
-    return rank
+            a, rest = pivots[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {cc: a * v for cc, v in row.items()}
+            for cc, v in rest.items():
+                nv = row.get(cc, 0) - b * v
+                if nv:
+                    row[cc] = nv
+                else:
+                    del row[cc]
+            if a != 1 and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {cc: v // g for cc, v in row.items()}
+    return len(pivots)
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -48,21 +73,21 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     return out
 
 
-def mat_rank(a: Sequence[Sequence[Fraction]]) -> int:
-    return sparse_rank({j: v for j, v in enumerate(row) if v} for row in a)
-
-
-def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int | Fraction]]) -> tuple[int, ...]:
     """Jordan type of a nilpotent operator from the rank sequence of its powers:
-    multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) + rank(N^(j+1))."""
+    multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) + rank(N^(j+1)).
+    The powers are those of L·N, L the common denominator of N's entries:
+    (L·N)^k = L^k·N^k has the rank of N^k."""
+    den = lcm(*(v.denominator for row in op for v in row if type(v) is not int))
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in op]
     ranks = [dim]
-    power = [list(map(Fraction, row)) for row in op]
+    power = scaled
     while True:
-        r = mat_rank(power)
+        r = sparse_rank({j: v for j, v in enumerate(row) if v} for row in power)
         ranks.append(r)
         if r == 0:
             break
-        power = mat_mul(power, op)
+        power = mat_mul(power, scaled)
         if len(ranks) > dim + 2:
             raise ValueError("operator is not nilpotent")
     parts: list[int] = []
@@ -72,5 +97,3 @@ def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[Fraction]]) -> tuple[
         parts.extend([j] * mult)
     assert sum(parts) == dim
     return tuple(sorted(parts, reverse=True))
-
-

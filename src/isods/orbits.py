@@ -111,6 +111,8 @@ class AdjointOrbit:
         if len(set(map(str, tags))) != len(tags):
             raise ValueError("eigenvalue tags must be pairwise distinct")
         for b in self.blocks:
+            if b.mult < 1:
+                raise ValueError(f"multiplicities must be positive, got {b.mult} for eigenvalue {b.tag}")
             if sum(b.partition) != b.mult or b.partition != partition(b.partition):
                 raise ValueError(f"block partition {b.partition} must be of {b.mult}")
         z = self.zero_block
@@ -268,6 +270,9 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
             sgn = 1 if symplectic else -1
             target[coord[(b, a)]] = target.get(coord[(b, a)], 0) + sgn * v
 
+    by_r: dict[int, list[int]] = {}
+    for (r, c) in entries:
+        by_r.setdefault(r, []).append(c)
     sym_sign = 1 if symplectic else -1
     rows = []
     for (a, b) in basis:
@@ -277,12 +282,12 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
         if a != b:
             pairs.append((b, a, sym_sign))
         for (x, y, v) in pairs:
-            for (r, c) in entries:
-                # (e^T S)_(c, y) += S_(r, y); (S e)_(x, c) += S_(x, r)
-                if x == r:
-                    add(out, c, y, v)
-                if y == r:
-                    add(out, x, c, v)
+            # each entry (x, c) of e adds S_(x, y) to (e^T S)_(c, y), and
+            # each entry (y, c) adds it to (S e)_(x, c)
+            for c in by_r.get(x, ()):
+                add(out, c, y, v)
+            for c in by_r.get(y, ()):
+                add(out, x, c, v)
         rows.append({k: v for k, v in out.items() if v})
     rank = sparse_rank(rows)
     return len(basis) - rank

@@ -14,7 +14,7 @@ from .linalg import jordan_type_from_ranks, sparse_rank
 from .partitions import Partition, dominance_le, union_parts
 from .root_data import LieType, Slope, is_elliptic_regular, is_regular
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 
 @dataclass
@@ -51,14 +51,14 @@ def jordan_type(model: GradedModel) -> Partition:
 
 
 def _zero(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
+    return [[0] * n for _ in range(n)]
 
 
 def model_type_a(n: int, d: int) -> GradedModel:
     """t^(d/n) acting on C[[t^(1/n)]]/(t)."""
     op = _zero(n)
     for j in range(n - d):
-        op[j + d][j] = Fraction(1)
+        op[j + d][j] = 1
     return GradedModel(LieType("A", n - 1), n, d, tuple((j, 1) for j in range(n)), op)
 
 
@@ -69,7 +69,7 @@ def model_type_c(n: int, m: int, d: int) -> GradedModel:
     op = _zero(size)
     for b in range(ell):
         for j in range(m - d):
-            op[b * m + j + d][b * m + j] = Fraction(b + 1)
+            op[b * m + j + d][b * m + j] = b + 1
     pieces = tuple((j, ell) for j in range(m))
     return GradedModel(LieType("C", n), m, d, pieces, op)
 
@@ -264,6 +264,8 @@ def minimal_jordan_type_report(
     """
     d, m = s.d, s.m
     fam, n = t.family, t.rank
+    if t.is_exceptional:
+        raise UnsupportedSlopeError(f"the graded lattice models cover types A-D, not {fam}")
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} not regular for {t}")
     if fam == "A":

@@ -140,6 +140,15 @@ def test_criterion_4_centralizer_oracle():
           f"in {time.time() - t0:.1f}s")
 
 
+def test_criterion_4_centralizer_oracle_total_18():
+    t0 = time.time()
+    cases, failure = check_centralizer_oracle(18)
+    assert failure is None, failure
+    assert cases == 2501
+    print(f"PASS criterion 4: closed-form centralizer dims equal matrix kernels on {cases} Jordan types "
+          f"of total at most 18 in {time.time() - t0:.1f}s")
+
+
 def test_criterion_5_skeleton_equivalence():
     t0 = time.time()
     cases, failure = check_skeleton(6, seed=17)

@@ -5,7 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isods.cli import main
 
@@ -203,16 +203,36 @@ def test_inconsistent_slot_data_exit_2(capsys):
     assert main(["tables", "--name", "t_clq", "--family", "A", "--rank", "5", "--slope", "1/2", "--mults", "4",
                  "--zero-mult", "2"]) == 0
     capsys.readouterr()
-    # an eigenvalue of multiplicity 0 in an orbit given to solve-q
+    # an eigenvalue of multiplicity 0 in an orbit given to any orbit verb
     orbit = _adjoint_json([0, 2], [1, 1, 1, 1, 1])
-    assert main(["solve-q", "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit", orbit]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "multiplicities must be positive" in captured.err
+    for verb in ("solve", "solve-q", "delta"):
+        assert main([verb, "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit", orbit]) == 2, verb
+        captured = capsys.readouterr()
+        assert captured.out == "" and "multiplicities must be positive" in captured.err, verb
+
+
+def _exit_code(argv) -> int:
+    """Exit code of main on argv, output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            return exc.code
 
 
 def _usually(valid, malformed):
     """valid three times in four, malformed otherwise."""
     return st.sampled_from((True, True, True, False)).flatmap(lambda ok: valid if ok else malformed)
+
+
+_SLOPES = _usually(
+    st.builds("{}/{}".format, st.integers(1, 21), st.integers(1, 20)),
+    st.one_of(
+        st.builds("{}/{}".format, st.integers(-1, 2), st.integers(-1, 2)),
+        st.sampled_from(("abc", "1/0", "0/0", "3", "", "2/4", "1/2/3", "/2", "1/")),
+    ),
+)
+_RANK_TEXTS = st.sampled_from(("x", "1.5", ""))
 
 
 @st.composite
@@ -222,13 +242,7 @@ def q_argv(draw):
     multiplicities then fill the type) and otherwise malformed."""
     family = draw(_usually(st.sampled_from("ABCD"), st.sampled_from(("G2", "E6", "Q", "", " ", "b", "B4"))))
     rank = draw(_usually(st.integers(1, 9), st.integers(-2, 0)))
-    slope = draw(_usually(
-        st.builds("{}/{}".format, st.integers(1, 21), st.integers(1, 20)),
-        st.one_of(
-            st.builds("{}/{}".format, st.integers(-1, 2), st.integers(-1, 2)),
-            st.sampled_from(("abc", "1/0", "0/0", "3", "", "2/4", "1/2/3", "/2", "1/")),
-        ),
-    ))
+    slope = draw(_SLOPES)
     cap = rank + 1 if family == "A" else rank
     zero_mult = draw(_usually(st.integers(0, max(cap, 0)), st.integers(-2, 12)))
     mults, rest = [], cap - zero_mult
@@ -236,7 +250,7 @@ def q_argv(draw):
         mults.append(draw(st.integers(1, rest)))
         rest -= mults[-1]
     mults = draw(_usually(st.just(mults), st.lists(st.integers(-2, 9), max_size=4)))
-    argv = [f"--slope={slope}", f"--rank={draw(_usually(st.just(str(rank)), st.sampled_from(('x', '1.5', ''))))}"]
+    argv = [f"--slope={slope}", f"--rank={draw(_usually(st.just(str(rank)), _RANK_TEXTS))}"]
     if draw(st.booleans()):
         tail = zero_mult if family == "A" else 2 * zero_mult + (family == "B")
         zero_block = [1] * draw(_usually(st.just(max(tail, 0)), st.integers(0, 19)))
@@ -251,12 +265,43 @@ def test_q_verbs_exit_with_documented_codes(argv):
     """solve-q and tables --name t_clq on malformed family, rank, slope,
     multiplicities and zero multiplicity end in a documented exit code and
     never in a traceback."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argument list
-            code = exc.code
-    assert code in (0, 2, 3, 4), argv
+    assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+# elliptic regular numbers of many types up to rank 8 and of G2-E8, so that a
+# well-formed oracle slope often reaches a lattice model (or, for G2-E8, the
+# refusal to build one)
+_ELLIPTIC_MS = (2, 3, 4, 6, 8, 9, 12, 14, 16, 18, 30)
+
+
+@st.composite
+def oracle_argv(draw):
+    """argv of oracle or coxeter, ranks up to 8: each of type, rank, slope,
+    --d, --budget and --seed is usually well formed and otherwise malformed."""
+    family = draw(_usually(
+        st.sampled_from(("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")),
+        st.sampled_from(("Q", "", " ", "b", "B4", "E9", "e6")),
+    ))
+    rank = draw(_usually(st.integers(1, 8).map(str), st.one_of(st.integers(-2, 0).map(str), _RANK_TEXTS)))
+    argv = [f"--type={family}"]
+    if family[:1] not in "EFG" or draw(st.booleans()):  # exceptional types need no rank
+        argv.append(f"--rank={rank}")
+    if draw(st.booleans()):
+        budget = draw(_usually(st.integers(0, 50).map(str), st.sampled_from(("-1", "x", "", "1e3"))))
+        seed = draw(_usually(st.integers(0, 99).map(str), st.sampled_from(("-5", "x", "", "0.5"))))
+        slope = draw(st.one_of(_SLOPES, st.builds("{}/{}".format, st.integers(1, 40), st.sampled_from(_ELLIPTIC_MS))))
+        return ["oracle", *argv, f"--slope={slope}", f"--budget={budget}", f"--seed={seed}"]
+    d = draw(_usually(st.integers(1, 40).map(str), st.sampled_from(("0", "-3", "x", "", "1.5"))))
+    return ["coxeter", *argv, f"--d={d}", *(["--show-subsets"] if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_argv())
+@example(["oracle", "--type=G2", "--slope=1/6", "--budget=3", "--seed=0"])
+def test_oracle_verbs_exit_with_documented_codes(argv):
+    """oracle and coxeter on malformed type, rank, slope, --d, --budget and
+    --seed end in a documented exit code and never in a traceback."""
+    assert _exit_code(argv) in (0, 2, 3, 4), argv
 
 
 def test_delta_command(capsys):
@@ -278,6 +323,11 @@ def test_oracle_command(capsys):
     code, out = run_cli(capsys, "oracle", "--type", "B", "--rank", "4", "--slope", "1/4", "--budget", "100", "--seed", "7")
     assert code == 0
     assert json.loads(out) == {"certified": True, "jordan_type": [5, 3, 1]}
+    # the lattice models cover types A-D only: F4 1/2 used to answer a
+    # certified Jordan type of a B/D model and E6 1/12 to raise AssertionError
+    for argv in (["--type", "F4", "--slope", "1/2"], ["--type", "E6", "--slope", "1/12"]):
+        assert main(["oracle", *argv]) == 2, argv
+    assert "cover types A-D" in capsys.readouterr().err
 
 
 def test_rigid_command(capsys):
