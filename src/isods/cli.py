@@ -75,31 +75,49 @@ def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
     return NilpotentOrbit(t, label=label)
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _json(value, cls: type, what: str):
+    """value if its JSON type is cls, else invalid input.  The type must match
+    exactly: 7.5, 1e400 and true are not integers."""
+    if type(value) is not cls:
+        raise CliError(f"{what} must be {_JSON_TYPES[cls]}, got {json.dumps(value)}")
+    return value
+
+
+def _json_list(value, cls: type, what: str) -> list:
+    """A JSON list whose entries all have JSON type cls."""
+    return [_json(x, cls, f"an entry of {what}") for x in _json(value, list, what)]
+
+
 def _parse_orbit(t: LieType, text: str) -> NilpotentOrbit:
     text = text.strip()
     if text.startswith("["):
-        return NilpotentOrbit(t, partition(json.loads(text)))
+        return NilpotentOrbit(t, partition(_json_list(json.loads(text), int, "an orbit partition")))
     if t.is_exceptional:
         return _labelled_orbit(t, text)
     raise CliError(f"classical orbits are given as JSON partitions, got {text!r}")
 
 
-def _orbit_from_json(t: LieType, data: dict):
+def _orbit_from_json(t: LieType, data):
+    _json(data, dict, "an orbit")
     kind = data.get("kind", "nilpotent")
     if kind == "nilpotent":
         if "label" in data:
-            return _labelled_orbit(t, data["label"])
+            return _labelled_orbit(t, _json(data["label"], str, "label"))
         return NilpotentOrbit(
             t,
-            partition(data["partition"]),
+            partition(_json_list(data["partition"], int, "partition")),
             very_even_label=data.get("very_even_label"),
         )
     if kind == "adjoint":
         blocks = tuple(
-            Block(_tag(b["eig"]), int(b["mult"]), partition(b["partition"]))
-            for b in data["blocks"]
+            Block(_tag(b["eig"]), _json(b["mult"], int, "mult"),
+                  partition(_json_list(b["partition"], int, "partition")))
+            for b in _json_list(data["blocks"], dict, "blocks")
         )
-        return AdjointOrbit(t, blocks, partition(data.get("zero_block", [])))
+        return AdjointOrbit(t, blocks, partition(_json_list(data.get("zero_block", []), int, "zero_block")))
     raise CliError(f"unknown orbit kind {kind!r}")
 
 
@@ -133,7 +151,14 @@ def _load_hasse(args) -> HasseDiagram | None:
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
-    return HasseDiagram.from_json(_read_json(path, "Hasse file"))
+    data = _json_list(_read_json(path, "Hasse file"), dict, "a Hasse file")
+    for item in data:
+        for key in ("from", "to", "label"):
+            if key in item:
+                _json(item[key], str, f"{key!r} in a Hasse file")
+        if "dimC" in item:
+            _json(item["dimC"], int, "'dimC' in a Hasse file")
+    return HasseDiagram.from_json(data)
 
 
 def _emit(obj) -> None:

@@ -364,7 +364,9 @@ class HasseDiagram:
         return cls(frozenset(orbs), tuple(covers), dims)
 
 
-def _builtin_hasse(family: str) -> HasseDiagram | None:
+@lru_cache(maxsize=None)
+def builtin_hasse(family: str) -> HasseDiagram | None:
+    """The embedded closure order of G2 or F4, built once; None otherwise."""
     if family == "G2":
         covers = xd.G2_HASSE_COVERS
     elif family == "F4":
@@ -374,11 +376,6 @@ def _builtin_hasse(family: str) -> HasseDiagram | None:
     labels = frozenset(x for c in covers for x in c)
     dims = {lbl: xd.DIM_C[(family, lbl)] for lbl in labels}
     return HasseDiagram(labels, covers, dims)
-
-
-@lru_cache(maxsize=None)
-def builtin_hasse(family: str) -> HasseDiagram | None:
-    return _builtin_hasse(family)
 
 
 def closure_le_detail(

@@ -87,7 +87,7 @@ def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool:
     ans = ds_solve(t, s, orbit)
     if ans.affirmative is not True:
         raise ValueError(f"verdict for ({t}, {s}) is not affirmative: {ans.affirmative}")
-    return rigidity_report(t, s, orbit).rigid
+    return rigidity_verdict(t, s, orbit, ans.o_nil)[3]
 
 
 # ---------------------------------------------------------------------------

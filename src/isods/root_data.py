@@ -283,6 +283,8 @@ def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | No
     every regular m in m_range(t) and every d in d_range(m) prime to m.  The
     ranks run from min_rank, by default the lowest rank of the classical
     tables (3 in D, 2 otherwise), to max_rank."""
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError(f"slope cells are tabulated for the families A-D, not {family!r}")
     lo = (3 if family == "D" else 2) if min_rank is None else min_rank
     for n in range(lo, max_rank + 1):
         t = LieType(family, n)

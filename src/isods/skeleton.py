@@ -1,6 +1,11 @@
 """Independent geometric oracle: the threshold orbit recomputed as the
 minimal Jordan type of a homogeneous degree-shift operator on graded lattice
 quotients, with an exact rational Lagrangian search in the edge cases.
+
+Types A and C have one model per slope.  In B and D the models live on the
+quadratic space Q of (type, m), made once per pair: its zero-eigenvalue line
+and the killed line outside the grading window follow from the type and m,
+and its certified Lagrangian is built and checked isotropic once.
 """
 
 from __future__ import annotations
@@ -8,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coxeter import UnsupportedSlopeError
 from .linalg import jordan_type_from_ranks, sparse_rank
@@ -21,21 +27,15 @@ Matrix = list[list[int | Fraction]]
 class GradedModel:
     """Degree-graded lattice quotient with an operator shifting degrees by d.
 
-    pieces: (degree, dimension) per graded piece; isolated_lines counts
-    operator-killed one-dimensional summands outside the grading window.
+    isolated_lines counts operator-killed one-dimensional summands outside
+    the grading window.
     """
 
     type: LieType
     m: int
     d: int
-    pieces: tuple[tuple[int, int], ...]
     operator: Matrix
-    lagrangian: tuple[tuple[Fraction, ...], ...] | None = None
     isolated_lines: int = 0
-
-    @property
-    def dim(self) -> int:
-        return sum(dim for _, dim in self.pieces) + self.isolated_lines
 
 
 def jordan_type(model: GradedModel) -> Partition:
@@ -59,7 +59,7 @@ def model_type_a(n: int, d: int) -> GradedModel:
     op = _zero(n)
     for j in range(n - d):
         op[j + d][j] = 1
-    return GradedModel(LieType("A", n - 1), n, d, tuple((j, 1) for j in range(n)), op)
+    return GradedModel(LieType("A", n - 1), n, d, op)
 
 
 def model_type_c(n: int, m: int, d: int) -> GradedModel:
@@ -70,8 +70,7 @@ def model_type_c(n: int, m: int, d: int) -> GradedModel:
     for b in range(ell):
         for j in range(m - d):
             op[b * m + j + d][b * m + j] = b + 1
-    pieces = tuple((j, ell) for j in range(m))
-    return GradedModel(LieType("C", n), m, d, pieces, op)
+    return GradedModel(LieType("C", n), m, d, op)
 
 
 def _lagrange_weights(a: list[Fraction]) -> list[Fraction]:
@@ -90,7 +89,11 @@ def _lagrange_weights(a: list[Fraction]) -> list[Fraction]:
 class QuadraticSpace:
     """Diagonal quadratic space carrying a self-adjoint regular semisimple
     operator, with the Lagrange-weight form making the all-ones vector sit on
-    the isotropy quadrics."""
+    the isotropy quadrics.
+
+    lagrangian is span(x, Ax, ..., A^(q/2-1) x) for x = (1,...,1) and
+    A = diag(a): isotropic of half dimension, and the composite L -> Q/L of
+    A has rank exactly one.  It is built and checked once, here."""
 
     def __init__(self, cvals: list[Fraction], m: int):
         self.c = cvals  # first-power scalars (0 allowed once)
@@ -98,25 +101,17 @@ class QuadraticSpace:
         assert len(set(self.a)) == len(self.a)
         self.q = len(cvals)
         self.beta = _lagrange_weights(self.a)
+        self.lagrangian = tuple(tuple(ai**j for ai in self.a) for j in range(self.q // 2))
+        for u in self.lagrangian:
+            for v in self.lagrangian:
+                assert self.inner(u, v) == 0
 
     def inner(self, x, y) -> Fraction:
         return sum(b * xi * yi for b, xi, yi in zip(self.beta, x, y))
 
-    def certified_lagrangian(self) -> list[tuple[Fraction, ...]]:
-        """span(x, Cx, ..., C^(q/2-1) x) for x = (1,...,1); isotropic of half
-        dimension, and the composite L -> Q/L of C has rank exactly one."""
-        k = self.q // 2
-        basis = []
-        for j in range(k):
-            basis.append(tuple(ai**j for ai in self.a))
-        for u in basis:
-            for v in basis:
-                assert self.inner(u, v) == 0
-        return basis
-
     def random_lagrangian(self, rng: random.Random) -> list[tuple[Fraction, ...]]:
         """Image of the certified Lagrangian under a few random reflections."""
-        basis = [list(v) for v in self.certified_lagrangian()]
+        basis = [list(v) for v in self.lagrangian]
         for _ in range(3):
             while True:
                 w = [Fraction(rng.randint(-9, 9)) for _ in range(self.q)]
@@ -131,11 +126,11 @@ class QuadraticSpace:
 
 
 def _quotient_basis(q: int, lag: list[tuple[Fraction, ...]]):
-    """Coordinates on Q/L: returns (complement index list, reduce function)."""
-    rows = [list(v) for v in lag]
+    """Coordinates on Q/L: the function taking a vector of Q to its
+    coordinates on the complement of the pivot columns of lag."""
     pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        row = row[:]
+    for row in lag:
+        row = list(row)
         for c, prow in pivots:
             if row[c]:
                 f = row[c]
@@ -156,44 +151,40 @@ def _quotient_basis(q: int, lag: list[tuple[Fraction, ...]]):
                 v = [x - f * y for x, y in zip(v, prow)]
         return tuple(v[i] for i in free)
 
-    return free, reduce
+    return reduce
 
 
-def _orthogonal_space(t: LieType, m: int, kind: str) -> QuadraticSpace:
-    """The quadratic space Q of a B/D kind (see model_orthogonal): scalars
-    1..ell on the ell blocks, after a zero-eigenvalue line in B-odd/D-odd."""
+@lru_cache(maxsize=None)
+def _orthogonal_space(t: LieType, m: int) -> tuple[QuadraticSpace, int]:
+    """The quadratic space Q of a B/D type at m, and the number of killed
+    lines outside the grading window.
+
+    V (dimension 2n+1 in B, 2n in D) holds ell blocks of size m: ell = 2n/m,
+    except in D unless m is even and divides n, where two dimensions stay
+    outside and ell = (2n-2)/m.  Q carries the scalars 1..ell, after a
+    zero-eigenvalue line when ell is odd, so that dim Q is even; the lines
+    of V left outside the model are killed.
+    """
     n = t.rank
-    ell = (2 * n - 2) // m if kind == "D-odd" else 2 * n // m
-    zero = [Fraction(0)] if kind in ("B-odd", "D-odd") else []
-    return QuadraticSpace(zero + [Fraction(i) for i in range(1, ell + 1)], m)
+    ell = 2 * n // m if t.family == "B" or (m % 2 == 0 and n % m == 0) else (2 * n - 2) // m
+    zero = ell % 2
+    isolated = 2 * n + (t.family == "B") - m * ell - zero
+    return QuadraticSpace([Fraction(i) for i in range(1 - zero, ell + 1)], m), isolated
 
 
 def model_orthogonal(
-    t: LieType,
-    m: int,
-    d: int,
-    lag: list[tuple[Fraction, ...]] | None = None,
-    *,
-    kind: str,
-    space: QuadraticSpace | None = None,
+    t: LieType, m: int, d: int, lag: list[tuple[Fraction, ...]] | None = None
 ) -> GradedModel:
-    """Graded model for the B/D cases.
-
-    kind: "B-even" (extra killed line from the odd-dimensional complement),
-    "B-odd"/"D-odd" (zero-eigenvalue line inside Q; D-odd adds a killed line),
-    "D-even" (no extras).  space is Q when the caller already holds it.
-    """
-    if space is None:
-        space = _orthogonal_space(t, m, kind)
-    zero_line = kind in ("B-odd", "D-odd")
-    isolated = 1 if kind in ("B-even", "D-odd") else 0
+    """Graded model for the B/D cases on the Lagrangian lag of Q (by default
+    the certified one)."""
+    space, isolated = _orthogonal_space(t, m)
     q = space.q
     k = q // 2
     if lag is None:
-        lag = space.certified_lagrangian()
-    mid = list(range(1, q)) if zero_line else list(range(q))
+        lag = space.lagrangian
+    mid = list(range(1, q)) if space.c[0] == 0 else list(range(q))
     nmid = len(mid)
-    free, reduce = _quotient_basis(q, lag)
+    reduce = _quotient_basis(q, lag)
 
     # basis layout: [L (deg -1)] [Q0-mid deg 0..m-2] [Q/L (deg m-1)]
     def mid_off(j):
@@ -205,9 +196,8 @@ def model_orthogonal(
     # L -> degree d-1 middle piece
     if d - 1 <= m - 2:
         for a, v in enumerate(lag):
-            img = [space.c[i] * v[i] for i in range(q)]
             for pos, i in enumerate(mid):
-                op[mid_off(d - 1) + pos][a] = img[i]
+                op[mid_off(d - 1) + pos][a] = space.c[i] * v[i]
     # middle -> middle / quotient
     for j in range(m - 1):
         for pos, i in enumerate(mid):
@@ -219,28 +209,13 @@ def model_orthogonal(
                 red = reduce(vec)
                 for a, val in enumerate(red):
                     op[qloff + a][mid_off(j) + pos] = val
-    pieces = ((-1, k),) + tuple((j, nmid) for j in range(m - 1)) + ((m - 1, q - k),)
-    return GradedModel(t, m, d, pieces, op, tuple(map(tuple, lag)), isolated)
+    return GradedModel(t, m, d, op, isolated)
 
 
 def _rank_s(space: QuadraticSpace, lag) -> int:
-    """Rank of L -> Q -> Q/L for the m-th power operator."""
-    _, reduce = _quotient_basis(space.q, lag)
-    rows = []
-    for v in lag:
-        img = [space.a[i] * v[i] for i in range(space.q)]
-        red = reduce(img)
-        rows.append({i: x for i, x in enumerate(red) if x})
-    return sparse_rank(rows)
-
-
-def _orthogonal_kind(t: LieType, m: int) -> str:
-    n, fam = t.rank, t.family
-    if fam == "B":
-        return "B-even" if (2 * n // m) % 2 == 0 else "B-odd"
-    if m % 2 == 0 and n % m == 0:
-        return "D-even"
-    return "D-odd"
+    """Rank of L -> Q -> Q/L for the m-th power operator: dim(L + aL) - dim L."""
+    image = [[ai * vi for ai, vi in zip(space.a, v)] for v in lag]
+    return sparse_rank(dict(enumerate(v)) for v in (*lag, *image)) - len(lag)
 
 
 def minimal_jordan_type(
@@ -255,12 +230,16 @@ def minimal_jordan_type(
 def minimal_jordan_type_report(
     t: LieType, s: Slope, search_budget: int = 1000, seed: int = 0
 ) -> tuple[Partition, bool]:
-    """Minimal Jordan type over the skeleton for elliptic slopes.
+    """Minimal Jordan type over the skeleton for elliptic slopes, and whether
+    it is certified.
 
-    Types A and C have a single skeleton point.  For B/D with d > 1 the type
-    is Lagrangian-independent (three samples asserted equal); for d = 1 the
-    certified rank-one Lagrangian realizes the minimum, with random samples
-    only able to confirm it from above.
+    Types A and C have a single skeleton point.  For B/D the certified
+    Lagrangian's model comes first, then up to two random Lagrangians (at
+    most search_budget), drawn from a generator seeded with seed.  With
+    d > 1 the type is Lagrangian-independent, so every sample is asserted
+    equal to the first.  With d = 1 the certified rank-one Lagrangian realizes
+    the minimum, so the samples can only confirm it from above; the answer
+    is the dominance minimum seen, certified when that rank is one.
     """
     d, m = s.d, s.m
     fam, n = t.family, t.rank
@@ -277,27 +256,17 @@ def minimal_jordan_type_report(
     if fam == "C":
         return jordan_type(model_type_c(n, m, d)), True
 
-    kind = _orthogonal_kind(t, m)
+    space, _ = _orthogonal_space(t, m)
+    base = model_orthogonal(t, m, d)
+    best = jordan_type(base)
+    _assert_block_range(base, best)
     rng = random.Random(seed)
-    space = _orthogonal_space(t, m, kind)
-    base = model_orthogonal(t, m, d, kind=kind, space=space)
-    jt = jordan_type(base)
-    _assert_block_range(base, jt)
-    if d > 1:
-        samples = max(0, min(2, search_budget))
-        for _ in range(samples):
-            other = model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind, space=space)
-            assert jordan_type(other) == jt, "Jordan type must not depend on the Lagrangian"
-        return jt, True
-    # d == 1: the certified construction attains s = 1
-    s_rank = _rank_s(space, [list(v) for v in space.certified_lagrangian()])
-    certified = s_rank == 1
-    best = jt
     for _ in range(max(0, min(2, search_budget))):
-        other = jordan_type(model_orthogonal(t, m, d, space.random_lagrangian(rng), kind=kind, space=space))
+        other = jordan_type(model_orthogonal(t, m, d, space.random_lagrangian(rng)))
+        assert d == 1 or other == best, "Jordan type must not depend on the Lagrangian"
         if other != best and dominance_le(other, best):
             best = other
-    return best, certified
+    return best, d > 1 or _rank_s(space, space.lagrangian) == 1
 
 
 def _assert_block_range(model: GradedModel, jt: Partition) -> None:

@@ -370,7 +370,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
         if fam != "A":
             for tl in _dominance_minimal(*tail_pool, tail_bound):
                 push(anchor_lin, tl)
-    return _prune_candidates(t, cands)
+    return _prune_candidates(cands)
 
 
 @lru_cache(maxsize=None)
@@ -441,15 +441,14 @@ def _matchable(left: list[Partition], right: list[Partition]) -> bool:
     return all(augment(i, [False] * n) for i in range(n))
 
 
-def _prune_candidates(t, cands: list[QCandidate]) -> list[QCandidate]:
+def _prune_candidates(cands: list[QCandidate]) -> list[QCandidate]:
+    """The candidates (distinct, as push in q_candidates keeps them) that no
+    other candidate lies strictly below."""
     groups = _mult_groups([sum(c) for c in cands[0].linear]) if cands else []
-    out = []
-    for c in cands:
-        if any(o is not c and _cand_le(o, c, groups) and not _cand_le(c, o, groups) for o in cands):
-            continue
-        if c not in out:
-            out.append(c)
-    return out
+    return [
+        c for c in cands
+        if not any(o is not c and _cand_le(o, c, groups) and not _cand_le(c, o, groups) for o in cands)
+    ]
 
 
 def _mult_groups(mults):
