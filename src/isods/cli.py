@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve, enumerate_d_allowable
@@ -121,11 +122,16 @@ def _orbit_from_json(t: LieType, data):
     raise CliError(f"unknown orbit kind {kind!r}")
 
 
-def _tag(text):
+def _tag(value):
+    """An eigenvalue tag from a JSON string or finite number: rational when it
+    reads as one, else symbolic."""
+    numeric = type(value) is int or type(value) is float and isfinite(value)
+    if not (numeric or type(value) is str and value.strip()):
+        raise CliError(f"eig must be a nonempty string or a number, got {json.dumps(value)}")
     try:
-        return Fraction(str(text))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        return str(text)
+        return str(value)
 
 
 def _read_json(path: str, what: str):
@@ -254,9 +260,16 @@ def cmd_tables(args) -> int:
     return 0
 
 
+# The q-equivalence check draws orbits of D_3 and up, so ds check needs a
+# rank bound of at least 3.
+CHECK_MIN_RANK = 3
+
+
 def cmd_check(args) -> int:
     from .checks import run_all
 
+    if args.max_rank < CHECK_MIN_RANK:
+        raise CliError(f"--max-rank {args.max_rank} is below {CHECK_MIN_RANK}, the least rank ds check runs at")
     report = run_all(max_rank=args.max_rank)
     _emit(report)
     return 0 if all(v == "ok" for v in report.values()) else 2

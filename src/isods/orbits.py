@@ -4,6 +4,7 @@ and matrix-kernel oracle), Lusztig-Spaltenstein induction, closure order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -217,10 +218,33 @@ def _form_blocks(p: Partition, symplectic: bool):
     return entries, form
 
 
+def _shift_piece_rank(a: int, b: int, down: bool, sym: int = 0) -> int:
+    """Rank of S -> L·S + S·e on a×b matrices, e the upper shift of size b and
+    L the lower shift of size a (down) or minus the upper one.  With sym = ±1
+    (a == b) the map is taken on the symmetric or antisymmetric matrices, which
+    it preserves, in the coordinates of their upper triangle."""
+    d = 1 if down else -1
+    rows = []
+    for r in range(a):
+        for c in range(r + (sym < 0), b) if sym else range(b):
+            # E_(r,c) -> d·E_(r+d,c) + E_(r,c+1).  With sym, S = E_(r,c) + sym·E_(c,r)
+            # for r < c, and of the image of sym·E_(c,r) only sym·E_(c,c), when
+            # c = r + 1, lies in the upper triangle
+            row = {r * b + c + 1: 1} if c + 1 < b else {}
+            if 0 <= r + d < a and (not sym or r < c):
+                row[(r + d) * b + c] = d + sym * (c == r + 1)
+            rows.append(row)
+    return sparse_rank(rows)
+
+
 def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
     """Centralizer dimension in the matrix Lie algebra, by exact linear
     algebra: dimension of {X in g : [X, e] = 0} for an explicit nilpotent e of
-    the given Jordan type.  Independent of the closed-form route."""
+    the given Jordan type.  Independent of the closed-form route.
+
+    ad(e) maps the (i, j) block of X, rows in Jordan block i and columns in
+    block j, to itself, so its rank is a sum over block pairs.  One piece is
+    eliminated per distinct pair of block sizes and counted once per pair."""
     t = o.type
     if t.is_exceptional:
         raise ValueError("matrix oracle is for classical types")
@@ -230,67 +254,32 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
         raise ValueError(f"total {N} exceeds oracle bound {bound}")
 
     if t.family == "A":
-        entries, _ = _jordan_shift_entries(p)
-        by_c: dict[int, list[int]] = {}
-        by_r: dict[int, list[int]] = {}
-        for (r, c) in entries:
-            by_c.setdefault(c, []).append(r)
-            by_r.setdefault(r, []).append(c)
-        # ad(e) on gl_N: E_(a,b) -> e E_(a,b) - E_(a,b) e
-        rows = []
-        for a in range(N):
-            for b in range(N):
-                out: dict[int, int] = {}
-                for r in by_c.get(a, ()):
-                    out[r * N + b] = out.get(r * N + b, 0) + 1
-                for c in by_r.get(b, ()):
-                    out[a * N + c] = out.get(a * N + c, 0) - 1
-                rows.append({k: v for k, v in out.items() if v})
-        rank = sparse_rank(rows)
-        return N * N - rank - 1
-
-    symplectic = t.family == "C"
-    entries, form = _form_blocks(p, symplectic)
-    # g = { B^{-1} S } with S antisymmetric (orthogonal) / symmetric (symplectic);
-    # ad(e) corresponds to S -> e^T S + S e on that space.
-    if symplectic:
-        basis = [(a, b) for a in range(N) for b in range(a, N)]
+        # ad(e) on gl_N: X_ij -> f·X_ij - X_ij·e, f and e the shifts of sizes p_i, p_j
+        pieces = Counter((a, b, 0) for a in p for b in p)
+        down, dim = False, N * N - 1
     else:
-        basis = [(a, b) for a in range(N) for b in range(a + 1, N)]
-    coord = {ab: i for i, ab in enumerate(basis)}
-
-    def add(target: dict[int, int], a: int, b: int, v: int):
-        if a == b:
-            if symplectic:
-                target[coord[(a, b)]] = target.get(coord[(a, b)], 0) + v
-            return
-        if a < b:
-            target[coord[(a, b)]] = target.get(coord[(a, b)], 0) + v
-        else:
-            sgn = 1 if symplectic else -1
-            target[coord[(b, a)]] = target.get(coord[(b, a)], 0) + sgn * v
-
-    by_r: dict[int, list[int]] = {}
-    for (r, c) in entries:
-        by_r.setdefault(r, []).append(c)
-    sym_sign = 1 if symplectic else -1
-    rows = []
-    for (a, b) in basis:
-        # S = E_(a,b) + sym_sign E_(b,a) (single term when a == b)
-        out: dict[int, int] = {}
-        pairs = [(a, b, 1)]
-        if a != b:
-            pairs.append((b, a, sym_sign))
-        for (x, y, v) in pairs:
-            # each entry (x, c) of e adds S_(x, y) to (e^T S)_(c, y), and
-            # each entry (y, c) adds it to (S e)_(x, c)
-            for c in by_r.get(x, ()):
-                add(out, c, y, v)
-            for c in by_r.get(y, ()):
-                add(out, x, c, v)
-        rows.append({k: v for k, v in out.items() if v})
-    rank = sparse_rank(rows)
-    return len(basis) - rank
+        symplectic = t.family == "C"
+        entries, form = _form_blocks(p, symplectic)
+        # B^T = eps·B and e^T B + B e = 0, from the nonzero entries of B
+        eps, ups = (-1 if symplectic else 1), {r for r, _ in entries}  # e = sum of E_(r,r+1)
+        skew: Counter = Counter()
+        for (i, j), v in form.items():
+            if form.get((j, i)) != eps * v:
+                raise ValueError(f"form built for {p} is not {'anti' * symplectic}symmetric")
+            if i in ups:
+                skew[(i + 1, j)] += v
+            if j in ups:
+                skew[(i, j + 1)] += v
+        if any(skew.values()):
+            raise ValueError(f"shift of type {p} is not skew-adjoint for its form")
+        # g = {B^-1 S}, S antisymmetric (B, D) or symmetric (C), and ad(e) is
+        # S -> e^T S + S e: a free p_i×p_j piece S_ij for each pair of blocks
+        # i < j, an (anti)symmetric piece S_ii for each block
+        sym = 1 if symplectic else -1
+        pieces = Counter((a, b, 0) for i, a in enumerate(p) for b in p[i + 1:])
+        pieces.update((a, a, sym) for a in p)
+        down, dim = True, N * (N + sym) // 2
+    return dim - sum(n * _shift_piece_rank(a, b, down, s) for (a, b, s), n in pieces.items())
 
 
 # ---------------------------------------------------------------------------

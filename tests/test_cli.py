@@ -439,7 +439,7 @@ def _examples(cases):
 def test_orbit_verbs_exit_with_documented_codes(case):
     """solve, delta, rigid and tables on malformed type, rank, slope, orbit,
     Hasse file, --format and --name end in a documented exit code and never
-    in a traceback.  (check is left out: one run takes seconds.)"""
+    in a traceback.  (check has its fixed-argv test below.)"""
     argv, hasse = case
     with tempfile.TemporaryDirectory() as tmp:
         argv = _with_hasse(argv, hasse, tmp)
@@ -498,6 +498,39 @@ def test_check_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert set(report.values()) == {"ok"}
+
+
+@pytest.mark.parametrize("max_rank", (-3, 0, 2, 3, 4))
+def test_check_exit_codes_at_small_max_rank(capsys, max_rank):
+    # below rank 3 the D draws of the q-equivalence check once ended in
+    # "invalid input: empty range for randrange()"
+    code = main(["check", f"--max-rank={max_rank}"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if max_rank < 3:
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --max-rank {max_rank} is below 3, the least rank ds check runs at\n"
+    else:
+        assert set(json.loads(captured.out).values()) == {"ok"}
+
+
+def test_malformed_eigenvalue_exit_2(capsys):
+    # an eig that is no JSON string or number once answered as the symbolic
+    # tag "[1]", "True" or "None"
+    head = ["solve", "--type=B", "--rank=4", "--slope=3/8"]
+
+    def orbit(eig):
+        return json.dumps({"kind": "adjoint", "blocks": [{"eig": eig, "mult": 3, "partition": [2, 1]}],
+                           "zero_block": [1, 1, 1]})
+
+    for eig in ([1], True, None, "", " ", float("inf")):
+        assert main([*head, f"--orbit={orbit(eig)}"]) == 2, eig
+        captured = capsys.readouterr()
+        assert captured.out == "" and "eig must be a nonempty string or a number" in captured.err, eig
+    # strings and finite numbers still answer, rational or symbolic alike
+    for eig in ("1/3", 0.5, 2, "a"):
+        assert main([*head, f"--orbit={orbit(eig)}"]) == 0, eig
+        assert json.loads(capsys.readouterr().out)["o_nil"]["partition"] == [5, 3, 1]
 
 
 def test_console_script_subprocess():

@@ -1,7 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from isods import orbits
+from isods.linalg import sparse_rank
 from isods.orbits import (
     AdjointOrbit,
     Block,
@@ -17,7 +20,7 @@ from isods.orbits import (
     ls_induction,
 )
 from isods.partitions import ParityClass, dominance_le, is_valid, partitions_of
-from isods.root_data import lie_type
+from isods.root_data import defining_dim, lie_type
 
 
 def test_orbit_validation():
@@ -66,6 +69,111 @@ def test_oracle_agrees_small():
             o = NilpotentOrbit(t, p)
             assert dim_centralizer(o) == dim_centralizer_oracle(o)
 
+
+
+def _unsplit_oracle(o: NilpotentOrbit) -> int:
+    """The centralizer dimension from all N² (type A) or N(N±1)/2 rows of
+    ad(e) at once, with no splitting by block pairs: the reference for the
+    blockwise kernel."""
+    p = o.partition
+    N = sum(p)
+    if o.type.family == "A":
+        entries, _ = orbits._jordan_shift_entries(p)
+        by_c: dict[int, list[int]] = {}
+        by_r: dict[int, list[int]] = {}
+        for (r, c) in entries:
+            by_c.setdefault(c, []).append(r)
+            by_r.setdefault(r, []).append(c)
+        # ad(e) on gl_N: E_(a,b) -> e E_(a,b) - E_(a,b) e
+        rows = []
+        for a in range(N):
+            for b in range(N):
+                out: dict[int, int] = {}
+                for r in by_c.get(a, ()):
+                    out[r * N + b] = out.get(r * N + b, 0) + 1
+                for c in by_r.get(b, ()):
+                    out[a * N + c] = out.get(a * N + c, 0) - 1
+                rows.append({k: v for k, v in out.items() if v})
+        return N * N - sparse_rank(rows) - 1
+
+    symplectic = o.type.family == "C"
+    entries, form = orbits._form_blocks(p, symplectic)
+    # g = { B^{-1} S } with S antisymmetric (orthogonal) / symmetric (symplectic);
+    # ad(e) corresponds to S -> e^T S + S e on that space.
+    if symplectic:
+        basis = [(a, b) for a in range(N) for b in range(a, N)]
+    else:
+        basis = [(a, b) for a in range(N) for b in range(a + 1, N)]
+    coord = {ab: i for i, ab in enumerate(basis)}
+
+    def add(target: dict[int, int], a: int, b: int, v: int):
+        if a == b:
+            if symplectic:
+                target[coord[(a, b)]] = target.get(coord[(a, b)], 0) + v
+            return
+        if a < b:
+            target[coord[(a, b)]] = target.get(coord[(a, b)], 0) + v
+        else:
+            sgn = 1 if symplectic else -1
+            target[coord[(b, a)]] = target.get(coord[(b, a)], 0) + sgn * v
+
+    by_r = {}
+    for (r, c) in entries:
+        by_r.setdefault(r, []).append(c)
+    sym_sign = 1 if symplectic else -1
+    rows = []
+    for (a, b) in basis:
+        # S = E_(a,b) + sym_sign E_(b,a) (single term when a == b)
+        out = {}
+        pairs = [(a, b, 1)]
+        if a != b:
+            pairs.append((b, a, sym_sign))
+        for (x, y, v) in pairs:
+            # each entry (x, c) of e adds S_(x, y) to (e^T S)_(c, y), and
+            # each entry (y, c) adds it to (S e)_(x, c)
+            for c in by_r.get(x, ()):
+                add(out, c, y, v)
+            for c in by_r.get(y, ()):
+                add(out, x, c, v)
+        rows.append({k: v for k, v in out.items() if v})
+    return len(basis) - sparse_rank(rows)
+
+
+def test_blockwise_oracle_matches_unsplit_kernel():
+    cases = 0
+    for fam in "ABCD":
+        for n in range(3 if fam == "D" else (1 if fam == "A" else 2), 10):
+            t = lie_type(fam, n)
+            N = defining_dim(t)
+            if N > 10:
+                break
+            for p in partitions_of(N):
+                if fam == "A" or is_valid(p, ParityClass[fam]):
+                    o = NilpotentOrbit(t, p)
+                    assert dim_centralizer_oracle(o, bound=10) == _unsplit_oracle(o), (fam, p)
+                    cases += 1
+    assert cases == 242  # as check_centralizer_oracle(10) counts
+    # a partition that no orthogonal or symplectic form admits (the orbit
+    # type rejects it, so a bare object carries it), and a total above bound
+    for fam, n, p in (("B", 2, (4, 1)), ("C", 2, (3, 1)), ("D", 4, (4, 2, 1, 1))):
+        with pytest.raises(ValueError, match="not valid for this form"):
+            dim_centralizer_oracle(SimpleNamespace(type=lie_type(fam, n), partition=p))
+    with pytest.raises(ValueError, match="exceeds oracle bound"):
+        dim_centralizer_oracle(NilpotentOrbit(lie_type("A", 10), (11,)), bound=10)
+
+
+def test_oracle_rejects_a_form_e_is_not_skew_adjoint_for(monkeypatch):
+    form_blocks = orbits._form_blocks
+
+    def flipped(p, symplectic):  # one sign of the form flipped, on both sides
+        entries, form = form_blocks(p, symplectic)
+        (i, j), v = next((ij, v) for ij, v in form.items() if ij[0] != ij[1])
+        return entries, {**form, (i, j): -v, (j, i): -form[(j, i)]}
+
+    monkeypatch.setattr(orbits, "_form_blocks", flipped)
+    for fam, n, p in (("B", 3, (5, 1, 1)), ("C", 3, (4, 2)), ("D", 4, (3, 3, 1, 1))):
+        with pytest.raises(ValueError, match="not skew-adjoint"):
+            dim_centralizer_oracle(NilpotentOrbit(lie_type(fam, n), p))
 
 def test_ls_induction_examples():
     A3 = lie_type("A", 3)
