@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isfinite
 
 from . import exceptional_data as xd
-from .coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve, enumerate_d_allowable
+from .coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve, enumerate_d_allowable, levi_labels
 from .orbits import (
     AdjointOrbit,
     Block,
@@ -44,35 +44,15 @@ def _parse_type(args) -> LieType:
         raise CliError(str(exc))
 
 
-# Bala-Carter labels of E6-E8: "0", or "+"-joined terms.  A term is a Levi
-# type (A with an optional multiplicity, D or E with an optional (a_k) or
-# (b_k) suffix), or a parenthesised sum of them with one or two primes.
-# Kept as strings: `re` compiles them on first use, not at every `ds` start.
-_BC_LEVI = r"(?:[2-8]?A[1-8]|D[4-7](?:\([ab][1-9]\))?|E[6-8](?:\([ab][1-9]\))?)"
-_BC_TERM = rf"(?:{_BC_LEVI}|\({_BC_LEVI}(?:\+{_BC_LEVI})*\)'{{1,2}})"
-_BC_LABEL = rf"0|{_BC_TERM}(?:\+{_BC_TERM})*"
-
-
-def _levi_rank(label: str) -> int:
-    """The rank of the Levi subalgebra a Bala-Carter label names."""
-    return sum(int(mult or 1) * int(rank) for mult, rank in re.findall(r"([2-8]?)[ADE]([1-8])", label))
-
-
 def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
     """An exceptional orbit by Bala-Carter label.  The embedded catalogue
-    lists every G2 and F4 orbit, so other labels there are invalid input;
-    E6-E8 labels must parse as Bala-Carter labels whose Levi rank is below
-    the rank of the type, or be a single E_r term: the only Levi subalgebra
-    of full rank is the whole algebra."""
-    if t.family in ("G2", "F4") and (t.family, label) not in xd.DIM_C:
-        raise CliError(f"unknown {t.family} orbit label {label!r}")
-    full_rank = rf"{t.family}(?:\([ab][1-9]\))?"
-    if t.family in ("E6", "E7", "E8") and not (
-        re.fullmatch(_BC_LABEL, label) and (_levi_rank(label) < t.rank or re.fullmatch(full_rank, label))
+    lists every G2 and F4 orbit; an E6-E8 label must name a Levi subalgebra
+    (`levi_labels`) once the (a_k)/(b_k) suffixes of its D and E factors are
+    removed.  Other labels are invalid input."""
+    if (t.family in ("G2", "F4") and (t.family, label) not in xd.DIM_C) or (
+        t.family in ("E6", "E7", "E8") and re.sub(r"(?<=[DE][4-8])\([ab][1-9]\)", "", label) not in levi_labels(t)
     ):
-        raise CliError(
-            f"unknown {t.family} orbit label {label!r}: not a Bala-Carter label of rank < {t.rank} or of {t.family}"
-        )
+        raise CliError(f"unknown {t.family} orbit label {label!r}")
     return NilpotentOrbit(t, label=label)
 
 
@@ -250,10 +230,13 @@ def cmd_tables(args) -> int:
     if args.name == "t_clq":
         if not (args.rank and args.slope and args.mults is not None):
             raise CliError("t_clq needs --rank, --slope and --mults")
+        mults = args.mults.split(",") if args.mults else []  # "" lists no multiplicity
+        if "" in mults:
+            raise CliError(f"--mults {args.mults!r} has an empty entry")
         kw = {
             "rank": args.rank,
             "slope": parse_slope(args.slope),
-            "mults": tuple(int(x) for x in args.mults.split(",") if x),
+            "mults": tuple(map(int, mults)),
             "zero_mult": args.zero_mult,
         }
     sys.stdout.write(table_mod.generate(args.name, args.family, args.max_rank, **kw))

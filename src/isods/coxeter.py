@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from . import exceptional_data as xd
@@ -263,6 +264,17 @@ def _exceptional_label(t: LieType, J: frozenset[int]) -> str:
         prime = "'" if _perp_invariant(t, J) == _e7_primed_invariants()[label] else "''"
         label = f"({label}){prime}"
     return label
+
+
+@lru_cache(maxsize=None)
+def levi_labels(t: LieType) -> frozenset[str]:
+    """The Bala-Carter labels of the Levi subalgebras of an exceptional type:
+    `_exceptional_label` of every subset of the finite diagram (17, 32 and 41
+    labels in E6, E7 and E8)."""
+    nodes = affine_marks(t).finite_nodes
+    return frozenset(
+        _exceptional_label(t, frozenset(J)) for k in range(len(nodes) + 1) for J in combinations(nodes, k)
+    )
 
 
 def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:

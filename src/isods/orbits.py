@@ -119,6 +119,10 @@ class AdjointOrbit:
         z = self.zero_block
         if z != partition(z):
             raise ValueError("zero block not canonical")
+        # the eigenvalue 0 belongs to the zero block; type A may still write
+        # it as a block when the zero block is empty
+        if any(b.tag == 0 for b in self.blocks) and (t.family != "A" or z):
+            raise ValueError("eigenvalue 0 goes in the zero block, not in a block")
         N = defining_dim(t)
         if t.family == "A":
             total = sum(b.mult for b in self.blocks) + sum(z)

@@ -5,11 +5,14 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from isods.cli import main
+from isods.coxeter import levi_labels, orbit_J_reg
+from isods.root_data import affine_marks, lie_type
 from isods.tables import TABLE_NAMES
 
 
@@ -103,7 +106,10 @@ def _embedded_labels(fam):
 @pytest.mark.parametrize("fam,sl", [("E6", "5/12"), ("E7", "7/18"), ("E8", "7/30")])
 def test_e_type_label_grammar(tmp_path, capsys, fam, sl):
     too_big = {"E6": "A6+A1", "E7": "E7+A1", "E8": "E8+A1"}[fam]
-    for label in ("FOO", "A9", "A4(a1)", "2D4", "D3", "(A5)", "(A5)'''", "A1+", "0+A1", too_big):
+    # no Levi subalgebra has these types; factors come in falling rank; E7
+    # splits 3A1 and A5 into primed classes, and only E7 has primed classes
+    not_levi = {"E6": ["(3A1)'"], "E7": ["D4+2A1", "3A1", "A5"], "E8": ["D6+A1"]}[fam]
+    for label in ("FOO", "A9", "A4(a1)", "2D4", "D3", "(A5)", "(A5)'''", "A1+", "0+A1", too_big, "A1+A2", *not_levi):
         assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2, label
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"kind": "nilpotent", "label": label}))
@@ -128,6 +134,18 @@ def test_e_type_full_rank_labels(capsys):
     assert main(["solve", "--type", "E7", "--slope", "7/18", "--orbit", "E7(a1)"]) in (0, 3)
     assert json.loads(capsys.readouterr().out)["o_nil"]["label"] == "E7(a1)"
     assert main(["solve", "--type", "E8", "--slope", "7/30", "--orbit", "A7"]) in (0, 3)
+
+
+def test_coxeter_route_labels_are_accepted(capsys):
+    # every label the Coxeter route gives a subset of the diagram is a valid
+    # orbit label, so the CLI and the route name Levi subalgebras alike
+    for fam, sl in (("E6", "5/12"), ("E7", "7/18"), ("E8", "7/30")):
+        t = lie_type(fam)
+        nodes = affine_marks(t).finite_nodes
+        labels = {orbit_J_reg(t, J).label for k in range(len(nodes) + 1) for J in combinations(nodes, k)}
+        for label in sorted(labels):
+            assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) in (0, 3), label
+    capsys.readouterr()
 
 
 def test_coxeter_show_subsets_rank_budget(capsys):
@@ -196,6 +214,11 @@ def test_inconsistent_slot_data_exit_2(capsys):
          "zero multiplicity must be >= 0"),
         (["--family", "C", "--rank", "4", "--slope", "1/2", "--mults", "0,4"], "multiplicities must be positive"),
         (["--family", "B", "--rank", "4", "--slope", "1/2", "--mults=-1,5"], "multiplicities must be positive"),
+        (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "2,,1", "--zero-mult=1"], "empty entry"),
+        (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", ",3", "--zero-mult=1"], "empty entry"),
+        (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "3,", "--zero-mult=1"], "empty entry"),
+        # an empty --mults lists no nonzero multiplicity
+        (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "", "--zero-mult=1"], "sum to 1, expected 4"),
     )
     for argv, message in cases:
         assert main(["tables", "--name", "t_clq", *argv]) == 2, argv
@@ -205,6 +228,10 @@ def test_inconsistent_slot_data_exit_2(capsys):
     assert main(["tables", "--name", "t_clq", "--family", "C", "--rank", "6", "--slope", "1/2", "--mults", "3,3"]) == 0
     assert main(["tables", "--name", "t_clq", "--family", "A", "--rank", "5", "--slope", "1/2", "--mults", "4",
                  "--zero-mult", "2"]) == 0
+    assert main(["tables", "--name", "t_clq", "--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "2,1",
+                 "--zero-mult", "1"]) == 0
+    assert main(["tables", "--name", "t_clq", "--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "",
+                 "--zero-mult", "4"]) == 0
     capsys.readouterr()
     # an eigenvalue of multiplicity 0 in an orbit given to any orbit verb
     orbit = _adjoint_json([0, 2], [1, 1, 1, 1, 1])
@@ -212,6 +239,31 @@ def test_inconsistent_slot_data_exit_2(capsys):
         assert main([verb, "--type", "B", "--rank", "4", "--slope", "3/8", "--orbit", orbit]) == 2, verb
         captured = capsys.readouterr()
         assert captured.out == "" and "multiplicities must be positive" in captured.err, verb
+
+
+def test_zero_eigenvalue_block_exit_2(capsys):
+    # eigenvalue 0 belongs to the zero block: a block tagged 0 is invalid in
+    # B/C/D, and in type A when the zero block is nonempty
+    a3 = ["--type", "A", "--rank", "3", "--slope", "1/4"]
+    for head, zero_block in ((a3, [2]), (["--type", "C", "--rank", "2", "--slope", "1/4"], [])):
+        for eig in (0, "0", "0/3"):
+            block = {"eig": eig, "mult": 2, "partition": [2]}
+            orbit = json.dumps({"kind": "adjoint", "blocks": [block], "zero_block": zero_block})
+            for verb in ("solve", "solve-q", "delta"):
+                assert main([verb, *head, "--orbit", orbit]) == 2, (verb, head, eig)
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.count("\n") == 1
+                assert "eigenvalue 0 goes in the zero block" in captured.err
+    # the A3 orbit above written as the nilpotent orbit it is
+    code, out = run_cli(capsys, "solve", *a3, "--orbit", "[2,2]")
+    assert code == 0 and json.loads(out)["affirmative"] is False
+    code, out = run_cli(capsys, "delta", *a3, "--orbit", "[2,2]")
+    assert code == 0 and json.loads(out)["delta"] == "-2"
+    # type A may write 0 as a block while its zero block is empty
+    blocks = [{"eig": 0, "mult": 2, "partition": [2]}, {"eig": "a", "mult": 2, "partition": [2]}]
+    orbit = json.dumps({"kind": "adjoint", "blocks": blocks, "zero_block": []})
+    assert main(["solve", *a3, "--orbit", orbit]) == 0
+    capsys.readouterr()
 
 
 def _exit_code(argv) -> int:
@@ -380,7 +432,8 @@ def orbit_text(draw, family, rank):
     if not draw(st.sampled_from((True, True, True, False))):
         return json.dumps(draw(_JSON_VALUES))
     if family in _EXCEPTIONAL:
-        label = draw(st.sampled_from(sorted(_embedded_labels(family))))
+        labels = _embedded_labels(family) | (levi_labels(lie_type(family)) if family[0] == "E" else set())
+        label = draw(st.sampled_from(sorted(labels)))
         return draw(st.sampled_from((label, json.dumps({"kind": "nilpotent", "label": label}))))
     parts, rest = [], {"A": rank + 1, "B": 2 * rank + 1}.get(family, 2 * rank)
     while rest > 0:

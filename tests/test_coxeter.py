@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from isods.coxeter import (
@@ -6,6 +8,7 @@ from isods.coxeter import (
     coxeter_candidates,
     coxeter_solve,
     enumerate_d_allowable,
+    levi_labels,
     minimal_allowable_in_finite,
     orbit_J_reg,
 )
@@ -121,6 +124,26 @@ def test_e7_prime_classes():
     assert orbit_J_reg(E7, {2, 4, 5, 6, 7}).label == "(A5)''"
     assert orbit_J_reg(E7, {1, 3, 4, 6}).label == "(A3+A1)'"
     assert orbit_J_reg(E7, {2, 4, 5, 7}).label == "(A3+A1)''"
+
+
+def test_levi_labels_catalogue():
+    from isods import exceptional_data as xd
+
+    embedded = (
+        set(xd.DIM_C)
+        | {(f, label) for (f, _), (label, _) in xd.EXC_COXETER.items()}
+        | {(f, label) for f, _, label, _ in xd.POTENTIALLY_RIGID_EXC}
+    )
+    for fam, size in (("E6", 17), ("E7", 32), ("E8", 41)):
+        labels = levi_labels(lie_type(fam))
+        assert len(labels) == size
+        assert {"0", fam} <= labels
+        # every embedded label names a Levi subalgebra once its (a_k)/(b_k) suffixes are removed
+        levis = {re.sub(r"\([ab]\d\)", "", label) for f, label in embedded if f == fam}
+        assert len(levis) >= 8 and levis <= labels
+    assert {"(3A1)'", "(3A1)''", "(A3+A1)'", "(A3+A1)''", "(A5)'", "(A5)''"} <= levi_labels(lie_type("E7"))
+    assert not {"3A1", "A5", "D4+2A1"} & levi_labels(lie_type("E7"))
+    assert "D6+A1" not in levi_labels(lie_type("E8"))
 
 
 def test_candidates_contain_table_answer_quick():

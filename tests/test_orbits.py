@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -216,6 +217,21 @@ def test_ls_induction_valid_and_monotone():
                 b2[j] = Block(blocks[j].tag, mults[j], rng.choice(bigger))
                 a2 = AdjointOrbit(t, tuple(b2), a.zero_block)
                 assert dominance_le(ind.partition, ls_induction(a2).partition)
+
+
+def test_zero_eigenvalue_belongs_to_the_zero_block():
+    zero = Fraction(0)
+    for t, block, z in (
+        (lie_type("A", 3), Block(zero, 2, (2,)), (1, 1)),
+        (lie_type("B", 2), Block(zero, 1, (1,)), (1, 1, 1)),
+        (lie_type("C", 2), Block(zero, 2, (2,)), ()),
+        (lie_type("D", 3), Block(zero, 2, (1, 1)), (1, 1)),
+    ):
+        with pytest.raises(ValueError, match="eigenvalue 0"):
+            AdjointOrbit(t, (block,), z)
+        assert AdjointOrbit(t, (Block("a", block.mult, block.partition),), z).zero_block == z
+    # type A may write 0 as a block while its zero block is empty
+    AdjointOrbit(lie_type("A", 3), (Block(zero, 2, (2,)), Block("a", 2, (1, 1))), ())
 
 
 def test_cone_contains():
