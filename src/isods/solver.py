@@ -7,9 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import ge
-from typing import Sequence
 
 from . import exceptional_data as xd
 from .coxeter import UnsupportedSlopeError
@@ -24,16 +21,15 @@ from .orbits import (
     zero_orbit,
 )
 from .partitions import (
-    ParityClass,
     Partition,
     dominance_le,
     is_very_even,
     lambda_evenly,
     least_clearing,
+    minimal_valid_clearing,
     partition,
     prefix_sums,
     union_parts,
-    valid_partitions,
 )
 from .root_data import (
     LieType,
@@ -228,10 +224,6 @@ class QCandidate:
     tail: Partition
 
 
-def _clears(prefixes: list[int], bound: list[int]) -> bool:
-    return all(map(ge, prefixes, bound))
-
-
 def _anchor_bounds(
     c: int, p_o: list[int], linear: tuple[Partition, ...], tail: Partition
 ) -> tuple[bool, list[list[int]], list[int]]:
@@ -278,9 +270,9 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     working choice: partitions.least_clearing computes it in closed form,
     without listing the partitions of the slot size.  The tails must also lie
     in a parity class, which the meet does not respect, so there may be
-    several minimal ones: they come from one scan of the valid tails in
-    prefix-sum order (_dominance_minimal) over a pool that is built once per
-    tail size, parity class and width (_tail_pool)."""
+    several minimal ones: partitions.minimal_valid_clearing generates them by
+    a pruned depth-first search over parts, without listing the valid tails
+    of the tail size."""
     fam = t.family
     if t.is_exceptional:
         raise ValueError("fixed-characteristic-polynomial route is classical only")
@@ -345,8 +337,6 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     width = sum(o_part)
     c = 1 if fam == "A" else 2
     p_o = prefix_sums(o_part, width)
-    if fam != "A":
-        tail_pool = _tail_pool(tail_total, parity_class(t), width)
 
     cands: list[QCandidate] = []
     seen: set[QCandidate] = set()
@@ -368,41 +358,9 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
                 lin[j] = mu
                 push(lin, anchor_tail)
         if fam != "A":
-            for tl in _dominance_minimal(*tail_pool, tail_bound):
+            for tl in minimal_valid_clearing(tail_total, parity_class(t), tail_bound):
                 push(anchor_lin, tl)
     return _prune_candidates(cands)
-
-
-@lru_cache(maxsize=None)
-def _tail_pool(
-    total: int, cls: ParityClass, width: int
-) -> tuple[tuple[Partition, ...], tuple[list[int], ...], tuple[int, ...]]:
-    """The valid partitions of total in cls, their prefix sums to width and
-    their indices sorted by prefix sums (see _dominance_minimal)."""
-    pool = valid_partitions(total, cls)
-    prefixes = tuple(prefix_sums(p, width) for p in pool)
-    return pool, prefixes, tuple(sorted(range(len(pool)), key=prefixes.__getitem__))
-
-
-def _dominance_minimal(
-    pool: Sequence[Partition], prefixes: Sequence[list[int]], order: Sequence[int], bound: list[int]
-) -> list[Partition]:
-    """The dominance-minimal members of a pool of partitions of one total
-    among those whose prefix sums clear bound, once each, in pool order.
-    prefixes[i] are the prefix sums of pool[i], all to one width of at least
-    the longest length, and order lists the indices sorted by them.
-
-    Dominance is pointwise order on prefix sums, so a partition strictly
-    below another has a lexicographically smaller prefix-sum vector: sorting
-    by that vector is a linear extension of the order.  Scanning in it, every
-    element above another lies above a minimal one that was scanned and kept
-    before it, so an element is minimal iff no element kept so far lies below
-    it.  That costs O(|pool| * |minimal|) comparisons instead of O(|pool|^2)."""
-    kept: list[int] = []
-    for i in order:
-        if _clears(prefixes[i], bound) and not any(_clears(prefixes[i], prefixes[k]) for k in kept):
-            kept.append(i)
-    return [pool[i] for i in sorted(kept)]
 
 
 def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:

@@ -47,6 +47,9 @@ _CLQ_CELLS = (
     ("B", 6, 1, 6, (2,), 4),
     ("C", 4, 1, 2, (1, 1), 2),
     ("C", 6, 7, 12, (2, 1), 3),
+    ("C", 16, 1, 32, (5,), 11),
+    ("C", 16, 7, 32, (5,), 11),
+    ("C", 26, 1, 4, (1,), 25),
     ("D", 5, 3, 4, (1, 1, 1), 2),
     ("D", 6, 1, 5, (3,), 3),
 )

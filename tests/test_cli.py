@@ -159,6 +159,34 @@ def test_coxeter_show_subsets_rank_budget(capsys):
     assert code == 0 and json.loads(out)["o_nu"]["partition"] == [2 * SHOW_SUBSETS_MAX_RANK + 1]
 
 
+def test_q_route_tail_size_budget(capsys):
+    from isods.cli import Q_TAIL_MAX_TOTAL
+
+    assert Q_TAIL_MAX_TOTAL == 64
+    # C33 with zero multiplicity 33 and B32 with 32: zero sectors of size 66 and 65
+    refused = (
+        ["tables", "--name", "t_clq", "--family", "C", "--rank", "33", "--slope", "1/2", "--mults", "",
+         "--zero-mult", "33"],
+        ["tables", "--name", "t_clq", "--rank", "32", "--slope", "1/4", "--mults", "", "--zero-mult", "32"],
+        ["solve-q", "--type", "B", "--rank", "32", "--slope", "1/4", "--orbit", _adjoint_json([], [1] * 65)],
+    )
+    for argv in refused:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert f"above the bound {Q_TAIL_MAX_TOTAL}" in captured.err, argv
+    # size 64 still answers, and so does the zero-heavy golden cell C26
+    code, out = run_cli(capsys, "tables", "--name", "t_clq", "--family", "C", "--rank", "32", "--slope", "1/4",
+                        "--mults", "", "--zero-mult", "32")
+    assert code == 0 and out.splitlines()[1] == "C,32,1/4,,[" + ",".join(["4"] * 16) + "]"
+    code, out = run_cli(capsys, "solve-q", "--type", "B", "--rank", "31", "--slope", "1/2", "--orbit",
+                        _adjoint_json([], [1] * 63))
+    assert code == 0 and json.loads(out)["affirmative"] is False
+    code, out = run_cli(capsys, "tables", "--name", "t_clq", "--family", "C", "--rank", "26", "--slope", "1/4",
+                        "--mults", "1", "--zero-mult", "25")
+    assert code == 0 and out.splitlines()[1] == "C,26,1/4,[1],[4,4,4,4,4,4,4,4,4,4,4,3,3]"
+
+
 def test_coxeter_rank_30_answers(capsys):
     code, out = run_cli(capsys, "coxeter", "--type", "B", "--rank", "30", "--d", "1")
     assert code == 0 and json.loads(out) == {"o_nu": {"kind": "nilpotent", "partition": [61]}}

@@ -1,5 +1,8 @@
 import random
+import sys
+from functools import lru_cache
 from math import gcd
+from operator import ge
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,15 +15,15 @@ from isods.partitions import (
     is_valid,
     is_very_even,
     least_clearing,
+    minimal_valid_clearing,
     partitions_of,
     prefix_sums,
     sum_parts,
+    valid_partitions,
 )
 from isods.root_data import is_regular, lie_type, slope, slope_cells
 from isods.solver import (
     _anchor_bounds,
-    _clears,
-    _dominance_minimal,
     ds_solve,
     ds_solve_q,
     o_nu,
@@ -204,6 +207,36 @@ def test_ds_solve_q_equals_ds_solve_exhaustive_rank3():
                                 ), (fam, n, str(s), a.to_json())
 
 
+def _clears(prefixes, bound):
+    return all(map(ge, prefixes, bound))
+
+
+def _dominance_minimal(pool, prefixes, order, bound):
+    """Reference: the dominance-minimal members of a pool of partitions of
+    one total among those whose prefix sums clear bound, once each, in pool
+    order.  prefixes[i] are the prefix sums of pool[i] to one width, and
+    order lists the indices sorted by them, a linear extension of dominance:
+    scanning in it, an element is minimal iff no element kept so far lies
+    below it."""
+    kept = []
+    for i in order:
+        if _clears(prefixes[i], bound) and not any(_clears(prefixes[i], prefixes[k]) for k in kept):
+            kept.append(i)
+    return [pool[i] for i in sorted(kept)]
+
+
+@lru_cache(maxsize=None)
+def _valid_pool(n, cls, width):
+    pool = valid_partitions(n, cls)
+    prefixes = [prefix_sums(p, width) for p in pool]
+    return pool, prefixes, sorted(range(len(pool)), key=prefixes.__getitem__)
+
+
+def _scan_reference(n, cls, bound):
+    """minimal_valid_clearing by a scan of every valid partition of n."""
+    return _dominance_minimal(*_valid_pool(n, cls, len(bound)), list(bound))
+
+
 def _pairwise_minimal(pool):
     """Reference: minimal members by comparing every pair, in pool order."""
     out = []
@@ -240,6 +273,83 @@ def test_dominance_minimal_matches_pairwise(pool, pad, data):
     cleared = [p for p, pp in zip(pool, prefixes) if _clears(pp, bound)]
     assert _dominance_minimal(pool, prefixes, order, bound) == _pairwise_minimal(cleared)
     assert _dominance_minimal(pool, prefixes, order, [0] * width) == _pairwise_minimal(pool)
+
+
+def test_minimal_valid_clearing_matches_scan_exhaustive():
+    """Every bound that is the prefix sums of a partition lambda of a total
+    n <= 20 (a tail clears it iff it dominates lambda), at widths n and n + 3,
+    in each parity class."""
+    cases = 0
+    for cls in ParityClass:
+        for n in range(21):
+            for lam in partitions_of(n):
+                for width in (n, n + 3):
+                    bound = prefix_sums(lam, width)
+                    assert minimal_valid_clearing(n, cls, bound) == _scan_reference(n, cls, bound), (cls, lam, width)
+                    cases += 1
+    assert cases == 3 * 2 * sum(len(partitions_of(n)) for n in range(21))
+
+
+def _draw_partition(draw, n):
+    parts, rest = [], n
+    while rest:
+        parts.append(draw(st.integers(1, min(rest, parts[-1] if parts else rest))))
+        rest -= parts[-1]
+    return tuple(parts)
+
+
+@st.composite
+def tail_bounds(draw):
+    """A parity class, a tail size n <= 32 of its total parity and a bound of
+    the kind _anchor_bounds gives a tail: the prefix sums of a threshold of
+    size n + 2L less twice those of linear factors of size L, so entries may
+    be negative, not concave or above n; or the prefix sums of a partition of
+    n lowered at random.  The width runs from 0 to n + 4, below n as well as
+    above it."""
+    cls = draw(st.sampled_from(list(ParityClass)))
+    eps = 1 if cls is ParityClass.B else 0
+    n = 2 * draw(st.integers(0, (32 - eps) // 2)) + eps
+    width = draw(st.integers(0, n + 4))
+    if draw(st.booleans()):
+        L = draw(st.integers(0, 8))
+        threshold, linear = _draw_partition(draw, n + 2 * L), _draw_partition(draw, L)
+        bound = [o - 2 * x for o, x in zip(prefix_sums(threshold, width), prefix_sums(linear, width))]
+    else:
+        drops = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        bound = [x - y for x, y in zip(prefix_sums(_draw_partition(draw, n), width), drops)]
+    return cls, n, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_bounds())
+@example((ParityClass.C, 22, [7, 16, 24] + [22] * 29))  # a q_growth bound with an entry above n
+@example((ParityClass.C, 0, [0, -2, 0]))
+@example((ParityClass.D, 12, [2, 4, 6, 7, 8]))  # width below n: ties past the width
+def test_minimal_valid_clearing_matches_scan(case):
+    cls, n, bound = case
+    assert minimal_valid_clearing(n, cls, bound) == _scan_reference(n, cls, bound)
+
+
+def test_q_candidates_lists_no_partition_pool(monkeypatch):
+    """The B/C/D zero sector is generated: the route never lists the
+    partitions, valid or not, of a tail or slot size."""
+
+    def refuse(*args):
+        raise AssertionError(f"q_candidates listed a partition pool {args}")
+
+    for mod in [m for name, m in sys.modules.items() if name == "isods" or name.startswith("isods.")]:
+        for name in ("valid_partitions", "partitions_of"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    cells = 0
+    for fam, n, m in (("B", 16, 32), ("C", 16, 32), ("D", 16, 30), ("C", 26, 4)):
+        t = lie_type(fam, n)
+        for d in range(1, m, 2 if fam != "D" else 1):
+            if gcd(d, m) == 1:
+                for mults, zero_mult in (((n // 3,), n - n // 3), ((), n), ((1,), n - 1)):
+                    assert q_candidates(t, slope(d, m), mults, zero_mult)
+                    cells += 1
+    assert cells == 3 * (16 + 16 + 8 + 2)
 
 
 @st.composite
