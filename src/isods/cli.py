@@ -13,22 +13,23 @@ import re
 import sys
 from fractions import Fraction
 from math import isfinite
+from typing import TYPE_CHECKING
 
-from . import exceptional_data as xd
-from .coxeter import UnsupportedSlopeError, coxeter_candidates, coxeter_solve, enumerate_d_allowable, levi_labels
-from .orbits import (
-    AdjointOrbit,
-    Block,
-    HasseDiagram,
-    NilpotentOrbit,
+from .root_data import (
+    TABLE_NAMES,
+    LieType,
     UnsupportedComparisonError,
+    UnsupportedSlopeError,
+    lie_type,
+    parse_slope,
 )
-from .partitions import partition
-from .rigidity import rigidity_report, scan_rigid
-from .root_data import LieType, lie_type, parse_slope
-from .solver import ds_solve, ds_solve_q
-from . import tables as table_mod
-from .skeleton import minimal_jordan_type_report
+
+if TYPE_CHECKING:
+    from .orbits import HasseDiagram, NilpotentOrbit
+
+# Engine modules are imported inside the functions that call them, after the
+# input is parsed and validated, so that a cold `ds` process compiles only the
+# modules of its verb and malformed input exits before any of them loads.
 
 
 class CliError(Exception):
@@ -49,9 +50,16 @@ def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
     lists every G2 and F4 orbit; an E6-E8 label must name a Levi subalgebra
     (`levi_labels`) once the (a_k)/(b_k) suffixes of its D and E factors are
     removed.  Other labels are invalid input."""
-    if (t.family in ("G2", "F4") and (t.family, label) not in xd.DIM_C) or (
-        t.family in ("E6", "E7", "E8") and re.sub(r"(?<=[DE][4-8])\([ab][1-9]\)", "", label) not in levi_labels(t)
-    ):
+    from . import exceptional_data as xd
+    from .orbits import NilpotentOrbit
+
+    if t.family in ("E6", "E7", "E8"):
+        from .coxeter import levi_labels
+
+        known = re.sub(r"(?<=[DE][4-8])\([ab][1-9]\)", "", label) in levi_labels(t)
+    else:
+        known = t.family not in ("G2", "F4") or (t.family, label) in xd.DIM_C
+    if not known:
         raise CliError(f"unknown {t.family} orbit label {label!r}")
     return NilpotentOrbit(t, label=label)
 
@@ -75,13 +83,20 @@ def _json_list(value, cls: type, what: str) -> list:
 def _parse_orbit(t: LieType, text: str) -> NilpotentOrbit:
     text = text.strip()
     if text.startswith("["):
-        return NilpotentOrbit(t, partition(_json_list(json.loads(text), int, "an orbit partition")))
+        parts = _json_list(json.loads(text), int, "an orbit partition")
+        from .orbits import NilpotentOrbit
+        from .partitions import partition
+
+        return NilpotentOrbit(t, partition(parts))
     if t.is_exceptional:
         return _labelled_orbit(t, text)
     raise CliError(f"classical orbits are given as JSON partitions, got {text!r}")
 
 
 def _orbit_from_json(t: LieType, data):
+    from .orbits import AdjointOrbit, Block, NilpotentOrbit
+    from .partitions import partition
+
     _json(data, dict, "an orbit")
     kind = data.get("kind", "nilpotent")
     if kind == "nilpotent":
@@ -137,6 +152,8 @@ def _load_hasse(args) -> HasseDiagram | None:
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
+    from .orbits import HasseDiagram
+
     data = _json_list(_read_json(path, "Hasse file"), dict, "a Hasse file")
     for item in data:
         for key in ("from", "to", "label"):
@@ -155,7 +172,10 @@ def cmd_solve(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
     orbit = _load_orbit(t, args)
-    ans = ds_solve(t, s, orbit, hasse=_load_hasse(args))
+    hasse = _load_hasse(args)
+    from .solver import ds_solve
+
+    ans = ds_solve(t, s, orbit, hasse=hasse)
     _emit(ans.to_json())
     return 3 if ans.affirmative == "unknown-needs-hasse" else 0
 
@@ -181,9 +201,13 @@ def cmd_solve_q(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
     orbit = _load_orbit(t, args)
+    from .orbits import AdjointOrbit
+
     if not isinstance(orbit, AdjointOrbit):
         raise CliError("solve-q expects an adjoint orbit (kind=adjoint)")
     _check_tail_total(t.family, sum(orbit.zero_block))
+    from .solver import ds_solve_q
+
     ans = ds_solve_q(t, s, orbit)
     _emit(ans.to_json())
     return 0
@@ -196,11 +220,22 @@ def cmd_solve_q(args) -> int:
 # doubles with each rank.
 SHOW_SUBSETS_MAX_RANK = 12
 
+# The chain-shape walk of the classical types grows exponentially with the
+# rank.  In process on a shared 2-core host, the slowest d of B (the slowest
+# family) took 0.59 s at rank 30, 1.19 s at 32, 2.67 s at 36 (86 MB) and
+# 6.25 s at 40 (167 MB).  The tests run B30 and D30.
+COXETER_MAX_RANK = 36
+
 
 def cmd_coxeter(args) -> int:
     t = _parse_type(args)
     if args.show_subsets and t.rank > SHOW_SUBSETS_MAX_RANK:
         raise CliError(f"--show-subsets scans 2^(rank+1) subsets; rank {t.rank} is above the bound {SHOW_SUBSETS_MAX_RANK}")
+    if t.rank > COXETER_MAX_RANK:
+        raise CliError(f"the Coxeter route walks the chain shapes of the diagram; rank {t.rank} is above the bound"
+                       f" {COXETER_MAX_RANK}")
+    from .coxeter import coxeter_candidates, coxeter_solve, enumerate_d_allowable
+
     orbit = coxeter_solve(t, args.d)
     out = {"o_nu": orbit.to_json()}
     if args.show_subsets:
@@ -221,23 +256,32 @@ def cmd_delta(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
     orbit = _load_orbit(t, args)
+    from .rigidity import rigidity_report
+
     rep = rigidity_report(t, s, orbit)
     _emit({"delta": str(rep.delta), "rigid": rep.rigid})
     return 0
 
 
 def cmd_rigid(args) -> int:
-    rows = scan_rigid(args.family, args.max_rank)
     if args.format == "json":
-        _emit(rows)
+        from .rigidity import scan_rigid
+
+        _emit(scan_rigid(args.family, args.max_rank))
     else:
-        sys.stdout.write(table_mod.t_cl_ell_rig(args.family, args.max_rank))
+        from .tables import t_cl_ell_rig
+
+        sys.stdout.write(t_cl_ell_rig(args.family, args.max_rank))
     return 0
 
 
 def cmd_oracle(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
+    if args.budget < 0:
+        raise CliError(f"--budget {args.budget} is negative; it caps the random Lagrangians tried, at least 0")
+    from .skeleton import minimal_jordan_type_report
+
     p, certified = minimal_jordan_type_report(t, s, search_budget=args.budget, seed=args.seed)
     _emit({"jordan_type": list(p), "certified": certified})
     return 0 if certified else 4
@@ -259,7 +303,9 @@ def cmd_tables(args) -> int:
             "mults": tuple(map(int, mults)),
             "zero_mult": args.zero_mult,
         }
-    sys.stdout.write(table_mod.generate(args.name, args.family, args.max_rank, **kw))
+    from .tables import generate
+
+    sys.stdout.write(generate(args.name, args.family, args.max_rank, **kw))
     return 0
 
 
@@ -269,10 +315,10 @@ CHECK_MIN_RANK = 3
 
 
 def cmd_check(args) -> int:
-    from .checks import run_all
-
     if args.max_rank < CHECK_MIN_RANK:
         raise CliError(f"--max-rank {args.max_rank} is below {CHECK_MIN_RANK}, the least rank ds check runs at")
+    from .checks import run_all
+
     report = run_all(max_rank=args.max_rank)
     _emit(report)
     return 0 if all(v == "ok" for v in report.values()) else 2
@@ -329,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("tables", help="regenerate a table as CSV")
-    p.add_argument("--name", required=True, choices=table_mod.TABLE_NAMES)
+    p.add_argument("--name", required=True, choices=TABLE_NAMES)
     p.add_argument("--family")
     p.add_argument("--max-rank", type=int, default=6)
     p.add_argument("--rank", type=int)

@@ -26,6 +26,7 @@ from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
 from .partitions import Partition, is_valid, partition
 from .root_data import (
     LieType,
+    UnsupportedSlopeError,
     affine_marks,
     cartan_matrix,
     coxeter_number,
@@ -33,10 +34,6 @@ from .root_data import (
     levi_factor_types,
     positive_roots,
 )
-
-
-class UnsupportedSlopeError(Exception):
-    """The requested (type, slope) has no supported solution path."""
 
 
 @dataclass(frozen=True)

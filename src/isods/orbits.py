@@ -22,11 +22,7 @@ from .partitions import (
     sum_parts,
     transpose,
 )
-from .root_data import LieType, defining_dim
-
-
-class UnsupportedComparisonError(Exception):
-    """Closure comparison requires Hasse data that is not available."""
+from .root_data import LieType, UnsupportedComparisonError, defining_dim
 
 
 def parity_class(t: LieType) -> ParityClass:

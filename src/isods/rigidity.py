@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exceptional_data as xd
-from .coxeter import UnsupportedSlopeError
 from .orbits import AdjointOrbit, NilpotentOrbit, dim_centralizer, ls_induction
 from .root_data import (
     EXCEPTIONAL_RANK,
     LieType,
     Slope,
+    UnsupportedSlopeError,
     coxeter_number,
     dim_cartan_fixed,
     is_elliptic_regular,

@@ -1,5 +1,8 @@
 """Static root-system data: Cartan matrices, positive roots, affine marks,
 exponents, Coxeter numbers, regular and elliptic-regular number predicates.
+
+It also holds what the command line needs before it loads an engine module:
+the two exceptions `cli.main` maps to exit codes and the table names.
 """
 
 from __future__ import annotations
@@ -11,6 +14,14 @@ from math import gcd
 
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+
+
+class UnsupportedSlopeError(Exception):
+    """The requested (type, slope) has no supported solution path."""
+
+
+class UnsupportedComparisonError(Exception):
+    """Closure comparison requires Hasse data that is not available."""
 
 
 @dataclass(frozen=True)
@@ -276,6 +287,19 @@ def is_elliptic_regular(t: LieType, m: int) -> bool:
             return True
         return (2 * n - 2) % m == 0 and ((2 * n - 2) // m) % 2 == 1
     return dim_cartan_fixed(t, m) == 0
+
+
+# The tables `tables.generate` writes, by their `ds tables --name`.
+TABLE_NAMES = (
+    "t_clCox",
+    "t_excCox",
+    "t_completecl",
+    "t_clq",
+    "t_cl_index_rig",
+    "t_cl_ell_rig",
+    "DSsolnF4",
+    "potigexc-numerics",
+)
 
 
 def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | None = None):

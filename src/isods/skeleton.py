@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import UnsupportedSlopeError
 from .linalg import jordan_type_from_ranks, sparse_rank
 from .partitions import Partition, dominance_le, union_parts
-from .root_data import LieType, Slope, is_elliptic_regular, is_regular
+from .root_data import LieType, Slope, UnsupportedSlopeError, is_elliptic_regular, is_regular
 
 Matrix = list[list[int | Fraction]]
 

@@ -9,12 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exceptional_data as xd
-from .coxeter import UnsupportedSlopeError
 from .orbits import (
     AdjointOrbit,
     HasseDiagram,
     NilpotentOrbit,
-    UnsupportedComparisonError,
     closure_le_detail,
     ls_induction,
     parity_class,
@@ -34,6 +32,8 @@ from .partitions import (
 from .root_data import (
     LieType,
     Slope,
+    UnsupportedComparisonError,
+    UnsupportedSlopeError,
     coxeter_number,
     is_regular,
 )

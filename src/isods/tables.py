@@ -5,22 +5,10 @@ from __future__ import annotations
 import io
 
 from . import exceptional_data as xd
-from .coxeter import UnsupportedSlopeError
 from .orbits import dim_centralizer, NilpotentOrbit
 from .rigidity import closed_form_delta, delta_of_orbit, scan_rigid
-from .root_data import coxeter_number, lie_type, phi_count, slope_cells
+from .root_data import TABLE_NAMES, UnsupportedSlopeError, coxeter_number, lie_type, phi_count, slope_cells
 from .solver import o_nu, o_nu_rows, q_candidates
-
-TABLE_NAMES = (
-    "t_clCox",
-    "t_excCox",
-    "t_completecl",
-    "t_clq",
-    "t_cl_index_rig",
-    "t_cl_ell_rig",
-    "DSsolnF4",
-    "potigexc-numerics",
-)
 
 
 def _fmt_partition(p) -> str:

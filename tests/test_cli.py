@@ -195,6 +195,19 @@ def test_coxeter_rank_30_answers(capsys):
     assert main(["coxeter", "--type", "B", "--rank", "4", "--d", "-1"]) == 2
 
 
+def test_coxeter_rank_bound(capsys):
+    from isods.cli import COXETER_MAX_RANK
+
+    assert COXETER_MAX_RANK >= 30  # test_coxeter_rank_30_answers runs B30 and D30
+    for fam in ("A", "B", "C", "D"):
+        code = main(["coxeter", "--type", fam, "--rank", str(COXETER_MAX_RANK + 1), "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1, fam
+        assert f"above the bound {COXETER_MAX_RANK}" in captured.err, fam
+    code, out = run_cli(capsys, "coxeter", "--type", "C", "--rank", str(COXETER_MAX_RANK), "--d", "1")
+    assert code == 0 and json.loads(out)["o_nu"]["partition"] == [2 * COXETER_MAX_RANK]
+
+
 def test_solve_adjoint_file(tmp_path, capsys):
     orbit = {
         "kind": "adjoint",
@@ -540,6 +553,17 @@ def test_coxeter_command(capsys):
     assert data["o_nu"]["label"] == "A2+~A1"
     minimal = [a for a in data["allowable"] if a["minimal"]]
     assert {tuple(a["J"]) for a in minimal if 0 not in a["J"]} == {(2, 3), (1, 2, 4), (1, 3, 4)}
+
+
+def test_oracle_negative_budget_exit_2(capsys):
+    # --budget -1 once ran as 0 and certified B3 1/6 as [7]
+    head = ["oracle", "--type", "B", "--rank", "3", "--slope", "1/6"]
+    for budget in ("-1", "-10000"):
+        assert main([*head, "--budget", budget]) == 2, budget
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--budget {budget} is negative" in captured.err, budget
+    code, out = run_cli(capsys, *head, "--budget", "0")
+    assert code == 0 and json.loads(out) == {"certified": True, "jordan_type": [7]}
 
 
 def test_oracle_command(capsys):
