@@ -16,7 +16,6 @@ the table code it is checked against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -25,6 +24,7 @@ from . import exceptional_data as xd
 from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
 from .partitions import Partition, is_valid, partition
 from .root_data import (
+    FrozenRecord,
     LieType,
     UnsupportedSlopeError,
     affine_marks,
@@ -36,14 +36,18 @@ from .root_data import (
 )
 
 
-@dataclass(frozen=True)
-class AllowableSubset:
+class AllowableSubset(FrozenRecord):
     """Proper subset J of the affine diagram whose complement admits positive
     integer weights summing (against the marks) to d."""
 
-    J: frozenset[int]
-    witness: dict[int, int]
-    is_minimal: bool
+    __slots__ = ("J", "witness", "is_minimal")
+
+    def __init__(self, J: frozenset[int], witness: dict[int, int], is_minimal: bool):
+        init = object.__setattr__
+        init(self, "J", J)
+        init(self, "witness", witness)
+        init(self, "is_minimal", is_minimal)
+        init(self, "_key", (J, witness, is_minimal))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ and matrix-kernel oracle), Lusztig-Spaltenstein induction, closure order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +21,9 @@ from .partitions import (
     sum_parts,
     transpose,
 )
-from .root_data import LieType, UnsupportedComparisonError, defining_dim
+from .root_data import FrozenRecord, LieType, Record, UnsupportedComparisonError, defining_dim
+
+_canonical = partition  # NilpotentOrbit's field of that name shadows it in __init__
 
 
 def parity_class(t: LieType) -> ParityClass:
@@ -31,36 +32,43 @@ def parity_class(t: LieType) -> ParityClass:
     return ParityClass[t.family]
 
 
-@dataclass(frozen=True)
-class NilpotentOrbit:
+class NilpotentOrbit(FrozenRecord):
     """Nilpotent orbit: a partition for classical types (with an optional
     very-even label I/II in type D), or a Bala-Carter label for exceptional
     types."""
 
-    type: LieType
-    partition: Partition | None = None
-    label: str | None = None
-    very_even_label: str | None = None
+    __slots__ = ("type", "partition", "label", "very_even_label")
 
-    def __post_init__(self):
-        t = self.type
+    def __init__(
+        self,
+        type: LieType,
+        partition: Partition | None = None,
+        label: str | None = None,
+        very_even_label: str | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "type", type)
+        init(self, "partition", partition)
+        init(self, "label", label)
+        init(self, "very_even_label", very_even_label)
+        init(self, "_key", (type, partition, label, very_even_label))
+        t, p = type, partition
         if t.is_exceptional:
-            if self.label is None or self.partition is not None:
+            if label is None or p is not None:
                 raise ValueError("exceptional orbits carry a Bala-Carter label")
             return
-        if self.partition is None:
+        if p is None:
             raise ValueError("classical orbits carry a partition")
-        p = self.partition
-        if p != partition(p):
+        if p != _canonical(p):
             raise ValueError(f"partition not canonical: {p}")
         if sum(p) != defining_dim(t):
             raise ValueError(f"partition of {sum(p)} does not fit {t}")
         if t.family != "A" and not is_valid(p, parity_class(t)):
             raise ValueError(f"{p} violates the {t.family}-parity constraint")
-        if self.very_even_label is not None:
+        if very_even_label is not None:
             if t.family != "D" or not is_very_even(p):
                 raise ValueError("very-even label only on very even type-D orbits")
-            if self.very_even_label not in ("I", "II"):
+            if very_even_label not in ("I", "II"):
                 raise ValueError("very-even label must be 'I' or 'II'")
 
     @property
@@ -80,28 +88,34 @@ class NilpotentOrbit:
         return out
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(FrozenRecord):
     """One nonzero eigenvalue class: in types B/C/D the tag stands for the
     pair of eigenvalues +-a."""
 
-    tag: str | Fraction
-    mult: int
-    partition: Partition
+    __slots__ = ("tag", "mult", "partition")
+
+    def __init__(self, tag: str | Fraction, mult: int, partition: Partition):
+        init = object.__setattr__
+        init(self, "tag", tag)
+        init(self, "mult", mult)
+        init(self, "partition", partition)
+        init(self, "_key", (tag, mult, partition))
 
 
-@dataclass(frozen=True)
-class AdjointOrbit:
+class AdjointOrbit(FrozenRecord):
     """Adjoint orbit of a classical type, given by eigenvalue blocks plus the
     zero block (type A: partition of the zero multiplicity; B: of 2*m_s+1;
     C/D: of 2*m_s)."""
 
-    type: LieType
-    blocks: tuple[Block, ...]
-    zero_block: Partition
+    __slots__ = ("type", "blocks", "zero_block")
 
-    def __post_init__(self):
-        t = self.type
+    def __init__(self, type: LieType, blocks: tuple[Block, ...], zero_block: Partition):
+        init = object.__setattr__
+        init(self, "type", type)
+        init(self, "blocks", blocks)
+        init(self, "zero_block", zero_block)
+        init(self, "_key", (type, blocks, zero_block))
+        t = type
         if t.is_exceptional:
             raise ValueError("adjoint orbits are modeled for classical types only")
         tags = [b.tag for b in self.blocks]
@@ -311,15 +325,20 @@ def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HasseDiagram:
+class HasseDiagram(Record):
     """Closure order on exceptional orbits from covering relations."""
 
-    orbits: frozenset[str]
-    covers: tuple[tuple[str, str], ...]  # (upper, lower)
-    dims: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("orbits", "covers", "dims", "_below")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        orbits: frozenset[str],
+        covers: tuple[tuple[str, str], ...],  # (upper, lower)
+        dims: dict[str, int] | None = None,
+    ):
+        self.orbits = orbits
+        self.covers = covers
+        self.dims = {} if dims is None else dims
         below: dict[str, set[str]] = {o: {o} for o in self.orbits}
         changed = True
         while changed:
@@ -333,6 +352,10 @@ class HasseDiagram:
         for hi, lo in self.covers:
             if hi in self.dims and lo in self.dims and not self.dims[hi] < self.dims[lo]:
                 raise ValueError(f"dim C must increase downward: {hi} -> {lo}")
+
+    @property
+    def _key(self):
+        return self.orbits, self.covers, self.dims
 
     def le(self, a: str, b: str) -> bool:
         """a <= b in the closure order."""

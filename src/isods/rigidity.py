@@ -4,13 +4,13 @@ classification scan over elliptic slopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exceptional_data as xd
 from .orbits import AdjointOrbit, NilpotentOrbit, dim_centralizer, ls_induction
 from .root_data import (
     EXCEPTIONAL_RANK,
+    FrozenRecord,
     LieType,
     Slope,
     UnsupportedSlopeError,
@@ -24,15 +24,28 @@ from .root_data import (
 from .solver import ds_solve, o_nu
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    delta: Fraction
-    nu_phi: Fraction
-    dim_c: int
-    dim_tw: int
-    rigid: bool
-    m_elliptic: bool
-    orbit_nonresonant: bool | None
+class RigidityReport(FrozenRecord):
+    __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
+
+    def __init__(
+        self,
+        delta: Fraction,
+        nu_phi: Fraction,
+        dim_c: int,
+        dim_tw: int,
+        rigid: bool,
+        m_elliptic: bool,
+        orbit_nonresonant: bool | None,
+    ):
+        init = object.__setattr__
+        init(self, "delta", delta)
+        init(self, "nu_phi", nu_phi)
+        init(self, "dim_c", dim_c)
+        init(self, "dim_tw", dim_tw)
+        init(self, "rigid", rigid)
+        init(self, "m_elliptic", m_elliptic)
+        init(self, "orbit_nonresonant", orbit_nonresonant)
+        init(self, "_key", (delta, nu_phi, dim_c, dim_tw, rigid, m_elliptic, orbit_nonresonant))
 
 
 def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:

@@ -2,12 +2,12 @@
 exponents, Coxeter numbers, regular and elliptic-regular number predicates.
 
 It also holds what the command line needs before it loads an engine module:
-the two exceptions `cli.main` maps to exit codes and the table names.
+the two exceptions `cli.main` maps to exit codes and the table names; and
+the two bases of the package's value classes, `Record` and `FrozenRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -24,23 +24,67 @@ class UnsupportedComparisonError(Exception):
     """Closure comparison requires Hasse data that is not available."""
 
 
-@dataclass(frozen=True)
-class LieType:
+# The package defines no @dataclass: `import dataclasses` loads `inspect`,
+# and each decorated class execs its generated methods at import, which
+# together cost a cold `ds solve` about a fifth of its run.  These two bases give
+# the value classes the equality, hash, repr, read-only fields, copy and
+# pickle that the decorator generated.
+class Record:
+    """Mutable value class, unhashable and equal by the field tuple `_key`:
+    a property listing the subclass's fields in `__slots__` order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self):
+        # zip stops at the key, so slots past the fields stay out of it
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """Read-only value class whose `__init__` stores each field and the field
+    tuple `_key` through `object.__setattr__`; it hashes as `_key`."""
+
+    __slots__ = ("_key",)
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+
+class LieType(FrozenRecord):
     """Simple Lie type: family plus rank (rank fixed for exceptional families)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family in EXCEPTIONAL_RANK:
-            if self.rank != EXCEPTIONAL_RANK[self.family]:
-                raise ValueError(f"{self.family} has rank {EXCEPTIONAL_RANK[self.family]}")
+    def __init__(self, family: str, rank: int):
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "rank", rank)
+        init(self, "_key", (family, rank))
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in EXCEPTIONAL_RANK:
+            if rank != EXCEPTIONAL_RANK[family]:
+                raise ValueError(f"{family} has rank {EXCEPTIONAL_RANK[family]}")
         else:
-            lo = {"A": 1, "B": 2, "C": 2, "D": 3}[self.family]
-            if self.rank < lo:
-                raise ValueError(f"{self.family}-rank must be >= {lo}")
+            lo = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+            if rank < lo:
+                raise ValueError(f"{family}-rank must be >= {lo}")
 
     @property
     def is_exceptional(self) -> bool:
@@ -66,18 +110,20 @@ def lie_type(family: str, rank: int | None = None) -> LieType:
     return LieType(family, int(rank))
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(FrozenRecord):
     """Positive slope d/m in lowest terms."""
 
-    d: int
-    m: int
+    __slots__ = ("d", "m")
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
+    def __init__(self, d: int, m: int):
+        init = object.__setattr__
+        init(self, "d", d)
+        init(self, "m", m)
+        init(self, "_key", (d, m))
+        if d < 1 or m < 1:
             raise ValueError("slope needs positive numerator and denominator")
-        if gcd(self.d, self.m) != 1:
-            raise ValueError(f"slope {self.d}/{self.m} not in lowest terms")
+        if gcd(d, m) != 1:
+            raise ValueError(f"slope {d}/{m} not in lowest terms")
 
     @property
     def nu(self) -> Fraction:
@@ -92,9 +138,16 @@ def slope(d: int, m: int) -> Slope:
     return Slope(d // g, m // g)
 
 
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_slope(text: str) -> Slope:
-    num, _, den = text.partition("/")
-    return slope(int(num), int(den) if den else 1)
+    """The slope written `d` or `d/m` in ASCII digits, put in lowest terms."""
+    num, bar, den = text.partition("/")
+    if not _digits(num) or (bar and not _digits(den)):
+        raise ValueError(f"slope must be d or d/m in ASCII digits, got {text!r}")
+    return slope(int(num), int(den) if bar else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +372,17 @@ def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | No
                         yield t, m, d, slope(d, m)
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(FrozenRecord):
     """Affine Dynkin diagram: node 0 is the affine node, marks n_alpha."""
 
-    type: LieType
-    nodes: tuple[int, ...]
-    marks: dict[int, int]
+    __slots__ = ("type", "nodes", "marks")
+
+    def __init__(self, type: LieType, nodes: tuple[int, ...], marks: dict[int, int]):
+        init = object.__setattr__
+        init(self, "type", type)
+        init(self, "nodes", nodes)
+        init(self, "marks", marks)
+        init(self, "_key", (type, nodes, marks))
 
     @property
     def finite_nodes(self) -> tuple[int, ...]:

@@ -11,30 +11,35 @@ and its certified Lagrangian is built and checked isotropic once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import jordan_type_from_ranks, sparse_rank
 from .partitions import Partition, dominance_le, union_parts
-from .root_data import LieType, Slope, UnsupportedSlopeError, is_elliptic_regular, is_regular
+from .root_data import LieType, Record, Slope, UnsupportedSlopeError, is_elliptic_regular, is_regular
 
 Matrix = list[list[int | Fraction]]
 
 
-@dataclass
-class GradedModel:
+class GradedModel(Record):
     """Degree-graded lattice quotient with an operator shifting degrees by d.
 
     isolated_lines counts operator-killed one-dimensional summands outside
     the grading window.
     """
 
-    type: LieType
-    m: int
-    d: int
-    operator: Matrix
-    isolated_lines: int = 0
+    __slots__ = ("type", "m", "d", "operator", "isolated_lines")
+
+    def __init__(self, type: LieType, m: int, d: int, operator: Matrix, isolated_lines: int = 0):
+        self.type = type
+        self.m = m
+        self.d = d
+        self.operator = operator
+        self.isolated_lines = isolated_lines
+
+    @property
+    def _key(self):
+        return self.type, self.m, self.d, self.operator, self.isolated_lines
 
 
 def jordan_type(model: GradedModel) -> Partition:

@@ -5,7 +5,6 @@ verdict for a fixed characteristic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exceptional_data as xd
@@ -30,7 +29,9 @@ from .partitions import (
     union_parts,
 )
 from .root_data import (
+    FrozenRecord,
     LieType,
+    Record,
     Slope,
     UnsupportedComparisonError,
     UnsupportedSlopeError,
@@ -39,17 +40,32 @@ from .root_data import (
 )
 
 
-@dataclass
-class DSAnswer:
+class DSAnswer(Record):
     """Verdict record for one existence query."""
 
-    affirmative: bool | str  # True / False / "unknown-needs-hasse"
-    o_nu: NilpotentOrbit
-    o_nil: NilpotentOrbit | None
-    delta: Fraction | None
-    rigid: bool | str  # True / False / "n/a"
-    path: str
-    notes: tuple[str, ...] = ()
+    __slots__ = ("affirmative", "o_nu", "o_nil", "delta", "rigid", "path", "notes")
+
+    def __init__(
+        self,
+        affirmative: bool | str,  # True / False / "unknown-needs-hasse"
+        o_nu: NilpotentOrbit,
+        o_nil: NilpotentOrbit | None,
+        delta: Fraction | None,
+        rigid: bool | str,  # True / False / "n/a"
+        path: str,
+        notes: tuple[str, ...] = (),
+    ):
+        self.affirmative = affirmative
+        self.o_nu = o_nu
+        self.o_nil = o_nil
+        self.delta = delta
+        self.rigid = rigid
+        self.path = path
+        self.notes = notes
+
+    @property
+    def _key(self):
+        return self.affirmative, self.o_nu, self.o_nil, self.delta, self.rigid, self.path, self.notes
 
     def to_json(self) -> dict:
         out = {
@@ -71,11 +87,20 @@ class DSAnswer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Row:
-    row_id: str
-    orbit: NilpotentOrbit
-    parts_bound: int  # the superscript count e used by the row (0 when n/a)
+class _Row(FrozenRecord):
+    __slots__ = ("row_id", "orbit", "parts_bound")
+
+    def __init__(
+        self,
+        row_id: str,
+        orbit: NilpotentOrbit,
+        parts_bound: int,  # the superscript count e used by the row (0 when n/a)
+    ):
+        init = object.__setattr__
+        init(self, "row_id", row_id)
+        init(self, "orbit", orbit)
+        init(self, "parts_bound", parts_bound)
+        init(self, "_key", (row_id, orbit, parts_bound))
 
 
 def _edge_case_partition(m: int, ell: int, tail: tuple[int, ...]) -> Partition:
@@ -215,13 +240,17 @@ def ds_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QCandidate:
+class QCandidate(FrozenRecord):
     """One candidate orbit for a fixed eigenvalue structure: partitions for
     the linear factors (by multiplicity slot) plus the zero-sector partition."""
 
-    linear: tuple[Partition, ...]
-    tail: Partition
+    __slots__ = ("linear", "tail")
+
+    def __init__(self, linear: tuple[Partition, ...], tail: Partition):
+        init = object.__setattr__
+        init(self, "linear", linear)
+        init(self, "tail", tail)
+        init(self, "_key", (linear, tail))
 
 
 def _anchor_bounds(

@@ -36,6 +36,22 @@ def test_solve_invalid_orbit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1/", "1_1/4", "\u0663/\u0664", "3/\u0664", "+3/4", " 3/4"])
+def test_malformed_slope_exit_2(capsys, text):
+    # each once answered with exit 0, "1/" as slope 1/1 and "1_1/4" as 11/4
+    for verb in ("solve", "solve-q", "delta"):
+        orbit = "[5]" if verb != "solve-q" else _adjoint_json([1], [3])
+        assert main([verb, "--type", "B", "--rank", "2", "--slope", text, "--orbit", orbit]) == 2, verb
+        captured = capsys.readouterr()
+        assert captured.out == "" and "slope must be d or d/m in ASCII digits" in captured.err, verb
+    assert main(["oracle", "--type", "B", "--rank", "2", "--slope", text]) == 2
+    assert main(["tables", "--name", "t_clq", "--family", "B", "--rank", "2", "--slope", text, "--mults", "1",
+                 "--zero-mult", "1"]) == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "solve", "--type", "B", "--rank", "2", "--slope", "1", "--orbit", "[5]")
+    assert code == 0 and json.loads(out)["affirmative"] is True
+
+
 def test_solve_needs_hasse(capsys):
     code, out = run_cli(capsys, "solve", "--type", "E6", "--slope", "5/12", "--orbit", "2A2")
     assert code == 3

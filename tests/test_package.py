@@ -93,16 +93,23 @@ import contextlib, io, json, sys
 from isods.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m[len("isods."):] for m in sys.modules if m.startswith("isods."))]))
+print(json.dumps([code, sorted(m[len("isods."):] for m in sys.modules if m.startswith("isods.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 _ADJOINT_B4 = json.dumps({"kind": "adjoint", "blocks": [{"eig": "a1", "mult": 2, "partition": [2]}],
                           "zero_block": [3, 1, 1]})
 
 
+def _run(*argv: str) -> tuple[int, list[str], list[str]]:
+    """Exit code of `ds argv` in a fresh process, the isods modules it
+    loaded, and which of `dataclasses` and `inspect` it loaded."""
+    return tuple(json.loads(_python(_FOOTPRINT, *argv)))
+
+
 def footprint(*argv: str) -> tuple[int, set[str]]:
     """Exit code of `ds argv` in a fresh process, and the isods modules it loaded."""
-    code, modules = json.loads(_python(_FOOTPRINT, *argv))
+    code, modules, _ = _run(*argv)
     return code, set(modules)
 
 
@@ -146,3 +153,20 @@ def test_oracle_loads_only_the_lattice_models():
 ])
 def test_malformed_input_exits_before_any_engine_module_loads(argv):
     assert footprint(*argv) == (2, {"cli", "root_data"})
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["solve", "--type=B", "--rank=4", "--slope=3/8", "--orbit=[3,3,3]"], 0),
+    (["solve", "--type=F4", "--slope=5/6", "--orbit=A1"], 0),
+    (["solve-q", "--type=B", "--rank=4", "--slope=3/8", f"--orbit={_ADJOINT_B4}"], 0),
+    (["delta", "--type=E7", "--slope=7/18", "--orbit=A1"], 0),
+    (["coxeter", "--type=E8", "--d=7", "--show-subsets"], 0),
+    (["oracle", "--type=B", "--rank=4", "--slope=1/4", "--budget=2"], 0),
+    (["tables", "--name=t_excCox"], 0),
+    (["solve", "--type=B", "--rank=4", "--slope=x/8", "--orbit=[3,3,3]"], 2),
+])
+def test_no_verb_loads_dataclasses_or_inspect(argv, want):
+    # the value classes are plain slotted classes: `dataclasses` would load
+    # `inspect` and exec the generated methods of each class at import
+    code, _, loaded = _run(*argv)
+    assert (code, loaded) == (want, [])

@@ -45,6 +45,19 @@ def test_slope_reduction():
         slope(0, 3)
 
 
+@pytest.mark.parametrize("text,want", [("3", "3/1"), ("6/16", "3/8"), ("03/08", "3/8")])
+def test_parse_slope_reads_ascii_digits(text, want):
+    assert str(parse_slope(text)) == want
+
+
+# a truncated fraction, digit separators, non-ASCII digits, signs, spaces
+@pytest.mark.parametrize("text", ["1/", "/4", "/", "", "1_0/3", "3/1_0", "\u0663/\u0664", "3/\u0664", "\u00b2",
+                                  "\uff13/8", "+3/8", "3/+8", " 3/8", "3/8 ", "-1/2", "1/2/3", "3.0/8", "0x3/8"])
+def test_parse_slope_rejects_everything_else(text):
+    with pytest.raises(ValueError, match="slope must be d or d/m in ASCII digits"):
+        parse_slope(text)
+
+
 def test_phi_count_examples():
     assert phi_count(lie_type("B", 2)) == 8
     assert phi_count(lie_type("F4")) == 48
