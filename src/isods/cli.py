@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from math import isfinite
@@ -47,16 +46,16 @@ def _parse_type(args) -> LieType:
 
 def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
     """An exceptional orbit by Bala-Carter label.  The embedded catalogue
-    lists every G2 and F4 orbit; an E6-E8 label must name a Levi subalgebra
-    (`levi_labels`) once the (a_k)/(b_k) suffixes of its D and E factors are
-    removed.  Other labels are invalid input."""
+    lists every G2 and F4 orbit; an E6-E8 label must be in `orbit_labels`:
+    a Levi label whose D and E factors carry only the (a_k)/(b_k) suffixes of
+    their distinguished orbits.  Other labels are invalid input."""
     from . import exceptional_data as xd
     from .orbits import NilpotentOrbit
 
     if t.family in ("E6", "E7", "E8"):
-        from .coxeter import levi_labels
+        from .coxeter import orbit_labels
 
-        known = re.sub(r"(?<=[DE][4-8])\([ab][1-9]\)", "", label) in levi_labels(t)
+        known = label in orbit_labels(t)
     else:
         known = t.family not in ("G2", "F4") or (t.family, label) in xd.DIM_C
     if not known:

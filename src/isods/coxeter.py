@@ -15,9 +15,10 @@ the table code it is checked against.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from . import exceptional_data as xd
@@ -41,13 +42,6 @@ class AllowableSubset(FrozenRecord):
     integer weights summing (against the marks) to d."""
 
     __slots__ = ("J", "witness", "is_minimal")
-
-    def __init__(self, J: frozenset[int], witness: dict[int, int], is_minimal: bool):
-        init = object.__setattr__
-        init(self, "J", J)
-        init(self, "witness", witness)
-        init(self, "is_minimal", is_minimal)
-        init(self, "_key", (J, witness, is_minimal))
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +183,7 @@ def _chain_shape_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     out: dict[Partition, NilpotentOrbit] = {}
     seen = set()
     # J empty: `low` is never read, since need > 0
-    stack = [(0, 0, (), 0, 0, max(marks.values()))]
+    stack = [(0, 0, (), 0, 0, max(marks))]
     while stack:
         state = stack.pop()
         if state in seen:
@@ -278,6 +272,27 @@ def levi_labels(t: LieType) -> frozenset[str]:
     )
 
 
+# The distinguished orbits of each D and E factor other than its regular one,
+# by the suffix of their Bala-Carter label (Bala-Carter 1976).
+DISTINGUISHED = {
+    "D4": ("a1",), "D5": ("a1",), "D6": ("a1", "a2"), "D7": ("a1", "a2"), "E6": ("a1", "a3"),
+    "E7": ("a1", "a2", "a3", "a4", "a5"), "E8": ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "b4", "b5", "b6"),
+}
+
+
+@lru_cache(maxsize=None)
+def orbit_labels(t: LieType) -> frozenset[str]:
+    """The Bala-Carter labels of the nilpotent orbits of E6-E8: each Levi
+    label with each of its D and E factors regular or suffixed by one of its
+    `DISTINGUISHED` orbits (21, 45 and 70 labels)."""
+    out = set()
+    for label in levi_labels(t):
+        pieces = re.split(r"([DE][4-8])", label)  # the factors at the odd places
+        choices = [[p, *(f"{p}({k})" for k in DISTINGUISHED[p])] if i % 2 else [p] for i, p in enumerate(pieces)]
+        out.update(map("".join, product(*choices)))
+    return frozenset(out)
+
+
 def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
     """Nilpotent orbit of a regular nilpotent element of the Levi with simple
     roots J (J inside the finite diagram)."""
@@ -315,9 +330,7 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         raise UnsupportedSlopeError(f"d={d} is not positive")
     if gcd(d, h) != 1:
         raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
-    marks = affine_marks(t).marks
-    bad = [a for a, n in marks.items() if gcd(d, n) != 1]
-    if bad:
+    if any(gcd(d, n) != 1 for n in affine_marks(t).marks):
         raise UnsupportedSlopeError(f"d={d} shares a factor with a mark; stabilizers may be non-parabolic")
     cands = coxeter_candidates(t, d)
     if d >= h:

@@ -5,7 +5,6 @@ and matrix-kernel oracle), Lusztig-Spaltenstein induction, closure order.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exceptional_data as xd
@@ -46,12 +45,7 @@ class NilpotentOrbit(FrozenRecord):
         label: str | None = None,
         very_even_label: str | None = None,
     ):
-        init = object.__setattr__
-        init(self, "type", type)
-        init(self, "partition", partition)
-        init(self, "label", label)
-        init(self, "very_even_label", very_even_label)
-        init(self, "_key", (type, partition, label, very_even_label))
+        self._store((type, partition, label, very_even_label))
         t, p = type, partition
         if t.is_exceptional:
             if label is None or p is not None:
@@ -94,13 +88,6 @@ class Block(FrozenRecord):
 
     __slots__ = ("tag", "mult", "partition")
 
-    def __init__(self, tag: str | Fraction, mult: int, partition: Partition):
-        init = object.__setattr__
-        init(self, "tag", tag)
-        init(self, "mult", mult)
-        init(self, "partition", partition)
-        init(self, "_key", (tag, mult, partition))
-
 
 class AdjointOrbit(FrozenRecord):
     """Adjoint orbit of a classical type, given by eigenvalue blocks plus the
@@ -110,11 +97,7 @@ class AdjointOrbit(FrozenRecord):
     __slots__ = ("type", "blocks", "zero_block")
 
     def __init__(self, type: LieType, blocks: tuple[Block, ...], zero_block: Partition):
-        init = object.__setattr__
-        init(self, "type", type)
-        init(self, "blocks", blocks)
-        init(self, "zero_block", zero_block)
-        init(self, "_key", (type, blocks, zero_block))
+        self._store((type, blocks, zero_block))
         t = type
         if t.is_exceptional:
             raise ValueError("adjoint orbits are modeled for classical types only")
@@ -336,9 +319,7 @@ class HasseDiagram(Record):
         covers: tuple[tuple[str, str], ...],  # (upper, lower)
         dims: dict[str, int] | None = None,
     ):
-        self.orbits = orbits
-        self.covers = covers
-        self.dims = {} if dims is None else dims
+        self._store((orbits, covers, {} if dims is None else dims))
         below: dict[str, set[str]] = {o: {o} for o in self.orbits}
         changed = True
         while changed:
@@ -352,10 +333,6 @@ class HasseDiagram(Record):
         for hi, lo in self.covers:
             if hi in self.dims and lo in self.dims and not self.dims[hi] < self.dims[lo]:
                 raise ValueError(f"dim C must increase downward: {hi} -> {lo}")
-
-    @property
-    def _key(self):
-        return self.orbits, self.covers, self.dims
 
     def le(self, a: str, b: str) -> bool:
         """a <= b in the closure order."""

@@ -25,73 +25,43 @@ from .solver import ds_solve, o_nu
 
 
 class RigidityReport(FrozenRecord):
-    __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
+    """Delta = (nu_phi - dim_c + dim_tw) / 2 with its three terms, and the
+    rigidity verdict: rigid needs an elliptic denominator, a non-resonant
+    orbit and Delta = 0; orbit_nonresonant is None when undecidable."""
 
-    def __init__(
-        self,
-        delta: Fraction,
-        nu_phi: Fraction,
-        dim_c: int,
-        dim_tw: int,
-        rigid: bool,
-        m_elliptic: bool,
-        orbit_nonresonant: bool | None,
-    ):
-        init = object.__setattr__
-        init(self, "delta", delta)
-        init(self, "nu_phi", nu_phi)
-        init(self, "dim_c", dim_c)
-        init(self, "dim_tw", dim_tw)
-        init(self, "rigid", rigid)
-        init(self, "m_elliptic", m_elliptic)
-        init(self, "orbit_nonresonant", orbit_nonresonant)
-        init(self, "_key", (delta, nu_phi, dim_c, dim_tw, rigid, m_elliptic, orbit_nonresonant))
+    __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
 
 
 def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:
     """Delta = (nu*|Phi| - dim C + dim t^w) / 2 for a nilpotent orbit; adjoint
     orbits share the value of their induced nilpotent orbit."""
-    if not is_regular(t, s.m):
-        raise ValueError(f"{s.m} is not regular for {t}")
-    nu_phi = s.nu * phi_count(t)
-    dc = dim_centralizer(o_nil)
-    tw = dim_cartan_fixed(t, s.m)
-    return Fraction(nu_phi - dc + tw, 2)
+    return rigidity_verdict(t, s, o_nil, o_nil).delta
 
 
 def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fraction:
-    o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
-    return delta_of_orbit(t, s, o_nil)
+    return rigidity_report(t, s, orbit).delta
 
 
 def rigidity_verdict(
     t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit, o_nil: NilpotentOrbit
-) -> tuple[Fraction, bool, bool | None, bool]:
-    """(Delta, elliptic, non-resonant, rigid) for an orbit whose induced
-    nilpotent orbit o_nil is already known.  A nilpotent orbit is
-    non-resonant; None marks an undecidable adjoint orbit.  Rigid needs an
-    elliptic denominator, a non-resonant orbit and Delta = 0."""
-    d = delta_of_orbit(t, s, o_nil)
+) -> RigidityReport:
+    """The report for an orbit whose induced nilpotent orbit o_nil is already
+    known, each term of Delta computed once.  A nilpotent orbit is
+    non-resonant."""
+    if not is_regular(t, s.m):
+        raise ValueError(f"{s.m} is not regular for {t}")
+    nu_phi, dim_c, dim_tw = s.nu * phi_count(t), dim_centralizer(o_nil), dim_cartan_fixed(t, s.m)
+    d = Fraction(nu_phi - dim_c + dim_tw, 2)
     try:
         nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
     except ValueError:
         nonres = None
     ell = is_elliptic_regular(t, s.m)
-    return d, ell, nonres, bool(ell and nonres and d == 0)
+    return RigidityReport(d, nu_phi, dim_c, dim_tw, bool(ell and nonres and d == 0), ell, nonres)
 
 
 def rigidity_report(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> RigidityReport:
-    o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
-    d, ell, nonres, rigid = rigidity_verdict(t, s, orbit, o_nil)
-    return RigidityReport(
-        delta=d,
-        nu_phi=s.nu * phi_count(t),
-        dim_c=dim_centralizer(o_nil),
-        dim_tw=dim_cartan_fixed(t, s.m),
-        rigid=rigid,
-        m_elliptic=ell,
-        orbit_nonresonant=nonres,
-    )
+    return rigidity_verdict(t, s, orbit, ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit)
 
 
 def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool:
@@ -100,7 +70,7 @@ def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool:
     ans = ds_solve(t, s, orbit)
     if ans.affirmative is not True:
         raise ValueError(f"verdict for ({t}, {s}) is not affirmative: {ans.affirmative}")
-    return rigidity_verdict(t, s, orbit, ans.o_nil)[3]
+    return rigidity_verdict(t, s, orbit, ans.o_nil).rigid
 
 
 # ---------------------------------------------------------------------------

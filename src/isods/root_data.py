@@ -3,7 +3,8 @@ exponents, Coxeter numbers, regular and elliptic-regular number predicates.
 
 It also holds what the command line needs before it loads an engine module:
 the two exceptions `cli.main` maps to exit codes and the table names; and
-the two bases of the package's value classes, `Record` and `FrozenRecord`.
+the two bases of the package's value classes, `Record` and `FrozenRecord`,
+which bind and store the fields each class declares in its `__slots__`.
 """
 
 from __future__ import annotations
@@ -26,15 +27,42 @@ class UnsupportedComparisonError(Exception):
 
 # The package defines no @dataclass: `import dataclasses` loads `inspect`,
 # and each decorated class execs its generated methods at import, which
-# together cost a cold `ds solve` about a fifth of its run.  These two bases give
-# the value classes the equality, hash, repr, read-only fields, copy and
-# pickle that the decorator generated.
+# together cost a cold `ds solve` about a fifth of its run.  These two bases
+# store the fields of the value classes and give them the equality, hash,
+# repr, read-only fields, copy and pickle that the decorator generated.
 class Record:
-    """Mutable value class, unhashable and equal by the field tuple `_key`:
-    a property listing the subclass's fields in `__slots__` order."""
+    """Mutable value class, unhashable and equal by its field tuple.  Its
+    fields are the names in its `__slots__` that do not start with `_`, after
+    those of its bases; `__init__` binds them by position or by name, and a
+    subclass with its own `__init__` passes them to `_store` in that order."""
 
     __slots__ = ()
     __hash__ = None
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_"))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() ^ set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes the fields {', '.join(fields)}; got {len(values)} by position"
+                    f" and {', '.join(named) or 'none'} by name"
+                )
+            values += tuple(named[name] for name in rest)
+        self._store(values)
+
+    def _store(self, values: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
+
+    @property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -42,16 +70,21 @@ class Record:
         return NotImplemented
 
     def __repr__(self):
-        # zip stops at the key, so slots past the fields stay out of it
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
 class FrozenRecord(Record):
-    """Read-only value class whose `__init__` stores each field and the field
-    tuple `_key` through `object.__setattr__`; it hashes as `_key`."""
+    """Read-only value class: `_store` writes each field and the field tuple
+    `_key` through `object.__setattr__`, and it hashes as `_key`."""
 
     __slots__ = ("_key",)
+
+    def _store(self, values: tuple) -> None:
+        init = object.__setattr__
+        for name, value in zip(self._fields, values):
+            init(self, name, value)
+        init(self, "_key", values)
 
     def __hash__(self):
         return hash(self._key)
@@ -72,10 +105,7 @@ class LieType(FrozenRecord):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        init = object.__setattr__
-        init(self, "family", family)
-        init(self, "rank", rank)
-        init(self, "_key", (family, rank))
+        self._store((family, rank))
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if family in EXCEPTIONAL_RANK:
@@ -116,10 +146,7 @@ class Slope(FrozenRecord):
     __slots__ = ("d", "m")
 
     def __init__(self, d: int, m: int):
-        init = object.__setattr__
-        init(self, "d", d)
-        init(self, "m", m)
-        init(self, "_key", (d, m))
+        self._store((d, m))
         if d < 1 or m < 1:
             raise ValueError("slope needs positive numerator and denominator")
         if gcd(d, m) != 1:
@@ -373,16 +400,10 @@ def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | No
 
 
 class AffineDiagram(FrozenRecord):
-    """Affine Dynkin diagram: node 0 is the affine node, marks n_alpha."""
+    """Affine Dynkin diagram: node 0 is the affine node; marks[a] is the mark
+    n_a of node a, in a tuple so that the shared cached diagram stays read-only."""
 
     __slots__ = ("type", "nodes", "marks")
-
-    def __init__(self, type: LieType, nodes: tuple[int, ...], marks: dict[int, int]):
-        init = object.__setattr__
-        init(self, "type", type)
-        init(self, "nodes", nodes)
-        init(self, "marks", marks)
-        init(self, "_key", (type, nodes, marks))
 
     @property
     def finite_nodes(self) -> tuple[int, ...]:
@@ -392,11 +413,7 @@ class AffineDiagram(FrozenRecord):
 @lru_cache(maxsize=None)
 def affine_marks(t: LieType) -> AffineDiagram:
     """Marks from the highest-root coefficients; the affine node gets 1."""
-    theta = highest_root(t)
-    marks = {0: 1}
-    for i, c in enumerate(theta):
-        marks[i + 1] = c
-    return AffineDiagram(t, tuple(range(t.rank + 1)), marks)
+    return AffineDiagram(t, tuple(range(t.rank + 1)), (1,) + highest_root(t))
 
 
 def defining_dim(t: LieType) -> int:

@@ -31,15 +31,7 @@ class GradedModel(Record):
     __slots__ = ("type", "m", "d", "operator", "isolated_lines")
 
     def __init__(self, type: LieType, m: int, d: int, operator: Matrix, isolated_lines: int = 0):
-        self.type = type
-        self.m = m
-        self.d = d
-        self.operator = operator
-        self.isolated_lines = isolated_lines
-
-    @property
-    def _key(self):
-        return self.type, self.m, self.d, self.operator, self.isolated_lines
+        self._store((type, m, d, operator, isolated_lines))
 
 
 def jordan_type(model: GradedModel) -> Partition:

@@ -55,17 +55,7 @@ class DSAnswer(Record):
         path: str,
         notes: tuple[str, ...] = (),
     ):
-        self.affirmative = affirmative
-        self.o_nu = o_nu
-        self.o_nil = o_nil
-        self.delta = delta
-        self.rigid = rigid
-        self.path = path
-        self.notes = notes
-
-    @property
-    def _key(self):
-        return self.affirmative, self.o_nu, self.o_nil, self.delta, self.rigid, self.path, self.notes
+        self._store((affirmative, o_nu, o_nil, delta, rigid, path, notes))
 
     def to_json(self) -> dict:
         out = {
@@ -88,19 +78,8 @@ class DSAnswer(Record):
 
 
 class _Row(FrozenRecord):
+    # parts_bound: the superscript count e used by the row (0 when n/a)
     __slots__ = ("row_id", "orbit", "parts_bound")
-
-    def __init__(
-        self,
-        row_id: str,
-        orbit: NilpotentOrbit,
-        parts_bound: int,  # the superscript count e used by the row (0 when n/a)
-    ):
-        init = object.__setattr__
-        init(self, "row_id", row_id)
-        init(self, "orbit", orbit)
-        init(self, "parts_bound", parts_bound)
-        init(self, "_key", (row_id, orbit, parts_bound))
 
 
 def _edge_case_partition(m: int, ell: int, tail: tuple[int, ...]) -> Partition:
@@ -227,11 +206,11 @@ def ds_solve(
         from .rigidity import rigidity_verdict
 
         try:
-            dlt, _, nonres, rig = rigidity_verdict(t, s, orbit, o_nil)
+            rep = rigidity_verdict(t, s, orbit, o_nil)
         except (ValueError, KeyError):
             pass
         else:
-            delta, rigid = dlt, ("n/a" if nonres is None else rig)
+            delta, rigid = rep.delta, ("n/a" if rep.orbit_nonresonant is None else rep.rigid)
     return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, notes)
 
 
@@ -245,12 +224,6 @@ class QCandidate(FrozenRecord):
     the linear factors (by multiplicity slot) plus the zero-sector partition."""
 
     __slots__ = ("linear", "tail")
-
-    def __init__(self, linear: tuple[Partition, ...], tail: Partition):
-        init = object.__setattr__
-        init(self, "linear", linear)
-        init(self, "tail", tail)
-        init(self, "_key", (linear, tail))
 
 
 def _anchor_bounds(

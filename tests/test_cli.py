@@ -125,7 +125,11 @@ def test_e_type_label_grammar(tmp_path, capsys, fam, sl):
     # no Levi subalgebra has these types; factors come in falling rank; E7
     # splits 3A1 and A5 into primed classes, and only E7 has primed classes
     not_levi = {"E6": ["(3A1)'"], "E7": ["D4+2A1", "3A1", "A5"], "E8": ["D6+A1"]}[fam]
-    for label in ("FOO", "A9", "A4(a1)", "2D4", "D3", "(A5)", "(A5)'''", "A1+", "0+A1", too_big, "A1+A2", *not_levi):
+    # D and E factors carry only the suffixes of their distinguished orbits
+    bad_suffix = {"E6": ["E6(a9)", "E6(a2)", "D4(a2)"], "E7": ["D4(a7)+A1", "E7(b4)", "D6(a3)"],
+                  "E8": ["E7(b4)", "E8(a8)", "D7(b1)"]}[fam]
+    for label in ("FOO", "A9", "A4(a1)", "2D4", "D3", "(A5)", "(A5)'''", "A1+", "0+A1", too_big, "A1+A2", *not_levi,
+                  *bad_suffix):
         assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2, label
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"kind": "nilpotent", "label": label}))

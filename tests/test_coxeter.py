@@ -11,6 +11,7 @@ from isods.coxeter import (
     levi_labels,
     minimal_allowable_in_finite,
     orbit_J_reg,
+    orbit_labels,
 )
 from isods.orbits import closure_le
 from isods.root_data import affine_marks, coxeter_number, lie_type
@@ -29,7 +30,7 @@ def test_witnesses_verify():
         for d in (1, 3, 5, 7):
             for a in enumerate_d_allowable(t, d):
                 assert sum(marks[node] * k for node, k in a.witness.items()) == d
-                assert set(a.witness) == set(marks) - set(a.J)
+                assert set(a.witness) == set(range(len(marks))) - set(a.J)
                 assert all(k >= 1 for k in a.witness.values())
 
 
@@ -146,6 +147,33 @@ def test_levi_labels_catalogue():
     assert "D6+A1" not in levi_labels(lie_type("E8"))
 
 
+def test_orbit_labels_catalogue():
+    from isods import exceptional_data as xd
+
+    embedded = (
+        set(xd.DIM_C)
+        | {(f, label) for (f, _), (label, _) in xd.EXC_COXETER.items()}
+        | {(f, label) for f, _, label, _ in xd.POTENTIALLY_RIGID_EXC}
+    )
+    # the orbit counts of E6, E7 and E8 (Collingwood-McGovern ch. 8)
+    for fam, size in (("E6", 21), ("E7", 45), ("E8", 70)):
+        t = lie_type(fam)
+        labels = orbit_labels(t)
+        assert len(labels) == size and levi_labels(t) < labels
+        assert {label for f, label in embedded if f == fam} <= labels
+    assert {"E6(a1)", "E6(a3)", "D4(a1)", "D5(a1)"} == orbit_labels(lie_type("E6")) - levi_labels(lie_type("E6"))
+    assert {"E7(a5)", "D6(a2)", "D5(a1)+A1", "D4(a1)+A1"} <= orbit_labels(lie_type("E7"))
+    assert {"E8(b4)", "E8(a7)", "D7(a2)", "E6(a3)+A1", "D4(a1)+A2"} <= orbit_labels(lie_type("E8"))
+    assert not {"E6(a2)", "E7(b4)", "D4(a2)", "D6(a3)"} & orbit_labels(lie_type("E7"))
+
+
+def test_affine_marks_are_read_only():
+    B4 = lie_type("B", 4)
+    with pytest.raises(TypeError):
+        affine_marks(B4).marks[2] = 1
+    assert coxeter_solve(B4, 3).partition == (3, 3, 3)
+
+
 def test_candidates_contain_table_answer_quick():
     E8 = lie_type("E8")
     labels = {c.label for c in coxeter_candidates(E8, 7)}
@@ -205,9 +233,8 @@ def test_witness_equals_coin_search():
     cases = 0
     for t in types:
         marks = affine_marks(t).marks
-        nodes = sorted(marks)
-        for mask in range(1, 2 ** len(nodes)):
-            comp = [(a, marks[a]) for i, a in enumerate(nodes) if mask >> i & 1]
+        for mask in range(1, 2 ** len(marks)):
+            comp = [(a, n) for a, n in enumerate(marks) if mask >> a & 1]
             for d in range(1, 41):
                 assert _witness(comp, d) == _witness_search(comp, d), (t, comp, d)
                 cases += 1
@@ -216,7 +243,7 @@ def test_witness_equals_coin_search():
 
 def test_witness_bounded_in_d():
     # B4 marks 1, 1, 2, 2, 2: the last node takes the remainder, whatever d is
-    comp = list(affine_marks(lie_type("B", 4)).marks.items())
+    comp = list(enumerate(affine_marks(lie_type("B", 4)).marks))
     w = _witness(comp, 10**9 + 1)
     assert w == {2: 1, 3: 1, 4: 1, 0: 1, 1: 10**9 + 1 - 7}
     assert _witness([(a, n) for a, n in comp if n == 2], 10**9 + 1) is None

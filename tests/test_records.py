@@ -1,8 +1,10 @@
 """Value semantics of the package's 13 value classes: equality and hash by
 field tuple, read-only frozen classes, unhashable mutable ones, keyword
-construction and defaults, validation messages, repr, copy and pickle."""
+construction and defaults, validation messages, repr, copy and pickle; and
+the binding of fields by the `Record` bases."""
 
 import copy
+import inspect
 import pickle
 import re
 from fractions import Fraction
@@ -24,7 +26,7 @@ BLOCK = Block("a1", 2, (2,))
 CASES = [
     (LieType, {"family": "B", "rank": 4}),
     (Slope, {"d": 3, "m": 8}),
-    (AffineDiagram, {"type": LieType("B", 2), "nodes": (0, 1, 2), "marks": {0: 1, 1: 2, 2: 2}}),
+    (AffineDiagram, {"type": LieType("B", 2), "nodes": (0, 1, 2), "marks": (1, 2, 2)}),
     (NilpotentOrbit, {"type": B4, "partition": (3, 3, 3), "label": None, "very_even_label": None}),
     (Block, {"tag": Fraction(1, 3), "mult": 2, "partition": (2,)}),
     (AdjointOrbit, {"type": B4, "blocks": (BLOCK,), "zero_block": (3, 1, 1)}),
@@ -39,7 +41,7 @@ CASES = [
     (GradedModel, {"type": LieType("A", 1), "m": 2, "d": 1, "operator": [[0, 1], [0, 0]], "isolated_lines": 0}),
 ]
 MUTABLE = {DSAnswer, HasseDiagram, GradedModel}
-WITH_DICT = {AffineDiagram, AllowableSubset}  # a dict field: hashing raises, as for the field tuple
+WITH_DICT = {AllowableSubset}  # a dict field: hashing raises, as for the field tuple
 IDS = [cls.__name__ for cls, _ in CASES]
 
 
@@ -130,6 +132,38 @@ def test_keyword_construction_and_repr(cls, fields):
     assert a == make(cls, fields)
     assert all(getattr(a, name) is value for name, value in fields.items())
     assert repr(a) == f"{cls.__qualname__}(" + ", ".join(f"{n}={v!r}" for n, v in fields.items()) + ")"
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
+def test_fields_are_the_public_slots_in_order(cls, fields):
+    assert cls._fields == tuple(fields) == tuple(n for n in cls.__slots__ if not n.startswith("_"))
+    if "__init__" in vars(cls):
+        # such an __init__ passes its parameters to the positional `_store`
+        assert tuple(inspect.signature(cls.__init__).parameters)[1:] == cls._fields
+
+
+@pytest.mark.parametrize("cls,fields", [(c, f) for c, f in CASES if "__init__" not in vars(c)],
+                         ids=[c.__name__ for c, _ in CASES if "__init__" not in vars(c)])
+def test_binder_refuses_missing_extra_and_unknown_fields(cls, fields):
+    values = list(fields.values())
+    first, *rest = fields
+    for args, kwargs in [
+        (values[:-1], {}),  # missing by position
+        (values + [None], {}),  # extra by position
+        ([], dict(fields, nope=1)),  # unknown
+        ([], {name: fields[name] for name in rest}),  # missing by name
+        (values, {first: fields[first]}),  # given twice
+    ]:
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} takes the fields {', '.join(fields)}; got "):
+            cls(*args, **kwargs)
+    assert cls(*values[:1], **{name: fields[name] for name in rest}) == make(cls, fields)
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
+def test_fieldless_subclass_keeps_the_fields(cls, fields):
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    assert twin._fields == cls._fields
+    assert repr(make(twin, fields)) == repr(make(cls, fields)).replace(cls.__qualname__, "Twin", 1)
 
 
 def test_defaults():

@@ -91,13 +91,13 @@ def test_coxeter_numbers():
 
 
 def test_affine_marks():
-    assert affine_marks(lie_type("G2")).marks == {0: 1, 1: 2, 2: 3}
-    assert affine_marks(lie_type("F4")).marks == {0: 1, 1: 2, 2: 3, 3: 4, 4: 2}
+    assert affine_marks(lie_type("G2")).marks == (1, 2, 3)
+    assert affine_marks(lie_type("F4")).marks == (1, 2, 3, 4, 2)
     for n in range(1, 8):
         marks = affine_marks(lie_type("A", n)).marks
-        assert set(marks.values()) == {1}
+        assert set(marks) == {1}
     for t in ALL_TYPES:
-        assert sum(affine_marks(t).marks.values()) == coxeter_number(t)
+        assert sum(affine_marks(t).marks) == coxeter_number(t)
 
 
 def test_highest_root_e8():
