@@ -173,6 +173,7 @@ def check_q_equivalence(
 
 def run_all(max_rank: int = 5) -> dict[str, str]:
     results = {
+        "coxeter_classical": check_coxeter(max_rank),
         "centralizer_oracle": check_centralizer_oracle(10),
         "skeleton_vs_tables": check_skeleton(max_rank),
         "delta_agreement": check_delta(max_rank + 2),

@@ -219,11 +219,11 @@ def cmd_solve_q(args) -> int:
 # doubles with each rank.
 SHOW_SUBSETS_MAX_RANK = 12
 
-# The chain-shape walk of the classical types grows exponentially with the
-# rank.  In process on a shared 2-core host, the slowest d of B (the slowest
-# family) took 0.59 s at rank 30, 1.19 s at 32, 2.67 s at 36 (86 MB) and
-# 6.25 s at 40 (167 MB).  The tests run B30 and D30.
-COXETER_MAX_RANK = 36
+# The classical Coxeter route builds O(rank) candidates of O(rank) parts
+# each, so its time grows about as rank^2.  In a cold process on a shared
+# 2-core host, the slowest d of B (the slowest family) took 0.16 s at rank
+# 250, 0.40 s at 500 and about 1.1 s (31 MB) at 1000.
+COXETER_MAX_RANK = 1000
 
 
 def cmd_coxeter(args) -> int:
@@ -231,8 +231,7 @@ def cmd_coxeter(args) -> int:
     if args.show_subsets and t.rank > SHOW_SUBSETS_MAX_RANK:
         raise CliError(f"--show-subsets scans 2^(rank+1) subsets; rank {t.rank} is above the bound {SHOW_SUBSETS_MAX_RANK}")
     if t.rank > COXETER_MAX_RANK:
-        raise CliError(f"the Coxeter route walks the chain shapes of the diagram; rank {t.rank} is above the bound"
-                       f" {COXETER_MAX_RANK}")
+        raise CliError(f"the Coxeter route takes time about rank^2; rank {t.rank} is above the bound {COXETER_MAX_RANK}")
     from .coxeter import coxeter_candidates, coxeter_solve, enumerate_d_allowable
 
     orbit = coxeter_solve(t, args.d)

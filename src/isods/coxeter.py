@@ -2,12 +2,11 @@
 the closure minimum of the regular-in-Levi orbits of the minimal d-allowable
 subsets J of the finite diagram.
 
-In the classical types the orbit of J depends only on its chain shape: the
-lengths of its components, the tail component (B, C) and whether J holds
-both fork nodes (D).  There the candidates come from a walk over chain
-shapes (`_chain_shape_candidates`): its states number a constant times
-rank^2 times the partitions of the numbers up to the rank, not 2^rank.
-G2, F4 and E6-E8 (rank <= 8) scan all 2^rank subsets
+In the classical types the closure order is dominance of partitions, and
+the orbit of J depends only on its tail, its mark-1 nodes and the sizes of
+its A-type runs; `_configuration_candidates` builds one dominance-least
+candidate per configuration, O(rank) of them in O(rank) time each.  G2,
+F4 and E6-E8 (rank <= 8) scan all 2^rank subsets
 (`minimal_allowable_in_finite`), which the tests keep as the classical
 oracle.  The marks come from `affine_marks` alone; the route reads none of
 the table code it is checked against.
@@ -23,7 +22,7 @@ from math import gcd
 
 from . import exceptional_data as xd
 from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
-from .partitions import Partition, is_valid, partition
+from .partitions import Partition, is_valid, lambda_evenly, partition
 from .root_data import (
     FrozenRecord,
     LieType,
@@ -161,59 +160,54 @@ def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
     return _runs_partition(t, runs, sum(int(f[1:]) for f in factors if f[0] != "A"))
 
 
-def _chain_shape_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
-    """The distinct orbits of the minimal d-allowable subsets of a classical
-    finite diagram, in the order of `sorted(J)`, by a walk over chain shapes.
+def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
+    """The least candidate of each configuration of a minimal d-allowable J
+    in a classical finite diagram.
 
-    The walk adds nodes in increasing order, so its preorder is the
-    lexicographic order of sorted(J).  A state is (last node, open run
-    length, sorted closed run lengths, tail length, mark sum, smallest mark
-    in J): the orbit of every completion depends only on it, so a state seen
-    before can only yield orbits already emitted and is skipped.  A walk
-    stops once the mark sum reaches h - d (supersets of an allowable subset
-    are not minimal) or can no longer reach it.
+    In B-D every mark is 1 or 2.  J is its tail, the c nodes n - c + 1..n of
+    the component through node n (B, C) or both fork nodes (D), and k A-type
+    runs of S nodes in all on the path left of it: nodes 1..n - c - 1, or
+    1..n - 1 in D with no tail (one fork node in J taken as n - 1, same
+    orbit).  J holds each mark-1 end of the path (pinned) or not (it leaves
+    the path).  With m1 mark-1 nodes in J, s = 2(S + c) - m1 and the least
+    mark is 1 if m1 else 2, so minimality, s >= h - d > s - least mark,
+    fixes S for each c and choice of pinned ends.  On L nodes with p pinned
+    ends, k runs fit iff p <= S and k <= L - S + 1, with equality when
+    p = 2, and then every composition of S into k parts is placed: the runs'
+    outer ends stay put and interior nodes have mark 2.  The partition is
+    each run's size plus 1, twice in B-D, then the tail's parts and 1s.
+
+    The balanced composition (`lambda_evenly`) at the largest k is the least
+    partition of S with at most k parts; adding 1 to k parts, doubling them
+    and adding the same tail and 1s keep dominance.  So each candidate lies
+    above the one built for its configuration, and the least of these
+    O(rank) real candidates, once `coxeter_solve` checks that it lies below
+    them all, is the least candidate.  In A all marks are 1: S = h - d on
+    the path 1..n.
     """
     fam, n = t.family, t.rank
-    marks = affine_marks(t).marks
     need = coxeter_number(t) - d
     if need <= 0:
         return [zero_orbit(t)]
-    # reach[k]: the mark sum of the nodes after k
-    reach = [sum(marks[a] for a in range(k + 1, n + 1)) for k in range(n + 1)]
-    out: dict[Partition, NilpotentOrbit] = {}
-    seen = set()
-    # J empty: `low` is never read, since need > 0
-    stack = [(0, 0, (), 0, 0, max(marks))]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        last, run, closed, tail, s, low = state
-        if s >= need:
-            if s - low < need:
-                p = _runs_partition(t, closed + (run,) if run else closed, tail)
-                if p not in out:
-                    out[p] = NilpotentOrbit(t, p)
-            continue
-        if s + reach[last] < need:
-            continue
-        # a node not adjacent to the run closes it and starts its own
-        restart = (1, tuple(sorted(closed + (run,))) if run else closed, 0)
-        children = []
-        for k in range(last + 1, n + 1):
-            if fam == "D" and k == n and last == n - 1:
-                k_run, k_closed, k_tail = 0, closed, run + 1  # both fork nodes: the so(2c) tail
-            elif last == (k - 2 if fam == "D" and k == n else k - 1):
-                k_run, k_closed, k_tail = run + 1, closed, 0  # k joins the run of its lower neighbour
-            else:
-                k_run, k_closed, k_tail = restart
-            if k == n and fam in ("B", "C"):
-                k_run, k_tail = 0, k_run
-            m = marks[k]
-            children.append((k, k_run, k_closed, k_tail, s + m, m if m < low else low))
-        stack.extend(reversed(children))
-    return list(out.values())
+    if fam == "A":
+        return [NilpotentOrbit(t, _runs_partition(t, lambda_evenly(need, min(need, n - need + 1)), 0))]
+    marks = affine_marks(t).marks
+    ones = [a for a in range(1, n + 1) if marks[a] == 1]
+    # (tail length c, path length, mark-1 path ends)
+    shapes = [(c, max(n - c - 1, 0), n - c > 1 and marks[1] == 1) for c in range(n + 1) if fam != "D" or c > 1]
+    if fam == "D":
+        shapes.append((0, n - 1, 2))
+    out = []
+    for c, length, ends in shapes:
+        for p in range(ends + 1):  # p ends pinned, the others dropped
+            m1 = p + sum(a > n - c for a in ones)
+            S = (need + m1 + 1) // 2 - c
+            L = length - ends + p
+            s = 2 * (S + c) - m1  # >= need by the choice of S
+            if s - (1 if m1 else 2) < need and p <= S <= L and (p < 2 or 2 * S > L):
+                runs = lambda_evenly(S, min(S, L - S + 1)) if S else ()
+                out.append(NilpotentOrbit(t, _runs_partition(t, runs, c)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -307,10 +301,8 @@ def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
 
 def coxeter_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     """Orbits attached to the minimal d-allowable subsets of the finite
-    diagram, duplicates removed, in the order of sorted(J): by the chain-shape
-    walk in A-D, by the subset scan in G2, F4 and E6-E8."""
-    if not t.is_exceptional:
-        return _chain_shape_candidates(t, d)
+    diagram (`minimal_allowable_in_finite`, 2^rank subsets), duplicates
+    removed, in the order of sorted(J)."""
     seen = []
     for J in sorted(minimal_allowable_in_finite(t, d), key=sorted):
         o = orbit_J_reg(t, J)
@@ -332,7 +324,7 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
     if any(gcd(d, n) != 1 for n in affine_marks(t).marks):
         raise UnsupportedSlopeError(f"d={d} shares a factor with a mark; stabilizers may be non-parabolic")
-    cands = coxeter_candidates(t, d)
+    cands = coxeter_candidates(t, d) if t.is_exceptional else _configuration_candidates(t, d)
     if d >= h:
         assert cands == [zero_orbit(t)]
         return cands[0]
@@ -345,8 +337,7 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
             raise AssertionError(f"table orbit {label} missing from candidates for {key}")
         return NilpotentOrbit(t, label=label)
     # One pass moves to each candidate below the current one, so it ends on
-    # the least candidate if there is one; a second pass checks that there is
-    # (the candidates can number thousands at rank 30, too many for pairs).
+    # the least candidate if there is one; a second pass checks that there is.
     least = cands[0]
     for o in cands[1:]:
         if closure_le(o, least):

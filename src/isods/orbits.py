@@ -20,7 +20,7 @@ from .partitions import (
     sum_parts,
     transpose,
 )
-from .root_data import FrozenRecord, LieType, Record, UnsupportedComparisonError, defining_dim
+from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim
 
 _canonical = partition  # NilpotentOrbit's field of that name shadows it in __init__
 
@@ -308,10 +308,10 @@ def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
 # ---------------------------------------------------------------------------
 
 
-class HasseDiagram(Record):
+class HasseDiagram(FrozenRecord):
     """Closure order on exceptional orbits from covering relations."""
 
-    __slots__ = ("orbits", "covers", "dims", "_below")
+    __slots__ = ("orbits", "covers", "dims")
 
     def __init__(
         self,
@@ -320,16 +320,7 @@ class HasseDiagram(Record):
         dims: dict[str, int] | None = None,
     ):
         self._store((orbits, covers, {} if dims is None else dims))
-        below: dict[str, set[str]] = {o: {o} for o in self.orbits}
-        changed = True
-        while changed:
-            changed = False
-            for hi, lo in self.covers:
-                new = below[lo] - below[hi]
-                if new:
-                    below[hi] |= new
-                    changed = True
-        self._below = below
+        self._closure()  # a cover between unknown labels raises KeyError here
         for hi, lo in self.covers:
             if hi in self.dims and lo in self.dims and not self.dims[hi] < self.dims[lo]:
                 raise ValueError(f"dim C must increase downward: {hi} -> {lo}")
@@ -338,7 +329,10 @@ class HasseDiagram(Record):
         """a <= b in the closure order."""
         if a not in self.orbits or b not in self.orbits:
             raise KeyError(f"unknown orbit label {a!r} or {b!r}")
-        return a in self._below[b]
+        return a in self._closure()[b]
+
+    def _closure(self) -> dict[str, set[str]]:
+        return _below(frozenset(self.orbits), tuple(self.covers))
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "HasseDiagram":
@@ -351,6 +345,21 @@ class HasseDiagram(Record):
                 dims[item["label"]] = int(item["dimC"])
                 orbs.add(item["label"])
         return cls(frozenset(orbs), tuple(covers), dims)
+
+
+@lru_cache(maxsize=None)
+def _below(orbits: frozenset[str], covers: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
+    """The orbits in the closure of each orbit, itself included."""
+    below = {o: {o} for o in orbits}
+    changed = True
+    while changed:
+        changed = False
+        for hi, lo in covers:
+            new = below[lo] - below[hi]
+            if new:
+                below[hi] |= new
+                changed = True
+    return below
 
 
 @lru_cache(maxsize=None)

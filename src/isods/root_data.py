@@ -256,39 +256,37 @@ def short_nodes(t: LieType) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def positive_roots(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """All positive roots as coefficient vectors over the simple roots."""
-    A = cartan_matrix(t)
-    r = t.rank
-    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    roots = set(simple)
-    frontier = list(simple)
+    """All positive roots as coefficient vectors over the simple roots,
+    reached from them by the reflections that raise a root."""
+    A, r = cartan_matrix(t), t.rank
+    roots = {tuple(int(i == j) for j in range(r)) for i in range(r)}
+    frontier = list(roots)
     while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(r):
-                pairing = sum(beta[j] * A[i][j] for j in range(r))
-                # length of the alpha_i-string below beta, within the root set
-                q = 0
-                gamma = list(beta)
-                while True:
-                    gamma[i] -= 1
-                    if gamma[i] < 0 or tuple(gamma) not in roots:
-                        break
-                    q += 1
-                if q - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in roots:
-                        roots.add(up)
-                        new.append(up)
-        frontier = new
+        beta = frontier.pop()
+        for i, row in enumerate(A):
+            c = sum(b * a for b, a in zip(beta, row))
+            if c < 0:
+                up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if up not in roots:
+                    roots.add(up)
+                    frontier.append(up)
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
 @lru_cache(maxsize=None)
 def highest_root(t: LieType) -> tuple[int, ...]:
-    return positive_roots(t)[-1]
+    """The higher dominant root in the Weyl orbits of the two end simple
+    roots, one of which is long, each raised by the s_i with
+    <beta, alpha_i^vee> < 0 until there is none."""
+    A, found = cartan_matrix(t), []
+    for end in (0, t.rank - 1):
+        beta, pair = [int(i == end) for i in range(t.rank)], [row[end] for row in A]
+        while (c := min(pair)) < 0:
+            i = pair.index(c)
+            beta[i] -= c
+            pair = [x - c * row[i] for x, row in zip(pair, A)]
+        found.append(tuple(beta))
+    return max(found, key=sum)
 
 
 def phi_count(t: LieType) -> int:

@@ -81,13 +81,13 @@ def test_criterion_1_coxeter_classical_agreement():
 
 def test_criterion_1_coxeter_high_rank():
     t0 = time.time()
-    cells, failure = check_coxeter(30, per_family=15, seed=20261018, min_rank=14)
+    cells, failure = check_coxeter(60, per_family=15, seed=20261018, min_rank=14)
     elapsed = time.time() - t0
     assert failure is None, failure
     assert elapsed < 30
     assert cells == 60
     print(f"PASS criterion 1 (high rank): Coxeter-classical agreement on {cells} cells "
-          f"at ranks 14-30 in {elapsed:.1f}s")
+          f"at ranks 14-60 in {elapsed:.1f}s")
 
 
 def test_criterion_2_coxeter_exceptional_agreement():

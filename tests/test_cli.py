@@ -622,7 +622,7 @@ def test_check_command(capsys):
     code, out = run_cli(capsys, "check", "--max-rank", "3")
     assert code == 0
     report = json.loads(out)
-    assert set(report.values()) == {"ok"}
+    assert set(report.values()) == {"ok"} and "coxeter_classical" in report
 
 
 @pytest.mark.parametrize("max_rank", (-3, 0, 2, 3, 4))

@@ -1,9 +1,14 @@
 import re
+import sys
+from math import gcd
 
 import pytest
 
+from isods import coxeter
+from isods.checks import _coxeter_closed_form
 from isods.coxeter import (
     UnsupportedSlopeError,
+    _runs_partition,
     _witness,
     coxeter_candidates,
     coxeter_solve,
@@ -13,7 +18,7 @@ from isods.coxeter import (
     orbit_J_reg,
     orbit_labels,
 )
-from isods.orbits import closure_le
+from isods.orbits import NilpotentOrbit, closure_le, zero_orbit
 from isods.root_data import affine_marks, coxeter_number, lie_type
 
 
@@ -191,15 +196,115 @@ def _subset_scan_candidates(t, d):
     return out
 
 
+def _chain_shape_walk(t, d):
+    """The distinct orbits of the minimal d-allowable subsets of a classical
+    finite diagram, in the order of `sorted(J)`, by a walk over chain shapes:
+    the reference for `coxeter_solve` at ranks past the subset scan.
+
+    The walk adds nodes in increasing order, so its preorder is the
+    lexicographic order of sorted(J).  A state is (last node, open run
+    length, sorted closed run lengths, tail length, mark sum, smallest mark
+    in J): the orbit of every completion depends only on it, so a state seen
+    before can only yield orbits already emitted and is skipped.  A walk
+    stops once the mark sum reaches h - d (supersets of an allowable subset
+    are not minimal) or can no longer reach it.
+    """
+    fam, n = t.family, t.rank
+    marks = affine_marks(t).marks
+    need = coxeter_number(t) - d
+    if need <= 0:
+        return [zero_orbit(t)]
+    # reach[k]: the mark sum of the nodes after k
+    reach = [sum(marks[a] for a in range(k + 1, n + 1)) for k in range(n + 1)]
+    out = {}
+    seen = set()
+    # J empty: `low` is never read, since need > 0
+    stack = [(0, 0, (), 0, 0, max(marks))]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        last, run, closed, tail, s, low = state
+        if s >= need:
+            if s - low < need:
+                p = _runs_partition(t, closed + (run,) if run else closed, tail)
+                if p not in out:
+                    out[p] = NilpotentOrbit(t, p)
+            continue
+        if s + reach[last] < need:
+            continue
+        # a node not adjacent to the run closes it and starts its own
+        restart = (1, tuple(sorted(closed + (run,))) if run else closed, 0)
+        children = []
+        for k in range(last + 1, n + 1):
+            if fam == "D" and k == n and last == n - 1:
+                k_run, k_closed, k_tail = 0, closed, run + 1  # both fork nodes: the so(2c) tail
+            elif last == (k - 2 if fam == "D" and k == n else k - 1):
+                k_run, k_closed, k_tail = run + 1, closed, 0  # k joins the run of its lower neighbour
+            else:
+                k_run, k_closed, k_tail = restart
+            if k == n and fam in ("B", "C"):
+                k_run, k_tail = 0, k_run
+            m = marks[k]
+            children.append((k, k_run, k_closed, k_tail, s + m, m if m < low else low))
+        stack.extend(reversed(children))
+    return list(out.values())
+
+
 def test_chain_shape_walk_equals_subset_scan():
     cells = 0
     for fam in ("A", "B", "C", "D"):
         for n in range(1 if fam == "A" else (3 if fam == "D" else 2), 11):
             t = lie_type(fam, n)
             for d in range(1, 3 * coxeter_number(t)):
-                assert coxeter_candidates(t, d) == _subset_scan_candidates(t, d), (t, d)
+                assert _chain_shape_walk(t, d) == _subset_scan_candidates(t, d), (t, d)
                 cells += 1
     assert cells == 1071
+
+
+def _outcome(t, d):
+    try:
+        return coxeter_solve(t, d)
+    except (UnsupportedSlopeError, AssertionError) as e:
+        return type(e), str(e)
+
+
+def _classical_cells(ranks):
+    for fam in ("A", "B", "C", "D"):
+        for n in ranks:
+            if n >= (1 if fam == "A" else (3 if fam == "D" else 2)):
+                t = lie_type(fam, n)
+                yield from ((t, d) for d in range(1, 3 * coxeter_number(t)))
+
+
+def test_configurations_give_the_least_scan_candidate(monkeypatch):
+    cells = [(t, d, _outcome(t, d)) for t, d in _classical_cells(range(1, 11))]
+    # the same solve with the candidate list of the subset scan
+    monkeypatch.setattr(coxeter, "_configuration_candidates", _subset_scan_candidates)
+    assert [(t, d, _outcome(t, d)) for t, d, _ in cells] == cells
+    assert len(cells) == 1071 and sum(isinstance(o, tuple) for *_, o in cells) == 576
+
+
+def test_configurations_give_the_least_walk_candidate(monkeypatch):
+    cells = [(t, d, _outcome(t, d)) for t, d in _classical_cells(range(11, 21)) if d < coxeter_number(t)]
+    monkeypatch.setattr(coxeter, "_configuration_candidates", _chain_shape_walk)
+    assert [(t, d, _outcome(t, d)) for t, d, _ in cells] == cells
+
+
+@pytest.mark.parametrize("fam", "ABCD")
+def test_coxeter_solve_scans_no_subsets_and_builds_no_roots(monkeypatch, fam):
+    def refuse(*args):
+        raise AssertionError("the classical route scanned subsets or built the root system")
+
+    for name, module in list(sys.modules.items()):
+        for fn in ("minimal_allowable_in_finite", "positive_roots"):
+            if name.startswith("isods") and hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
+    t = lie_type(fam, 40)
+    h = coxeter_number(t)
+    for d in [d for d in range(1, 8) if gcd(d, 2 * h) == 1] + [h - 1, h + 1]:
+        assert coxeter_solve(t, d).partition == _coxeter_closed_form(t, d), d
 
 
 def _witness_search(marks, d):

@@ -40,8 +40,8 @@ CASES = [
     (AllowableSubset, {"J": frozenset({1, 2}), "witness": {0: 1, 3: 1}, "is_minimal": True}),
     (GradedModel, {"type": LieType("A", 1), "m": 2, "d": 1, "operator": [[0, 1], [0, 0]], "isolated_lines": 0}),
 ]
-MUTABLE = {DSAnswer, HasseDiagram, GradedModel}
-WITH_DICT = {AllowableSubset}  # a dict field: hashing raises, as for the field tuple
+MUTABLE = {DSAnswer, GradedModel}
+WITH_DICT = {AllowableSubset, HasseDiagram}  # a dict field: hashing raises, as for the field tuple
 IDS = [cls.__name__ for cls, _ in CASES]
 
 
@@ -231,3 +231,13 @@ def test_copied_hasse_diagram_keeps_its_closure_order():
     h = HasseDiagram.from_json([{"from": "A1", "to": "0"}, {"from": "A2", "to": "A1"}])
     for other in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
         assert other == h and other.le("0", "A2") and not other.le("A2", "0")
+
+
+def test_hasse_diagram_order_follows_its_covers():
+    h = HasseDiagram(frozenset({"0", "A1"}), (("A1", "0"),))
+    with pytest.raises(AttributeError, match="cannot assign to field 'covers'"):
+        h.covers = ()
+    assert h.le("0", "A1")
+    assert not HasseDiagram(frozenset({"0", "A1"}), ()).le("0", "A1")
+    with pytest.raises(KeyError):
+        HasseDiagram(frozenset({"0"}), (("A1", "0"),))

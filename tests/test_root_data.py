@@ -104,6 +104,20 @@ def test_highest_root_e8():
     assert sum(highest_root(lie_type("E8"))) == coxeter_number(lie_type("E8")) - 1
 
 
+def test_highest_root_is_the_top_of_the_root_closure():
+    types = [lie_type(f, n) for f in "ABCD" for n in range({"A": 1, "D": 3}.get(f, 2), 13)]
+    for t in types + [lie_type(f) for f in ("G2", "F4", "E6", "E7", "E8")]:
+        assert highest_root(t) == positive_roots(t)[-1], t
+
+
+def test_classical_marks_at_high_rank():
+    n = 100
+    assert affine_marks(lie_type("A", n)).marks == (1,) * (n + 1)
+    assert affine_marks(lie_type("B", n)).marks == (1, 1) + (2,) * (n - 1)
+    assert affine_marks(lie_type("C", n)).marks == (1,) + (2,) * (n - 1) + (1,)
+    assert affine_marks(lie_type("D", n)).marks == (1, 1) + (2,) * (n - 3) + (1, 1)
+
+
 def test_slope_cells():
     cells = list(slope_cells("B", 2, lambda t: range(1, 5), lambda m: range(1, m)))
     B2 = lie_type("B", 2)
