@@ -225,6 +225,13 @@ SHOW_SUBSETS_MAX_RANK = 12
 # 250, 0.40 s at 500 and about 1.1 s (31 MB) at 1000.
 COXETER_MAX_RANK = 1000
 
+# `ds oracle` takes the Jordan type of a lattice model from the dense powers
+# of its operator, whose integer entries grow with the rank.  The slowest
+# elliptic cells are B at m = 2 and 4: in a cold process on a shared 2-core
+# host, by a child-process timer, the slowest took 0.15 s at rank 30, 0.31 s
+# at 40, 1.1 s at 50 (B50 1/4) and 2.9 s at 58 (B58 1/4).
+ORACLE_MAX_RANK = 50
+
 
 def cmd_coxeter(args) -> int:
     t = _parse_type(args)
@@ -278,6 +285,8 @@ def cmd_oracle(args) -> int:
     s = parse_slope(args.slope)
     if args.budget < 0:
         raise CliError(f"--budget {args.budget} is negative; it caps the random Lagrangians tried, at least 0")
+    if t.rank > ORACLE_MAX_RANK:
+        raise CliError(f"the lattice models grow steeply with the rank; rank {t.rank} is above the bound {ORACLE_MAX_RANK}")
     from .skeleton import minimal_jordan_type_report
 
     p, certified = minimal_jordan_type_report(t, s, search_budget=args.budget, seed=args.seed)

@@ -1,38 +1,32 @@
-"""Exact linear algebra over Q on small sparse/dense matrices, by
+"""Exact linear algebra over Q on small sparse/dense integer matrices, by
 fraction-free integer elimination.
 
-A row with rational entries is first multiplied by the lcm of its
-denominators.  Elimination then stays in the integers, as in the
-fraction-free methods of Bareiss (Math. Comp. 22, 1968): a row with entry b
-in the lead column c of a stored row with lead a becomes
+Every caller builds its matrices over the integers, and elimination stays
+in them, as in the fraction-free methods of Bareiss (Math. Comp. 22, 1968):
+a row with entry b in the lead column c of a stored row with lead a becomes
 (a/g)·row − (b/g)·stored, g = gcd(a, b), and a row multiplied this way is
 divided by the gcd of its entries to keep the numbers small.  Each step
 replaces a row by a nonzero multiple of itself plus a multiple of a stored
 row, so the span over Q of the rows seen so far does not change.  The stored
 rows have distinct lead columns, so they are independent, and a row that
 reduces to zero lies in their span: their number is the rank over Q, the
-rank that elimination with Fraction pivots gives.  No rational number is
+rank that elimination with rational pivots gives.  No rational number is
 formed inside the loops.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-Row = dict[int, int | Fraction]
-_INT = frozenset({int})
+Row = dict[int, int]
 
 
 def sparse_rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of a matrix given as sparse rows (col -> int or Fraction)."""
+    """Rank over Q of a matrix given as sparse integer rows (col -> int)."""
     pivots: dict[int, tuple[int, dict[int, int]]] = {}  # lead column -> (lead, rest of the row)
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
-        if not _INT.issuperset(map(type, row.values())):
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         while row:
             c = min(row)
             b = row.pop(c)
@@ -73,21 +67,18 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
     return out
 
 
-def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int | Fraction]]) -> tuple[int, ...]:
-    """Jordan type of a nilpotent operator from the rank sequence of its powers:
-    multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) + rank(N^(j+1)).
-    The powers are those of L·N, L the common denominator of N's entries:
-    (L·N)^k = L^k·N^k has the rank of N^k."""
-    den = lcm(*(v.denominator for row in op for v in row if type(v) is not int))
-    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in op]
+def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Jordan type of a nilpotent integer operator from the rank sequence of
+    its powers: multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) +
+    rank(N^(j+1))."""
     ranks = [dim]
-    power = scaled
+    power = op
     while True:
         r = sparse_rank({j: v for j, v in enumerate(row) if v} for row in power)
         ranks.append(r)
         if r == 0:
             break
-        power = mat_mul(power, scaled)
+        power = mat_mul(power, op)
         if len(ranks) > dim + 2:
             raise ValueError("operator is not nilpotent")
     parts: list[int] = []

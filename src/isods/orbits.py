@@ -309,13 +309,14 @@ def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
 
 
 class HasseDiagram(FrozenRecord):
-    """Closure order on exceptional orbits from covering relations."""
+    """Closure order on exceptional orbits from covering relations; orbits
+    is a sorted tuple of labels, so the repr is free of the hash seed."""
 
     __slots__ = ("orbits", "covers", "dims")
 
     def __init__(
         self,
-        orbits: frozenset[str],
+        orbits: tuple[str, ...],
         covers: tuple[tuple[str, str], ...],  # (upper, lower)
         dims: dict[str, int] | None = None,
     ):
@@ -344,7 +345,7 @@ class HasseDiagram(FrozenRecord):
             elif "label" in item:
                 dims[item["label"]] = int(item["dimC"])
                 orbs.add(item["label"])
-        return cls(frozenset(orbs), tuple(covers), dims)
+        return cls(tuple(sorted(orbs)), tuple(covers), dims)
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +372,7 @@ def builtin_hasse(family: str) -> HasseDiagram | None:
         covers = xd.F4_HASSE_COVERS
     else:
         return None
-    labels = frozenset(x for c in covers for x in c)
+    labels = tuple(sorted({x for c in covers for x in c}))
     dims = {lbl: xd.DIM_C[(family, lbl)] for lbl in labels}
     return HasseDiagram(labels, covers, dims)
 

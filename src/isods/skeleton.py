@@ -1,24 +1,27 @@
 """Independent geometric oracle: the threshold orbit recomputed as the
 minimal Jordan type of a homogeneous degree-shift operator on graded lattice
-quotients, with an exact rational Lagrangian search in the edge cases.
+quotients, with an exact Lagrangian search in the edge cases.  Every model
+is built over the integers: scalars, form weights, Lagrangians and quotient
+coordinates are int, and the operator reaches `linalg` without a fraction.
 
-Types A and C have one model per slope.  In B and D the models live on the
-quadratic space Q of (type, m), made once per pair: its zero-eigenvalue line
-and the killed line outside the grading window follow from the type and m,
-and its certified Lagrangian is built and checked isotropic once.
+Types A and C have one model per slope, made of blocks of one size.  In B
+and D the models live on the quadratic space Q of (type, m), made once per
+pair: its zero-eigenvalue line and the killed line outside the grading
+window follow from the type and m, and its certified Lagrangian is built and
+checked isotropic once.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm, prod
 
 from .linalg import jordan_type_from_ranks, sparse_rank
 from .partitions import Partition, dominance_le, union_parts
-from .root_data import LieType, Record, Slope, UnsupportedSlopeError, is_elliptic_regular, is_regular
+from .root_data import LieType, Record, Slope, UnsupportedSlopeError, defining_dim, is_elliptic_regular, is_regular
 
-Matrix = list[list[int | Fraction]]
+Matrix = list[list[int]]
 
 
 class GradedModel(Record):
@@ -50,48 +53,37 @@ def _zero(n: int) -> Matrix:
     return [[0] * n for _ in range(n)]
 
 
-def model_type_a(n: int, d: int) -> GradedModel:
-    """t^(d/n) acting on C[[t^(1/n)]]/(t)."""
-    op = _zero(n)
-    for j in range(n - d):
-        op[j + d][j] = 1
-    return GradedModel(LieType("A", n - 1), n, d, op)
-
-
-def model_type_c(n: int, m: int, d: int) -> GradedModel:
-    """ell blocks of C[[t^(1/m)]]/(t) with scalars 1..ell; single-point skeleton."""
-    ell = 2 * n // m
-    size = ell * m
-    op = _zero(size)
+def model_blocks(t: LieType, m: int, d: int) -> GradedModel:
+    """defining_dim(t) // m blocks of C[[t^(1/m)]]/(t), t^(d/m) scaled by
+    b + 1 on block b: the single-point skeleton of type A at m = n + 1 (one
+    block, t^(d/n) on C[[t^(1/n)]]/(t)) and of type C at an elliptic m."""
+    ell = defining_dim(t) // m
+    op = _zero(ell * m)
     for b in range(ell):
         for j in range(m - d):
             op[b * m + j + d][b * m + j] = b + 1
-    return GradedModel(LieType("C", n), m, d, op)
+    return GradedModel(t, m, d, op)
 
 
-def _lagrange_weights(a: list[Fraction]) -> list[Fraction]:
-    """weights v_i = 1 / prod_{j != i} (a_i - a_j); sum v_i a_i^j = 0 for
-    j <= len(a)-2 and = 1 for j = len(a)-1."""
-    out = []
-    for i, ai in enumerate(a):
-        prod = Fraction(1)
-        for j, aj in enumerate(a):
-            if j != i:
-                prod *= ai - aj
-        out.append(1 / prod)
-    return out
+def _lagrange_weights(a: list[int]) -> list[int]:
+    """Integer weights lcm_k(P_k) / P_i, P_i = prod_{j != i} (a_i - a_j): a
+    positive multiple of the Lagrange weights 1 / P_i, for which
+    sum_i a_i^j / P_i = 0 when j <= len(a)-2 and = 1 when j = len(a)-1."""
+    prods = [prod(ai - aj for j, aj in enumerate(a) if j != i) for i, ai in enumerate(a)]
+    den = lcm(*prods)
+    return [den // p for p in prods]
 
 
 class QuadraticSpace:
     """Diagonal quadratic space carrying a self-adjoint regular semisimple
     operator, with the Lagrange-weight form making the all-ones vector sit on
-    the isotropy quadrics.
+    the isotropy quadrics.  Scalars, weights and vectors are integers.
 
     lagrangian is span(x, Ax, ..., A^(q/2-1) x) for x = (1,...,1) and
     A = diag(a): isotropic of half dimension, and the composite L -> Q/L of
     A has rank exactly one.  It is built and checked once, here."""
 
-    def __init__(self, cvals: list[Fraction], m: int):
+    def __init__(self, cvals: list[int], m: int):
         self.c = cvals  # first-power scalars (0 allowed once)
         self.a = [c**m for c in cvals]  # eigenvalues of psi^m / t
         assert len(set(self.a)) == len(self.a)
@@ -102,49 +94,55 @@ class QuadraticSpace:
             for v in self.lagrangian:
                 assert self.inner(u, v) == 0
 
-    def inner(self, x, y) -> Fraction:
+    def inner(self, x, y) -> int:
         return sum(b * xi * yi for b, xi, yi in zip(self.beta, x, y))
 
-    def random_lagrangian(self, rng: random.Random) -> list[tuple[Fraction, ...]]:
-        """Image of the certified Lagrangian under a few random reflections."""
+    def random_lagrangian(self, rng: random.Random) -> list[tuple[int, ...]]:
+        """Image of the certified Lagrangian under a few random reflections.
+        v goes to <w,w>·v - 2<v,w>·w, the reflection of v times <w,w>, and
+        is then divided by the gcd of its entries: the same line."""
         basis = [list(v) for v in self.lagrangian]
         for _ in range(3):
             while True:
-                w = [Fraction(rng.randint(-9, 9)) for _ in range(self.q)]
+                w = [rng.randint(-9, 9) for _ in range(self.q)]
                 ww = self.inner(w, w)
                 if ww:
                     break
-            for v in basis:
-                f = 2 * self.inner(v, w) / ww
-                for i in range(self.q):
-                    v[i] -= f * w[i]
+            for k, v in enumerate(basis):
+                f = 2 * self.inner(v, w)
+                v = [ww * x - f * y for x, y in zip(v, w)]
+                g = gcd(*v)
+                basis[k] = [x // g for x in v]
         return [tuple(v) for v in basis]
 
 
-def _quotient_basis(q: int, lag: list[tuple[Fraction, ...]]):
+def _quotient_basis(q: int, lag: list[tuple[int, ...]]):
     """Coordinates on Q/L: the function taking a vector of Q to its
-    coordinates on the complement of the pivot columns of lag."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in lag:
-        row = list(row)
+    coordinates on the complement of the pivot columns of lag, times the
+    product of the pivot leads.  Each pivot row p with lead a in column c
+    takes v to a·v - v[c]·p even when v[c] = 0, so that factor is common to
+    every vector, and a similarity on the Q/L piece of a graded model, whose
+    operator has no entry in a Q/L source column."""
+    pivots: list[tuple[int, list[int]]] = []
+
+    def eliminate(v):
         for c, prow in pivots:
-            if row[c]:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, prow)]
+            a, f = prow[c], v[c]
+            v = [a * x - f * y for x, y in zip(v, prow)]
+        return v
+
+    for row in lag:
+        row = eliminate(row)
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             raise ValueError("Lagrangian basis is dependent")
-        row = [x / row[lead] for x in row]
-        pivots.append((lead, row))
+        g = gcd(*row)
+        pivots.append((lead, [x // g for x in row]))
     pivot_cols = {c for c, _ in pivots}
     free = [i for i in range(q) if i not in pivot_cols]
 
     def reduce(vec):
-        v = list(map(Fraction, vec))
-        for c, prow in pivots:
-            if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, prow)]
+        v = eliminate(vec)
         return tuple(v[i] for i in free)
 
     return reduce
@@ -165,11 +163,11 @@ def _orthogonal_space(t: LieType, m: int) -> tuple[QuadraticSpace, int]:
     ell = 2 * n // m if t.family == "B" or (m % 2 == 0 and n % m == 0) else (2 * n - 2) // m
     zero = ell % 2
     isolated = 2 * n + (t.family == "B") - m * ell - zero
-    return QuadraticSpace([Fraction(i) for i in range(1 - zero, ell + 1)], m), isolated
+    return QuadraticSpace(list(range(1 - zero, ell + 1)), m), isolated
 
 
 def model_orthogonal(
-    t: LieType, m: int, d: int, lag: list[tuple[Fraction, ...]] | None = None
+    t: LieType, m: int, d: int, lag: list[tuple[int, ...]] | None = None
 ) -> GradedModel:
     """Graded model for the B/D cases on the Lagrangian lag of Q (by default
     the certified one)."""
@@ -200,11 +198,12 @@ def model_orthogonal(
             if j + d <= m - 2:
                 op[mid_off(j + d) + pos][mid_off(j) + pos] = space.c[i]
             elif j + d == m - 1:
-                vec = [Fraction(0)] * q
-                vec[i] = space.c[i]
-                red = reduce(vec)
+                red = reduce([space.c[i] * (col == i) for col in range(q)])
                 for a, val in enumerate(red):
                     op[qloff + a][mid_off(j) + pos] = val
+    # dividing the Q/L rows by their content is a similarity, like the factor `reduce` leaves
+    g = gcd(*(x for row in op[qloff:] for x in row)) or 1
+    op[qloff:] = [[x // g for x in row] for row in op[qloff:]]
     return GradedModel(t, m, d, op, isolated)
 
 
@@ -243,14 +242,12 @@ def minimal_jordan_type_report(
         raise UnsupportedSlopeError(f"the graded lattice models cover types A-D, not {fam}")
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} not regular for {t}")
-    if fam == "A":
-        if m != n + 1:
-            raise UnsupportedSlopeError("type A skeleton model needs m = n + 1")
-        return jordan_type(model_type_a(n + 1, d)), True
+    if fam == "A" and m != n + 1:
+        raise UnsupportedSlopeError("type A skeleton model needs m = n + 1")
     if not is_elliptic_regular(t, m):
         raise UnsupportedSlopeError(f"{m} is not elliptic for {t}; use the table route")
-    if fam == "C":
-        return jordan_type(model_type_c(n, m, d)), True
+    if fam in ("A", "C"):
+        return jordan_type(model_blocks(t, m, d)), True
 
     space, _ = _orthogonal_space(t, m)
     base = model_orthogonal(t, m, d)

@@ -597,6 +597,19 @@ def test_oracle_command(capsys):
     assert "cover types A-D" in capsys.readouterr().err
 
 
+def test_oracle_rank_bound(capsys):
+    from isods.cli import ORACLE_MAX_RANK
+
+    for fam in ("A", "B", "C", "D"):
+        code = main(["oracle", "--type", fam, "--rank", str(ORACLE_MAX_RANK + 1), "--slope", "1/4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1, fam
+        assert f"above the bound {ORACLE_MAX_RANK}" in captured.err, fam
+    code, out = run_cli(capsys, "oracle", "--type", "C", "--rank", str(ORACLE_MAX_RANK), "--slope",
+                        f"1/{2 * ORACLE_MAX_RANK}")
+    assert code == 0 and json.loads(out) == {"certified": True, "jordan_type": [2 * ORACLE_MAX_RANK]}
+
+
 def test_rigid_command(capsys):
     code, out = run_cli(capsys, "rigid", "--family", "C", "--max-rank", "3", "--format", "csv")
     assert code == 0

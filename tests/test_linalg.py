@@ -29,16 +29,13 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
-_SCALARS = st.one_of(
-    st.integers(-6, 6),
-    st.fractions(min_value=-6, max_value=6, max_denominator=12),
-)
+_SCALARS = st.integers(-6, 6)
 
 
 @st.composite
 def sparse_rows(draw):
-    """Sparse rows of int and Fraction entries, explicit zeros and empty rows
-    among them, with rational combinations of earlier rows planted in."""
+    """Sparse rows of int entries, explicit zeros and empty rows among them,
+    with integer combinations of earlier rows planted in."""
     ncols = draw(st.integers(1, 9))
     rows: list[dict] = []
     for _ in range(draw(st.integers(0, 8))):
@@ -63,11 +60,12 @@ def test_sparse_rank_matches_fraction_elimination(rows):
 
 @st.composite
 def conjugated_jordan_forms(draw):
-    """(partition, P·J·P⁻¹): J nilpotent in Jordan form with nonzero rational
-    superdiagonal scalars, P a product of rational transvections I + c·E_ij."""
+    """(partition, P·J·P⁻¹): J nilpotent in Jordan form with nonzero integer
+    superdiagonal scalars, P a product of integer transvections I + c·E_ij,
+    whose inverses I - c·E_ij are integer too."""
     parts = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)), reverse=True)
     n = sum(parts)
-    a = [[Fraction(0)] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]
     off = 0
     for k in parts:
         for i in range(off, off + k - 1):

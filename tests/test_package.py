@@ -149,6 +149,7 @@ def test_oracle_loads_only_the_lattice_models():
     ["solve-q", "--type=B", "--rank=4", "--slope=3/0", f"--orbit={_ADJOINT_B4}"],
     ["delta", "--type=Z", "--rank=4", "--slope=3/8", "--orbit=[3,3,3]"],
     ["oracle", "--type=B", "--rank=4", "--slope=1/4", "--budget=-1"],
+    ["oracle", "--type=B", "--rank=100", "--slope=1/200"],
     ["tables", "--name=t_clq", "--rank=4", "--slope=0/4", "--mults=2"],
 ])
 def test_malformed_input_exits_before_any_engine_module_loads(argv):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from isods import skeleton
 from isods.checks import check_skeleton
 from isods.coxeter import UnsupportedSlopeError
 from isods.linalg import sparse_rank
@@ -15,21 +17,21 @@ from isods.skeleton import (
     jordan_type,
     minimal_jordan_type,
     minimal_jordan_type_report,
+    model_blocks,
     model_orthogonal,
-    model_type_a,
-    model_type_c,
 )
 
 
 def test_type_a_model():
-    assert jordan_type(model_type_a(4, 3)) == (2, 1, 1)
-    assert jordan_type(model_type_a(4, 1)) == (4,)
-    assert jordan_type(model_type_a(4, 5)) == (1, 1, 1, 1)
+    A3 = lie_type("A", 3)
+    assert jordan_type(model_blocks(A3, 4, 3)) == (2, 1, 1)
+    assert jordan_type(model_blocks(A3, 4, 1)) == (4,)
+    assert jordan_type(model_blocks(A3, 4, 5)) == (1, 1, 1, 1)
 
 
 def test_type_c_model():
-    assert jordan_type(model_type_c(3, 2, 1)) == (2, 2, 2)
-    assert jordan_type(model_type_c(4, 8, 3)) == (3, 3, 2)
+    assert jordan_type(model_blocks(lie_type("C", 3), 2, 1)) == (2, 2, 2)
+    assert jordan_type(model_blocks(lie_type("C", 4), 8, 3)) == (3, 3, 2)
 
 
 def test_minimal_jordan_type_examples():
@@ -49,7 +51,7 @@ def test_unsupported_cases():
 def test_certified_lagrangian_rank_one():
     for cvals in ([1, 2], [0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3, 4, 5]):
         for m in (2, 4, 6):
-            space = QuadraticSpace([Fraction(c) for c in cvals], m)
+            space = QuadraticSpace(cvals, m)
             lag = space.lagrangian
             assert _rank_s(space, [list(v) for v in lag]) == 1
 
@@ -59,7 +61,7 @@ def test_jordan_type_independent_of_lagrangian_basis():
     t = lie_type("B", 4)
     base = model_orthogonal(t, 4, 3)
     jt = jordan_type(base)
-    space = QuadraticSpace([Fraction(1), Fraction(2)], 4)
+    space = QuadraticSpace([1, 2], 4)
     lag = [list(v) for v in space.lagrangian]
     # mix the basis of L: the subspace, hence the type, is unchanged
     for _ in range(5):
@@ -77,18 +79,138 @@ def _rank_s_by_quotient(space, lag):
     return sparse_rank(dict(enumerate(reduce([ai * vi for ai, vi in zip(space.a, v)]))) for v in lag)
 
 
+def _reference_spaces():
+    spaces = [QuadraticSpace(cvals, m) for cvals in ([1, 2], [0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3, 4, 5])
+              for m in (2, 4, 6)]
+    return spaces + [_orthogonal_space(lie_type(fam, n), m)[0] for fam, n, m in (("B", 6, 4), ("D", 7, 4), ("B", 8, 2))]
+
+
 def test_rank_s_matches_quotient_reference():
     rng = random.Random(5)
-    spaces = [QuadraticSpace([Fraction(c) for c in cvals], m)
-              for cvals in ([1, 2], [0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3, 4, 5]) for m in (2, 4, 6)]
-    spaces += [_orthogonal_space(lie_type(fam, n), m)[0] for fam, n, m in (("B", 6, 4), ("D", 7, 4), ("B", 8, 2))]
     ranks = set()
-    for space in spaces:
+    for space in _reference_spaces():
         for lag in [space.lagrangian] + [space.random_lagrangian(rng) for _ in range(4)]:
             got = _rank_s(space, lag)
             assert got == _rank_s_by_quotient(space, lag), (space.c, lag)
             ranks.add(got)
     assert len(ranks) > 1  # the random Lagrangians reach ranks other than one
+
+
+def _fraction_weights(a):
+    """Reference: the Lagrange weights 1 / prod_{j != i} (a_i - a_j)."""
+    out = []
+    for i, ai in enumerate(a):
+        prod = Fraction(1)
+        for j, aj in enumerate(a):
+            if j != i:
+                prod *= ai - aj
+        out.append(1 / prod)
+    return out
+
+
+def _fraction_random_lagrangian(space, rng):
+    """Reference: the reflections of the certified Lagrangian in Fraction
+    arithmetic, as the oracle first drew them."""
+    beta = _fraction_weights(space.a)
+
+    def inner(x, y):
+        return sum(b * xi * yi for b, xi, yi in zip(beta, x, y))
+
+    basis = [list(map(Fraction, v)) for v in space.lagrangian]
+    for _ in range(3):
+        while True:
+            w = [Fraction(rng.randint(-9, 9)) for _ in range(space.q)]
+            ww = inner(w, w)
+            if ww:
+                break
+        for v in basis:
+            f = 2 * inner(v, w) / ww
+            for i in range(space.q):
+                v[i] -= f * w[i]
+    return [tuple(v) for v in basis]
+
+
+def _fraction_quotient_basis(q, lag):
+    """Reference: coordinates on Q/L by elimination with Fraction pivots of
+    lead 1, as the oracle first computed them."""
+    pivots = []
+    for row in lag:
+        row = list(map(Fraction, row))
+        for c, prow in pivots:
+            if row[c]:
+                f = row[c]
+                row = [x - f * y for x, y in zip(row, prow)]
+        lead = next(i for i, x in enumerate(row) if x)
+        pivots.append((lead, [x / row[lead] for x in row]))
+    free = [i for i in range(q) if i not in {c for c, _ in pivots}]
+
+    def reduce(vec):
+        v = list(map(Fraction, vec))
+        for c, prow in pivots:
+            if v[c]:
+                f = v[c]
+                v = [x - f * y for x, y in zip(v, prow)]
+        return tuple(v[i] for i in free)
+
+    return reduce
+
+
+def _ratio(u, v):
+    """The nonzero scalar r with u = r·v, or None when there is none."""
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None or not u[lead]:
+        return None
+    r = Fraction(u[lead]) / v[lead]
+    return r if all(x == r * y for x, y in zip(u, v)) else None
+
+
+def test_weights_are_a_positive_multiple_of_the_lagrange_weights():
+    for space in _reference_spaces():
+        assert all(type(b) is int for b in space.beta)
+        assert len({Fraction(b) / w for b, w in zip(space.beta, _fraction_weights(space.a))}) == 1
+        assert space.beta[0] * _fraction_weights(space.a)[0] > 0
+
+
+def test_integer_lagrangians_span_the_fraction_reference_lines():
+    # the same draws reflect the same lines: each integer vector is a nonzero
+    # multiple of the Fraction one, with content 1
+    for space in _reference_spaces():
+        for seed in range(5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                lag, ref = space.random_lagrangian(rng), _fraction_random_lagrangian(space, ref_rng)
+                assert len(lag) == len(ref) == space.q // 2
+                for v, r in zip(lag, ref):
+                    assert all(type(x) is int for x in v) and gcd(*v) == 1, (space.c, seed, v)
+                    assert _ratio(v, r) is not None, (space.c, seed, v, r)
+
+
+def test_quotient_coordinates_are_a_common_multiple_of_the_reference():
+    rng = random.Random(11)
+    for space in _reference_spaces():
+        for lag in [space.lagrangian] + [space.random_lagrangian(rng) for _ in range(2)]:
+            reduce, ref = _quotient_basis(space.q, lag), _fraction_quotient_basis(space.q, lag)
+            vecs = [[rng.randint(-5, 5) for _ in range(space.q)] for _ in range(4)]
+            vecs += [[int(i == j) for j in range(space.q)] for i in range(space.q)]
+            ratios = {_ratio(reduce(v), ref(v)) for v in vecs if any(ref(v))}
+            assert len(ratios) == 1 and None not in ratios, (space.c, ratios)
+            assert all(not any(reduce(v)) for v in lag)
+
+
+def test_models_are_built_over_the_integers(monkeypatch):
+    models = []
+    traced = skeleton.jordan_type
+
+    def record(model):
+        models.append(model)
+        return traced(model)
+
+    monkeypatch.setattr(skeleton, "jordan_type", record)
+    cases, failure = check_skeleton(6)
+    assert failure is None and cases
+    assert {m.type.family for m in models} == set("ABCD")
+    bad = [(m.type, m.m, m.d) for m in models if any(type(x) is not int for row in m.operator for x in row)]
+    assert not bad, bad[:5]
 
 
 def _kind(t, m):
@@ -110,7 +232,7 @@ def test_orthogonal_space_matches_kind_table():
             ell = (2 * t.rank - 2) // m if kind == "D-odd" else 2 * t.rank // m
             space, isolated = _orthogonal_space(t, m)
             assert (space.c[0] == 0, isolated) == (zero_line, int(kind in ("B-even", "D-odd"))), (t, m)
-            assert space.c == [Fraction(0)] * zero_line + [Fraction(i) for i in range(1, ell + 1)], (t, m)
+            assert space.c == [0] * zero_line + list(range(1, ell + 1)), (t, m)
             cells += 1
     assert cells == 60
 
