@@ -179,5 +179,8 @@ def run_all(max_rank: int = 5) -> dict[str, str]:
         "delta_agreement": check_delta(max_rank + 2),
         "row_overlap": check_row_overlap(max_rank + 4),
         "q_equivalence": check_q_equivalence(60, max_rank),
+        # the ranks of the q_growth benchmark, where len(O_nu) is far below
+        # the defining dimension
+        "q_equivalence_high_rank": check_q_equivalence(10, 16, min_rank=12),
     }
     return {name: result[-1] or "ok" for name, result in results.items()}

@@ -247,7 +247,7 @@ def cmd_coxeter(args) -> int:
         out["allowable"] = [
             {
                 "J": sorted(a.J),
-                "witness": {str(k): v for k, v in sorted(a.witness.items())},
+                "witness": {str(k): v for k, v in a.witness},
                 "minimal": a.is_minimal,
             }
             for a in enumerate_d_allowable(t, args.d)

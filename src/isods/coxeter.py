@@ -33,14 +33,20 @@ from .root_data import (
     defining_dim,
     levi_factor_types,
     positive_roots,
+    sorted_pairs,
 )
 
 
 class AllowableSubset(FrozenRecord):
     """Proper subset J of the affine diagram whose complement admits positive
-    integer weights summing (against the marks) to d."""
+    integer weights summing (against the marks) to d; witness holds the
+    (node, weight) pairs sorted by node, given as a mapping or as pairs."""
 
     __slots__ = ("J", "witness", "is_minimal")
+
+    def _store(self, values: tuple) -> None:
+        J, witness, is_minimal = values
+        super()._store((J, sorted_pairs(witness), is_minimal))
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from .partitions import (
     sum_parts,
     transpose,
 )
-from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim
+from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim, sorted_pairs
 
 _canonical = partition  # NilpotentOrbit's field of that name shadows it in __init__
 
@@ -310,7 +310,8 @@ def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
 
 class HasseDiagram(FrozenRecord):
     """Closure order on exceptional orbits from covering relations; orbits
-    is a sorted tuple of labels, so the repr is free of the hash seed."""
+    is a sorted tuple of labels and dims the (label, dim C) pairs sorted by
+    label, so the diagram hashes and its repr is free of the hash seed."""
 
     __slots__ = ("orbits", "covers", "dims")
 
@@ -318,12 +319,13 @@ class HasseDiagram(FrozenRecord):
         self,
         orbits: tuple[str, ...],
         covers: tuple[tuple[str, str], ...],  # (upper, lower)
-        dims: dict[str, int] | None = None,
+        dims: dict[str, int] | tuple[tuple[str, int], ...] | None = None,
     ):
-        self._store((orbits, covers, {} if dims is None else dims))
+        self._store((orbits, covers, sorted_pairs(dims or ())))
         self._closure()  # a cover between unknown labels raises KeyError here
+        dim = dict(self.dims)
         for hi, lo in self.covers:
-            if hi in self.dims and lo in self.dims and not self.dims[hi] < self.dims[lo]:
+            if hi in dim and lo in dim and not dim[hi] < dim[lo]:
                 raise ValueError(f"dim C must increase downward: {hi} -> {lo}")
 
     def le(self, a: str, b: str) -> bool:

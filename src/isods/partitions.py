@@ -74,10 +74,12 @@ def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:
     fixed point of P_k >= max(b_k, 0, ceil((P_{k-1} + P_{k+1}) / 2)) with
     P_W = n, reached by raising entries from below; no entry ever passes the
     one of a solution, so once one passes n there is none."""
-    width = len(bound)
-    prefix = [0, *(max(b, 0) for b in bound)]
-    if max(prefix) > n or (width == 0 and n):
+    if max(bound, default=0) > n or (not bound and n):
         return None
+    # A partition of n has P_k = n for every k >= n, so past position n the
+    # bound asks only what the check above did.
+    width = min(len(bound), n)
+    prefix = [0, *(max(b, 0) for b in bound[:width])]
     prefix[width] = n
     todo = list(range(1, width))
     while todo:
@@ -177,10 +179,8 @@ def lambda_evenly(n: int, r: int) -> Partition:
     partitions of n with at most r parts."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    if n == 0:
-        return ()
     k, rem = divmod(n, r)
-    return partition((k + 1,) * rem + (k,) * (r - rem))
+    return (k + 1,) * rem + (k,) * (r - rem) if k else (1,) * rem
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ exponents, Coxeter numbers, regular and elliptic-regular number predicates.
 It also holds what the command line needs before it loads an engine module:
 the two exceptions `cli.main` maps to exit codes and the table names; and
 the two bases of the package's value classes, `Record` and `FrozenRecord`,
-which bind and store the fields each class declares in its `__slots__`.
+which bind and store the fields each class declares in its `__slots__`, and
+`sorted_pairs`, the form in which a frozen value holds a mapping.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ class FrozenRecord(Record):
 
     def __reduce__(self):
         return self.__class__, self._key
+
+
+def sorted_pairs(items) -> tuple:
+    """A mapping, or an iterable of (key, value) pairs, as the tuple of its
+    pairs sorted by key: the hashable form in which a frozen value holds a
+    mapping.  A tuple already in that form comes back as it is."""
+    pairs = tuple(sorted(dict(items).items()))
+    return items if pairs == items else pairs
 
 
 class LieType(FrozenRecord):

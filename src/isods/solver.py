@@ -229,8 +229,8 @@ class QCandidate(FrozenRecord):
 def _anchor_bounds(
     c: int, p_o: list[int], linear: tuple[Partition, ...], tail: Partition
 ) -> tuple[bool, list[list[int]], list[int]]:
-    """The works test around one anchor, as bounds on prefix sums of the
-    threshold's width: whether the anchor itself works; for each slot j, the
+    """The works test around one anchor, as bounds on prefix sums to the
+    width of p_o (the threshold's length; see q_candidates): whether the anchor itself works; for each slot j, the
     bound that the prefix sums of a replacement for linear[j] must clear; and
     the bound for a replacement of the tail.  c is the weight of a linear
     factor in the sum (1 in type A, 2 otherwise)."""
@@ -263,9 +263,16 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     its tail.  Componentwise sums of weakly decreasing sequences stay weakly
     decreasing, so prefix sums add and the test is a set of linear bounds:
     with c = 1 in type A and 2 otherwise and prefix sums P taken to width
-    N = sum(threshold), a choice mu for slot j works iff
+    L = len(threshold), a choice mu for slot j works iff
     c * P_mu >= P_threshold - P_tail - c * sum_{i != j} P_i pointwise, and a
     tail works iff P_tail >= P_threshold - c * sum_i P_i (_anchor_bounds).
+
+    Width L suffices: with N = sum(threshold), P_threshold(k) = N for every
+    k >= L, and the componentwise sum is a partition of N, so its prefix
+    sums never decrease and never pass N; once P_sum(L) >= N, every later
+    entry equals N.  The same entry forces each slot and the tail to have at
+    most L parts, so the bound at position L already refuses every choice
+    with more parts, as the entries past L did.
 
     The choices that clear a bound are closed under the dominance meet, the
     pointwise minimum of prefix sums, so a slot has at most one minimal
@@ -336,7 +343,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
                 placed[k] = union_parts(lambda_evenly(slots[k] - 1, e), (1,))
                 anchors.append((tuple(placed), base_tail))
 
-    width = sum(o_part)
+    width = len(o_part)
     c = 1 if fam == "A" else 2
     p_o = prefix_sums(o_part, width)
 

@@ -224,8 +224,9 @@ def test_criterion_8_exceptional_delta_consistency():
     # Hasse dims strictly decrease upward along both embedded diagrams
     for famname in ("G2", "F4"):
         h = builtin_hasse(famname)
+        dims = dict(h.dims)
         for hi, lo in h.covers:
-            assert h.dims[hi] < h.dims[lo]
+            assert dims[hi] < dims[lo]
     print(f"PASS criterion 8: nu|Phi| - 2 Delta = dim C holds for {checked} embedded exceptional rows")
 
 

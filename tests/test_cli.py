@@ -6,10 +6,12 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import isods
 from isods.cli import main
 from isods.coxeter import levi_labels, orbit_J_reg
 from isods.root_data import affine_marks, lie_type
@@ -672,10 +674,14 @@ def test_malformed_eigenvalue_exit_2(capsys):
 
 
 def test_console_script_subprocess():
+    # the child finds the package where this process imported it, installed or not
+    src = str(Path(isods.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "isods.cli", "solve", "--type", "C", "--rank", "2", "--slope", "1/4", "--orbit", "[4]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

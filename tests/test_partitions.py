@@ -69,6 +69,14 @@ def test_lambda_evenly_examples():
     assert lambda_evenly(0, 4) == ()
 
 
+def test_lambda_evenly_matches_sorted_reference_exhaustive():
+    # the closed form is returned unsorted; the reference sorts and drops zeros
+    for n in range(41):
+        for r in range(1, 41):
+            k, rem = divmod(n, r)
+            assert lambda_evenly(n, r) == partition((k + 1,) * rem + (k,) * (r - rem)), (n, r)
+
+
 def test_lambda_evenly_is_dominance_minimum():
     for n in range(1, 15):
         for r in range(1, n + 2):

@@ -419,12 +419,15 @@ def random_anchors(draw):
     return t, slope(d, m), slots, linear, draw(st.sampled_from(tails)), tails
 
 
+@pytest.mark.parametrize("width_of", [sum, len], ids=["sum", "len"])
 @settings(max_examples=300, deadline=None)
 @given(random_anchors())
-def test_prefix_sum_works_test_matches_partition_reference(case):
+def test_prefix_sum_works_test_matches_partition_reference(width_of, case):
+    # q_candidates takes the prefix sums to len(threshold); the entries up to
+    # sum(threshold) decide the same
     t, s, slots, linear, tail, tails = case
     o_part = o_nu_rows(t, s)[0].orbit.partition
-    width = sum(o_part)
+    width = width_of(o_part)
     p_o = prefix_sums(o_part, width)
     works, slot_bounds, tail_bound = _anchor_bounds(1 if t.family == "A" else 2, p_o, linear, tail)
     assert works == _works_reference(t, o_part, linear, tail)
