@@ -9,9 +9,9 @@ import random
 
 from .coxeter import UnsupportedSlopeError, coxeter_solve
 from .orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
-from .partitions import ParityClass, lambda_evenly, partition, partitions_of, valid_partitions
+from .partitions import ParityClass, collapse, lambda_evenly, partition, partitions_of, valid_partitions
 from .rigidity import closed_form_delta, coxeter_delta_column, delta_of_orbit
-from .root_data import coxeter_number, defining_dim, is_elliptic_regular, is_regular, lie_type, slope_cells
+from .root_data import coxeter_number, defining_dim, is_elliptic_regular, is_regular, lie_type, slope, slope_cells
 from .skeleton import minimal_jordan_type_report
 from .solver import ds_solve, ds_solve_q, o_nu, o_nu_rows
 
@@ -153,21 +153,49 @@ def _random_adjoint(rng: random.Random, fam: str, n: int):
     return t, s, AdjointOrbit(t, blocks, rng.choice(tails))
 
 
+def _zero_heavy_adjoint(rng: random.Random, fam: str, n: int):
+    """A seeded draw at rank n and slope 1/4 (elliptic when n is even) of an
+    orbit with one eigenvalue of multiplicity 1 and zero multiplicity n - 1.
+    The threshold there has parts near 4, so the tail collapses a random
+    partition into parts top - 1 and top, for a random top from 2 to 6, and
+    both verdicts occur; no list of valid tails is built."""
+    t = lie_type(fam, n)
+    rest = 2 * n - 2 + (1 if fam == "B" else 0)
+    top, parts = rng.randint(2, 6), []
+    while rest:
+        parts.append(min(rng.randint(top - 1, top), rest))
+        rest -= parts[-1]
+    return t, slope(1, 4), AdjointOrbit(t, (Block("a0", 1, (1,)),), collapse(partition(parts), ParityClass[fam]))
+
+
 def check_q_equivalence(
-    per_type: int = 100, max_rank: int = 6, seed: int = 11, min_rank: int | None = None
+    per_type: int = 100,
+    max_rank: int = 6,
+    seed: int = 11,
+    min_rank: int | None = None,
+    zero_heavy_ranks: tuple[int, ...] = (),
 ) -> tuple[int, str | None]:
     """The candidate route against the induction route on per_type seeded
     orbits of each classical family, at ranks from min_rank (by default the
-    lowest: 3 in D, 2 otherwise) to max_rank."""
+    lowest: 3 in D, 2 otherwise) to max_rank; then on 4 seeded orbits of each
+    zero-heavy cell of the README: B, C and D at each rank R of
+    zero_heavy_ranks, slope 1/4, mults (1,) and zero multiplicity R - 1."""
     rng = random.Random(seed)
+
+    def draws():
+        for fam in ("A", "B", "C", "D"):
+            for _ in range(per_type):
+                yield _random_adjoint(rng, fam, rng.randint(min_rank or (3 if fam == "D" else 2), max_rank))
+        for fam in ("B", "C", "D"):
+            for n in zero_heavy_ranks:
+                for _ in range(4):
+                    yield _zero_heavy_adjoint(rng, fam, n)
+
     cases = 0
-    for fam in ("A", "B", "C", "D"):
-        for _ in range(per_type):
-            n = rng.randint(min_rank or (3 if fam == "D" else 2), max_rank)
-            t, s, a = _random_adjoint(rng, fam, n)
-            if ds_solve(t, s, a).affirmative != ds_solve_q(t, s, a).affirmative:
-                return cases, f"mismatch at {t} {s} {a.to_json()}"
-            cases += 1
+    for t, s, a in draws():
+        if ds_solve(t, s, a).affirmative != ds_solve_q(t, s, a).affirmative:
+            return cases, f"mismatch at {t} {s} {a.to_json()}"
+        cases += 1
     return cases, None
 
 
@@ -180,7 +208,7 @@ def run_all(max_rank: int = 5) -> dict[str, str]:
         "row_overlap": check_row_overlap(max_rank + 4),
         "q_equivalence": check_q_equivalence(60, max_rank),
         # the ranks of the q_growth benchmark, where len(O_nu) is far below
-        # the defining dimension
-        "q_equivalence_high_rank": check_q_equivalence(10, 16, min_rank=12),
+        # the defining dimension, and the README's zero-heavy cells
+        "q_equivalence_high_rank": check_q_equivalence(10, 16, min_rank=12, zero_heavy_ranks=(20, 24, 28, 32)),
     }
     return {name: result[-1] or "ok" for name, result in results.items()}

@@ -179,12 +179,12 @@ def cmd_solve(args) -> int:
     return 3 if ans.affirmative == "unknown-needs-hasse" else 0
 
 
-# In B/C/D the q route (solve-q, tables --name t_clq) generates the minimal
-# zero-sector tails by a pruned search over the partitions of the tail size
-# 2*zero_mult+eps, whose node count grows by about 1.3x per +2 of that size.
-# Over every regular slope of B/C/D with zero multiplicity rank-2 to rank,
-# the slowest cell took 0.23 s in process at rank 32 (sizes 60-65) and 1.9 s
-# at rank 40 on a shared 2-core host.
+# In B/C/D the q route (solve-q, tables --name t_clq) answers the minimal
+# zero-sector tails in closed form when the least tail that clears the bound
+# is valid, and otherwise by a pruned search over the partitions of the tail
+# size 2*zero_mult+eps, whose worst case grows by about 1.4x per +2 of that
+# size.  No q route bound is known to reach the search, but none is proved
+# not to, so the size stays bounded.
 Q_TAIL_MAX_TOTAL = 64
 
 

@@ -103,12 +103,22 @@ def minimal_valid_clearing(n: int, cls: ParityClass, bound: Sequence[int]) -> li
     parts compare equal and only the first of them in that order counts.
 
     The parity class is not closed under the dominance meet, so unlike in
-    least_clearing there may be several.  A depth-first search builds the
-    parts one at a time and tries the next part in ascending order, so its
-    leaves come in ascending lexicographic order of prefix sums, a linear
-    extension of dominance: a leaf is minimal iff no leaf kept before it lies
-    below it.  It lists no pool.  At a node with k parts summing to P, a
-    branch is cut when:
+    least_clearing there may be several.  Most often there is one, found in
+    closed form.  Cut W to at most n.  When W = n or the last entry of the
+    bound is n, the partitions counted here are exactly the partitions of n
+    with at most W parts that clear the bound, and least_clearing(n, bound)
+    gives their least element lam (Brylawski).  Every valid partition that
+    clears the bound dominates lam, so if lam is valid it is the unique
+    minimal one; if there is no lam, nothing clears.  Without the guard this
+    fails: minimal_valid_clearing(5, B, [2]) is [(2, 2, 1)], but
+    least_clearing(5, [2]) is (5,), since least_clearing forces P_W = n.
+
+    Otherwise, when lam is invalid or the guard fails, a depth-first search
+    builds the parts one at a time and tries the next part in ascending
+    order, so its leaves come in ascending lexicographic order of prefix
+    sums, a linear extension of dominance: a leaf is minimal iff no leaf kept
+    before it lies below it.  It lists no pool.  At a node with k parts
+    summing to P, a branch is cut when:
     - its next part x is below ceil((b_i - P) / (i - k + 1)) for some i >= k
       (0-based), since copies of x give the largest prefix sums any
       completion has and must still clear the bound;
@@ -128,6 +138,12 @@ def minimal_valid_clearing(n: int, cls: ParityClass, bound: Sequence[int]) -> li
         return []
     width = min(len(bound), n)
     bound = bound[:width]
+    if width == n or (width and bound[-1] == n):
+        least = least_clearing(n, bound)
+        if least is None:
+            return []
+        if is_valid(least, cls):
+            return [least]
     # Past the first entry equal to n the bound asks no more of a next part.
     reach = next((i for i, b in enumerate(bound) if b == n), width - 1) + 1
     bad = 1 if cls is ParityClass.C else 0  # the parity of parts that must pair up

@@ -226,6 +226,18 @@ class QCandidate(FrozenRecord):
     __slots__ = ("linear", "tail")
 
 
+class QCandidates(list):
+    """The candidates of q_candidates, a plain list to every reader, that
+    also carries the threshold orbit it read, so ds_solve_q reads the
+    threshold table once."""
+
+    __slots__ = ("threshold",)
+
+    def __init__(self, cands, threshold: NilpotentOrbit):
+        super().__init__(cands)
+        self.threshold = threshold
+
+
 def _anchor_bounds(
     c: int, p_o: list[int], linear: tuple[Partition, ...], tail: Partition
 ) -> tuple[bool, list[list[int]], list[int]]:
@@ -248,7 +260,7 @@ def _anchor_bounds(
     return works, slot_bounds, tail_bound
 
 
-def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -> list[QCandidate]:
+def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -> QCandidates:
     """Minimal orbits with the given eigenvalue multiplicities for which the
     verdict is affirmative: base factors are the evenly-distributed thresholds
     of the matching table row; one factor at a time is allowed to deviate and
@@ -279,9 +291,14 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     working choice: partitions.least_clearing computes it in closed form,
     without listing the partitions of the slot size.  The tails must also lie
     in a parity class, which the meet does not respect, so there may be
-    several minimal ones: partitions.minimal_valid_clearing generates them by
-    a pruned depth-first search over parts, without listing the valid tails
-    of the tail size."""
+    several minimal ones: partitions.minimal_valid_clearing finds them.  The
+    last entry of a tail bound is N - c * sum_i P_i(L) >= N - c * sum(mults),
+    the tail size, so the least clearing tail is the answer whenever it is
+    valid; only when it is not does a pruned depth-first search over parts
+    run, without listing the valid tails of the tail size.
+
+    The result is a QCandidates list, which also carries the threshold orbit
+    that the route read."""
     fam = t.family
     if t.is_exceptional:
         raise ValueError("fixed-characteristic-polynomial route is classical only")
@@ -369,7 +386,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
         if fam != "A":
             for tl in minimal_valid_clearing(tail_total, parity_class(t), tail_bound):
                 push(anchor_lin, tl)
-    return _prune_candidates(cands)
+    return QCandidates(_prune_candidates(cands), row.orbit)
 
 
 def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:
@@ -438,7 +455,6 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
         else (sum(a.zero_block) - (1 if t.family == "B" else 0)) // 2
     )
     cands = q_candidates(t, s, mults, zero_mult)
-    threshold, _ = o_nu_path(t, s)
     groups = _mult_groups(mults if t.family != "A" else tuple(mults) + ((zero_mult,) if zero_mult else ()))
     if t.family == "A":
         input_line = [b.partition for b in a.blocks] + ([a.zero_block] if zero_mult else [])
@@ -450,7 +466,7 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
     verdict = any(_cand_le(c, inp, groups) for c in cands)
     return DSAnswer(
         verdict,
-        threshold,
+        cands.threshold,
         None,
         None,
         "n/a",

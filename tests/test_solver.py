@@ -330,6 +330,64 @@ def test_minimal_valid_clearing_matches_scan(case):
     assert minimal_valid_clearing(n, cls, bound) == _scan_reference(n, cls, bound)
 
 
+def test_minimal_valid_clearing_closed_form_on_valid_least():
+    """When the least clearing partition lam is valid it is the answer: the
+    bound of every valid lam of n <= 30, in each parity class, at width
+    len(lam) (the bound ends in n), n and n + 3."""
+    cases = 0
+    for cls in ParityClass:
+        for n in range(31):
+            for lam in valid_partitions(n, cls):
+                for width in (len(lam), n, n + 3):
+                    assert minimal_valid_clearing(n, cls, prefix_sums(lam, width)) == [lam], (cls, lam, width)
+                    cases += 1
+    assert cases == 3 * sum(len(valid_partitions(n, cls)) for cls in ParityClass for n in range(31))
+
+
+def test_minimal_valid_clearing_needs_the_width_guard():
+    # at width 1 < n with a bound below n, (2, 2, 1) and its ties past the
+    # width are counted, but least_clearing takes one part: (5,)
+    assert least_clearing(5, [2]) == (5,)
+    assert minimal_valid_clearing(5, ParityClass.B, [2]) == [(2, 2, 1)]
+
+
+def test_ds_solve_q_reads_the_threshold_once(monkeypatch):
+    """ds_solve_q takes the threshold from the q_candidates result, which
+    compares and counts as the plain list of its candidates."""
+    import isods.solver as solver
+
+    calls = {"o_nu_rows": 0, "q_candidates": 0}
+    results = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            out = fn(*args)
+            if name == "q_candidates":
+                results.append(out)
+            return out
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    cells = (
+        ("A", 3, slope(3, 4), (Block("a", 2, (1, 1)), Block("b", 2, (2,))), ()),
+        ("B", 4, slope(3, 8), (Block("a", 1, (1,)), Block("b", 1, (1,))), (3, 1, 1)),
+        ("C", 6, slope(1, 4), (Block("a", 1, (1,)),), (4, 4, 2)),
+        ("D", 5, slope(1, 4), (Block("a", 2, (2,)),), (3, 1, 1, 1)),
+    )
+    for fam, n, s, blocks, tail in cells:
+        t = lie_type(fam, n)
+        calls.update(o_nu_rows=0, q_candidates=0)
+        ans = ds_solve_q(t, s, AdjointOrbit(t, blocks, tail))
+        assert calls == {"o_nu_rows": 1, "q_candidates": 1}, (fam, calls)
+        cands = results[-1]
+        plain = list(cands)
+        assert plain and cands == plain and len(cands) == len(plain)
+        assert ans.o_nu == cands.threshold == o_nu(t, s)
+
+
 def test_q_candidates_lists_no_partition_pool(monkeypatch):
     """The B/C/D zero sector is generated: the route never lists the
     partitions, valid or not, of a tail or slot size."""
