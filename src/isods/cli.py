@@ -225,11 +225,11 @@ SHOW_SUBSETS_MAX_RANK = 12
 # 250, 0.40 s at 500 and about 1.1 s (31 MB) at 1000.
 COXETER_MAX_RANK = 1000
 
-# `ds oracle` takes the Jordan type of a lattice model from the dense powers
-# of its operator, whose integer entries grow with the rank.  The slowest
+# `ds oracle` eliminates the image chain of a lattice model's operator and
+# its Q/L coordinates, whose integer entries grow with the rank.  The slowest
 # elliptic cells are B at m = 2 and 4: in a cold process on a shared 2-core
-# host, by a child-process timer, the slowest took 0.15 s at rank 30, 0.31 s
-# at 40, 1.1 s at 50 (B50 1/4) and 2.9 s at 58 (B58 1/4).
+# host, by a child-process timer, the slowest took 0.16 s at rank 30, 0.38 s
+# at 40, 1.3 s at 50 (B50 1/4) and 3.1 s at 58 (B58 1/4).
 ORACLE_MAX_RANK = 50
 
 

@@ -9,9 +9,15 @@ divided by the gcd of its entries to keep the numbers small.  Each step
 replaces a row by a nonzero multiple of itself plus a multiple of a stored
 row, so the span over Q of the rows seen so far does not change.  The stored
 rows have distinct lead columns, so they are independent, and a row that
-reduces to zero lies in their span: their number is the rank over Q, the
-rank that elimination with rational pivots gives.  No rational number is
-formed inside the loops.
+reduces to zero lies in their span: they are a basis of the row space
+(`row_basis`), and their number is the rank over Q (`sparse_rank`), the rank
+that elimination with rational pivots gives.  No rational number is formed
+inside the loops.
+
+The Jordan type of a nilpotent N comes from the ranks of its powers, taken
+along the image chain: rowspace(N^(j+1)) = rowspace(N^j)·N, so a basis of
+rowspace(N^j), each row multiplied by the sparse rows of N, spans
+rowspace(N^(j+1)).  No power of N is formed.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from typing import Iterable, Sequence
 Row = dict[int, int]
 
 
-def sparse_rank(rows: Iterable[Row]) -> int:
-    """Rank over Q of a matrix given as sparse integer rows (col -> int)."""
+def row_basis(rows: Iterable[Row]) -> list[Row]:
+    """Independent integer rows spanning the same space over Q as the sparse
+    integer rows (col -> int) given: the pivot rows elimination keeps."""
     pivots: dict[int, tuple[int, dict[int, int]]] = {}  # lead column -> (lead, rest of the row)
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
@@ -48,7 +55,12 @@ def sparse_rank(rows: Iterable[Row]) -> int:
                 g = gcd(*row.values())
                 if g > 1:
                     row = {cc: v // g for cc, v in row.items()}
-    return len(pivots)
+    return [{c: a, **rest} for c, (a, rest) in pivots.items()]
+
+
+def sparse_rank(rows: Iterable[Row]) -> int:
+    """Rank over Q of a matrix given as sparse integer rows (col -> int)."""
+    return len(row_basis(rows))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
@@ -70,17 +82,25 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
 def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Jordan type of a nilpotent integer operator from the rank sequence of
     its powers: multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) +
-    rank(N^(j+1))."""
+    rank(N^(j+1)).  rank(N^(j+1)) is the rank of a basis of rowspace(N^j)
+    times N."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in op]
     ranks = [dim]
-    power = op
+    basis = row_basis(sparse)
     while True:
-        r = sparse_rank({j: v for j, v in enumerate(row) if v} for row in power)
-        ranks.append(r)
-        if r == 0:
+        ranks.append(len(basis))
+        if not basis:
             break
-        power = mat_mul(power, op)
         if len(ranks) > dim + 2:
             raise ValueError("operator is not nilpotent")
+        image = []
+        for row in basis:
+            out: dict[int, int] = {}
+            for i, x in row.items():
+                for j, y in sparse[i].items():
+                    out[j] = out.get(j, 0) + x * y
+            image.append(out)
+        basis = row_basis(image)
     parts: list[int] = []
     ranks.append(0)
     for j in range(1, len(ranks) - 1):

@@ -8,7 +8,6 @@ from collections import Counter
 from functools import lru_cache
 
 from . import exceptional_data as xd
-from .linalg import sparse_rank
 from .partitions import (
     ParityClass,
     Partition,
@@ -215,11 +214,16 @@ def _form_blocks(p: Partition, symplectic: bool):
     return entries, form
 
 
+@lru_cache(maxsize=None)
 def _shift_piece_rank(a: int, b: int, down: bool, sym: int = 0) -> int:
     """Rank of S -> L·S + S·e on a×b matrices, e the upper shift of size b and
     L the lower shift of size a (down) or minus the upper one.  With sym = ±1
     (a == b) the map is taken on the symmetric or antisymmetric matrices, which
-    it preserves, in the coordinates of their upper triangle."""
+    it preserves, in the coordinates of their upper triangle.  The matrix
+    depends only on the four arguments, so each shape is eliminated in full
+    once per process."""
+    from .linalg import sparse_rank
+
     d = 1 if down else -1
     rows = []
     for r in range(a):
@@ -241,7 +245,8 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
 
     ad(e) maps the (i, j) block of X, rows in Jordan block i and columns in
     block j, to itself, so its rank is a sum over block pairs.  One piece is
-    eliminated per distinct pair of block sizes and counted once per pair."""
+    taken per distinct pair of block sizes and counted once per pair; its
+    rank is eliminated once per shape and process (`_shift_piece_rank`)."""
     t = o.type
     if t.is_exceptional:
         raise ValueError("matrix oracle is for classical types")

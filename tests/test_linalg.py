@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from isods.linalg import jordan_type_from_ranks, sparse_rank
+from isods import skeleton
+from isods.checks import check_skeleton
+from isods.linalg import jordan_type_from_ranks, row_basis, sparse_rank
 
 
 def _fraction_rank(rows) -> int:
@@ -58,6 +61,35 @@ def test_sparse_rank_matches_fraction_elimination(rows):
     assert sparse_rank(rows) == _fraction_rank(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_row_basis_is_independent_and_spans_the_rows(rows):
+    basis = row_basis(rows)
+    assert _fraction_rank(basis) == len(basis) == _fraction_rank(rows)
+    assert _fraction_rank([*rows, *basis]) == len(basis)
+
+
+def _dense_power_jordan_type(dim, op) -> tuple[int, ...]:
+    """Reference: the rank of every dense power N^j, each built as
+    N^(j-1)·N, with the same part multiplicities."""
+    ranks = [dim]
+    power = op
+    while True:
+        r = sparse_rank({j: v for j, v in enumerate(row) if v} for row in power)
+        ranks.append(r)
+        if r == 0:
+            break
+        power = [[sum(x * op[t][j] for t, x in enumerate(row) if x) for j in range(dim)] for row in power]
+        if len(ranks) > dim + 2:
+            raise ValueError("operator is not nilpotent")
+    parts: list[int] = []
+    ranks.append(0)
+    for j in range(1, len(ranks) - 1):
+        parts.extend([j] * (ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
+    assert sum(parts) == dim
+    return tuple(sorted(parts, reverse=True))
+
+
 @st.composite
 def conjugated_jordan_forms(draw):
     """(partition, P·J·P⁻¹): J nilpotent in Jordan form with nonzero integer
@@ -85,4 +117,24 @@ def conjugated_jordan_forms(draw):
 @given(conjugated_jordan_forms())
 def test_jordan_type_of_rational_conjugates(case):
     parts, op = case
-    assert jordan_type_from_ranks(len(op), op) == parts
+    assert jordan_type_from_ranks(len(op), op) == _dense_power_jordan_type(len(op), op) == parts
+
+
+def test_jordan_type_matches_dense_powers_on_the_lattice_models(monkeypatch):
+    seen = []
+
+    def recording(dim, op):
+        seen.append((dim, op))
+        return jordan_type_from_ranks(dim, op)
+
+    monkeypatch.setattr(skeleton, "jordan_type_from_ranks", recording)
+    assert check_skeleton(7) == (226, None)
+    assert len(seen) == 458
+    for dim, op in seen:
+        assert jordan_type_from_ranks(dim, op) == _dense_power_jordan_type(dim, op)
+
+
+def test_non_nilpotent_operator_raises():
+    for op in ([[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 2]]):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type_from_ranks(len(op), op)

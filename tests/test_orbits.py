@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from isods import orbits
+from isods import linalg, orbits
+from isods.checks import check_centralizer_oracle
 from isods.linalg import sparse_rank
 from isods.orbits import (
     AdjointOrbit,
@@ -140,19 +141,23 @@ def _unsplit_oracle(o: NilpotentOrbit) -> int:
     return len(basis) - sparse_rank(rows)
 
 
+def _oracle_types(max_total):
+    """Every valid Jordan type of total at most max_total, as check_centralizer_oracle walks them."""
+    for fam in "ABCD":
+        for n in range(3 if fam == "D" else (1 if fam == "A" else 2), max_total):
+            t = lie_type(fam, n)
+            if defining_dim(t) > max_total:
+                break
+            for p in partitions_of(defining_dim(t)):
+                if fam == "A" or is_valid(p, ParityClass[fam]):
+                    yield NilpotentOrbit(t, p)
+
+
 def test_blockwise_oracle_matches_unsplit_kernel():
     cases = 0
-    for fam in "ABCD":
-        for n in range(3 if fam == "D" else (1 if fam == "A" else 2), 10):
-            t = lie_type(fam, n)
-            N = defining_dim(t)
-            if N > 10:
-                break
-            for p in partitions_of(N):
-                if fam == "A" or is_valid(p, ParityClass[fam]):
-                    o = NilpotentOrbit(t, p)
-                    assert dim_centralizer_oracle(o, bound=10) == _unsplit_oracle(o), (fam, p)
-                    cases += 1
+    for o in _oracle_types(10):
+        assert dim_centralizer_oracle(o, bound=10) == _unsplit_oracle(o), (o.type, o.partition)
+        cases += 1
     assert cases == 242  # as check_centralizer_oracle(10) counts
     # a partition that no orthogonal or symplectic form admits (the orbit
     # type rejects it, so a bare object carries it), and a total above bound
@@ -161,6 +166,37 @@ def test_blockwise_oracle_matches_unsplit_kernel():
             dim_centralizer_oracle(SimpleNamespace(type=lie_type(fam, n), partition=p))
     with pytest.raises(ValueError, match="exceeds oracle bound"):
         dim_centralizer_oracle(NilpotentOrbit(lie_type("A", 10), (11,)), bound=10)
+
+
+def test_cached_piece_ranks_match_uncached():
+    piece = orbits._shift_piece_rank
+    for a in range(1, 15):
+        for b in range(1, 15):
+            for down in (True, False):
+                for sym in (-1, 0, 1) if a == b else (0,):
+                    assert piece(a, b, down, sym) == piece.__wrapped__(a, b, down, sym), (a, b, down, sym)
+
+
+def test_one_elimination_per_piece_shape(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(linalg, "sparse_rank", counting)
+    orbits._shift_piece_rank.cache_clear()
+    assert check_centralizer_oracle(14) == (842, None)
+    assert len(calls) == orbits._shift_piece_rank.cache_info().currsize == 161
+
+
+def test_oracle_same_with_cold_and_warm_piece_cache():
+    cold = []
+    for o in _oracle_types(14):
+        orbits._shift_piece_rank.cache_clear()
+        cold.append(dim_centralizer_oracle(o))
+    assert len(cold) == 842
+    assert [dim_centralizer_oracle(o) for o in _oracle_types(14)] == cold
 
 
 def test_oracle_rejects_a_form_e_is_not_skew_adjoint_for(monkeypatch):

@@ -124,6 +124,7 @@ def test_classical_orbit_verbs_load_no_route_or_table_module(argv):
     assert code == 0
     assert {"cli", "root_data", "solver"} <= modules
     assert not modules & {"coxeter", "skeleton", "tables", "checks"}, modules
+    assert "linalg" not in modules, modules
 
 
 @pytest.mark.parametrize("argv", [
