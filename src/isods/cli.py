@@ -179,23 +179,6 @@ def cmd_solve(args) -> int:
     return 3 if ans.affirmative == "unknown-needs-hasse" else 0
 
 
-# In B/C/D the q route (solve-q, tables --name t_clq) answers the minimal
-# zero-sector tails in closed form when the least tail that clears the bound
-# is valid, and otherwise by a pruned search over the partitions of the tail
-# size 2*zero_mult+eps, whose worst case grows by about 1.4x per +2 of that
-# size.  No q route bound is known to reach the search, but none is proved
-# not to, so the size stays bounded.
-Q_TAIL_MAX_TOTAL = 64
-
-
-def _check_tail_total(family: str, total: int) -> None:
-    if family in ("B", "C", "D") and total > Q_TAIL_MAX_TOTAL:
-        raise CliError(
-            f"the q route searches the partitions of the zero-sector size; size {total} is above the bound"
-            f" {Q_TAIL_MAX_TOTAL}"
-        )
-
-
 def cmd_solve_q(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
@@ -204,7 +187,6 @@ def cmd_solve_q(args) -> int:
 
     if not isinstance(orbit, AdjointOrbit):
         raise CliError("solve-q expects an adjoint orbit (kind=adjoint)")
-    _check_tail_total(t.family, sum(orbit.zero_block))
     from .solver import ds_solve_q
 
     ans = ds_solve_q(t, s, orbit)
@@ -302,8 +284,6 @@ def cmd_tables(args) -> int:
         mults = args.mults.split(",") if args.mults else []  # "" lists no multiplicity
         if "" in mults:
             raise CliError(f"--mults {args.mults!r} has an empty entry")
-        family = args.family or "B"  # the default of tables.generate
-        _check_tail_total(family, 2 * args.zero_mult + (family == "B"))
         kw = {
             "rank": args.rank,
             "slope": parse_slope(args.slope),

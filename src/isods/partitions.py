@@ -96,99 +96,6 @@ def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:
     return tuple(b - a for a, b in zip(prefix, prefix[1:]) if b > a)
 
 
-def minimal_valid_clearing(n: int, cls: ParityClass, bound: Sequence[int]) -> list[Partition]:
-    """The dominance-minimal partitions of n in the parity class cls whose
-    prefix sums, taken to width W = len(bound), are >= bound pointwise, in
-    partitions_of order.  When W < n, partitions that share their first W
-    parts compare equal and only the first of them in that order counts.
-
-    The parity class is not closed under the dominance meet, so unlike in
-    least_clearing there may be several.  Most often there is one, found in
-    closed form.  Cut W to at most n.  When W = n or the last entry of the
-    bound is n, the partitions counted here are exactly the partitions of n
-    with at most W parts that clear the bound, and least_clearing(n, bound)
-    gives their least element lam (Brylawski).  Every valid partition that
-    clears the bound dominates lam, so if lam is valid it is the unique
-    minimal one; if there is no lam, nothing clears.  Without the guard this
-    fails: minimal_valid_clearing(5, B, [2]) is [(2, 2, 1)], but
-    least_clearing(5, [2]) is (5,), since least_clearing forces P_W = n.
-
-    Otherwise, when lam is invalid or the guard fails, a depth-first search
-    builds the parts one at a time and tries the next part in ascending
-    order, so its leaves come in ascending lexicographic order of prefix
-    sums, a linear extension of dominance: a leaf is minimal iff no leaf kept
-    before it lies below it.  It lists no pool.  At a node with k parts
-    summing to P, a branch is cut when:
-    - its next part x is below ceil((b_i - P) / (i - k + 1)) for some i >= k
-      (0-based), since copies of x give the largest prefix sums any
-      completion has and must still clear the bound;
-    - a kept tail T lies below its envelope, the least prefix sums any
-      completion has: the fixed ones, then max(b_i, min(n, P + i - k + 1)).
-      T then lies below every leaf of the branch.  T_i <= n, so past the
-      fixed positions this asks T_i - i <= P - k + 1 wherever T_i > b_i: one
-      comparison with a suffix maximum computed when T is kept, made only
-      for the kept tails still below the fixed prefix sums;
-    - it ends a run of equal parts of odd length whose part has the parity
-      that cls requires to occur an even number of times; such a run may only
-      continue.
-    Past position W every completion compares equal, so parts are tried in
-    descending order there and the first valid leaf, the one partitions_of
-    lists first, cuts the rest."""
-    if max(bound, default=0) > n or n % 2 != (cls is ParityClass.B):
-        return []
-    width = min(len(bound), n)
-    bound = bound[:width]
-    if width == n or (width and bound[-1] == n):
-        least = least_clearing(n, bound)
-        if least is None:
-            return []
-        if is_valid(least, cls):
-            return [least]
-    # Past the first entry equal to n the bound asks no more of a next part.
-    reach = next((i for i, b in enumerate(bound) if b == n), width - 1) + 1
-    bad = 1 if cls is ParityClass.C else 0  # the parity of parts that must pair up
-    parts: list[int] = []
-    kept: list[tuple[list[int], list[int]]] = []  # prefix sums, suffix maxima
-    found: list[Partition] = []
-
-    def walk(total: int, run: int, live: list) -> bool:
-        """Search below the current parts; live holds the kept tails whose
-        prefix sums lie below the fixed ones.  True iff a kept tail cut it."""
-        k = len(parts)
-        if any(top[min(k, width)] <= total - k + 1 for _, top in live):
-            return True
-        last = parts[-1] if parts else n
-        closed = run % 2 == 0 or last % 2 != bad
-        if total == n:
-            if closed:
-                found.append(tuple(parts))
-                tail = prefix_sums(found[-1], width)
-                top = [0] * (width + 1)  # T_i - i and P - k + 1 are at least 1
-                for i in range(width - 1, -1, -1):
-                    top[i] = max(top[i + 1], tail[i] - i) if tail[i] > bound[i] else top[i + 1]
-                kept.append((tail, top))
-            return False
-        lo = max([1] + [-((total - bound[i]) // (i - k + 1)) for i in range(k, reach)])
-        hi = min(last, n - total)
-        if not closed:
-            choices = range(last, last + 1) if lo <= last <= hi else range(0)
-        else:
-            choices = range(lo, hi + 1) if k < width else range(hi, lo - 1, -1)
-        for x in choices:
-            below = [t for t in live if k >= width or t[0][k] <= total + x]
-            before = len(kept)
-            parts.append(x)
-            cut = walk(total + x, run + 1 if x == last else 1, below)
-            parts.pop()
-            live.extend(kept[before:])  # tails found below share the fixed prefix sums
-            if cut:  # a larger next part has a larger envelope; past W all are equal
-                break
-        return False
-
-    walk(0, 0, [])
-    return sorted(found, reverse=True)
-
-
 def lambda_evenly(n: int, r: int) -> Partition:
     """The unique partition of n with at most r parts, all of size
     floor(n/r) or ceil(n/r).  It is the dominance minimum among

@@ -20,10 +20,10 @@ from .orbits import (
 from .partitions import (
     Partition,
     dominance_le,
+    is_valid,
     is_very_even,
     lambda_evenly,
     least_clearing,
-    minimal_valid_clearing,
     partition,
     prefix_sums,
     union_parts,
@@ -290,12 +290,58 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     pointwise minimum of prefix sums, so a slot has at most one minimal
     working choice: partitions.least_clearing computes it in closed form,
     without listing the partitions of the slot size.  The tails must also lie
-    in a parity class, which the meet does not respect, so there may be
-    several minimal ones: partitions.minimal_valid_clearing finds them.  The
-    last entry of a tail bound is N - c * sum_i P_i(L) >= N - c * sum(mults),
-    the tail size, so the least clearing tail is the answer whenever it is
-    valid; only when it is not does a pruned depth-first search over parts
-    run, without listing the valid tails of the tail size.
+    in a parity class, which the meet does not respect, but the least
+    clearing tail lam = least_clearing(T, bound) of the tail size
+    T = 2 * zero_mult + eps is always valid, so it is the one minimal tail.
+    The last entry of a tail bound is N - 2 * sum_i P_i(L), at least
+    N - 2 * sum(mults) = T, so a tail that clears has at most L parts and
+    lam is the least of them; every valid tail that clears dominates lam,
+    and with no lam none clears.
+
+    Proof that lam is valid.  Write E(T, e) = ((q+1)^r, q^(e-r)) for the even
+    spread, T = q*e + r (lambda_evenly), tau + (1^j) for tau with j parts 1
+    added, and S for twice the componentwise sum of the linear factors, a
+    partition of N - T; a tail tau clears iff P_tau + P_S >= P_threshold.
+    The bound depends only on the factors, not on the anchor's tail.
+    - Parity.  E(T, e) is valid when e and T are even (r and e - r are
+      even), and when e is odd and T is odd in B and D, even in C: the part
+      whose parity must pair up then has an even multiplicity.  Parts 1
+      need no partner in B and D, the only classes with j > 0 below.
+    - Least elements.  E(T, e) is the least partition of T with at most e
+      parts, and E(T-j, e) + (1^j) the least with at most e + j parts and
+      P(e) >= T - j.  A partition of at least m*l with at most l parts has
+      P(k) >= k*m + 1 for 0 < k < l unless it is m^l (above m*l, as E's
+      do; at m*l, a concave sequence above the line k*m that touches it
+      inside (0, l) is the line), and these are the prefix sums of
+      (m+1, m^(l-2), m-1).
+    - nu >= 1: the threshold is (1^N) and the factors are (1^M), so (1^T),
+      the least partition of T, clears, and lam = (1^T) is valid.
+    - T = 0 (C, D): the only tail is (), which is valid.  Otherwise for
+      nu < 1 the factors are E(M, e) but for one slot of a placed anchor,
+      and each row has the threshold X + (1^j), X = E(N-j, e) in B1, C1, D1
+      (j = 0), B2, D3 (j = 1) and D4 (j = 2), and X = (m+1, m^(l-2), m-1)
+      with d = 1, m even and l = e even in D2 (j = 0), B3 (1) and D5 (2).
+    - Factors with at most e parts: the bound is T - j at e and T - j + i
+      at e + i, so a tail clears iff it has at most e + j parts,
+      P(e) >= T - j (each further part is at least 1) and its first e parts
+      tau' meet the bound below e.  With X = E(N-j, e), tau' + S has at
+      least N - j in at most e parts, so its prefix sums are at least X's
+      (those of E(n, e) grow with n): lam = E(T-j, e) + (1^j), with e odd
+      in B1, T even in C1, e even in B2, D1 and D4, and e and T - j odd in
+      D3.  With X the edge partition, the bound below e refuses only
+      tau' + S = m^l, and m^l - S, which weakly increases, is a partition
+      only when S is flat, (2a)^l.  The refused tau' is then q^l with
+      q = m - 2a even and T - j = q*l.  For q >= 2 the bound is the prefix
+      sums of lam = (q+1, q^(l-2), q-1) + (1^j), valid as l - 2 is even.
+      Otherwise (S not flat, or q = 0, where no tail of T >= 1 has
+      tau' = ()) lam = E(T-j, e) + (1^j) as above, with l and T - j even.
+    - A placed factor E(M-1, e) + (1) with e + 1 parts lowers P_S(e) to
+      N - T - 2, and the bound at e to T - j + 2.  For j <= 1 that is above
+      T and nothing clears.  For j = 2 a tail has at most e parts, and the
+      first e parts of S, a partition of N - 2 - T, give the bound below e
+      of the j = 0 row with threshold X: lam is E(T, e) in D4 (e and T
+      even) and in D5 the answer of D2 above.  A placed factor with at most
+      e parts is (1^M), covered above.
 
     The result is a QCandidates list, which also carries the threshold orbit
     that the route read."""
@@ -384,7 +430,9 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
                 lin[j] = mu
                 push(lin, anchor_tail)
         if fam != "A":
-            for tl in minimal_valid_clearing(tail_total, parity_class(t), tail_bound):
+            tl = least_clearing(tail_total, tail_bound)
+            if tl is not None:
+                assert is_valid(tl, parity_class(t)), (t, s, mults, zero_mult, tl)
                 push(anchor_lin, tl)
     return QCandidates(_prune_candidates(cands), row.orbit)
 

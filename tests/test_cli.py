@@ -182,22 +182,28 @@ def test_coxeter_show_subsets_rank_budget(capsys):
 
 
 def test_q_route_tail_size_budget(capsys):
-    from isods.cli import Q_TAIL_MAX_TOTAL
+    """The q route answers a B/C/D zero sector of any size: its tails come in
+    closed form, so solve-q and tables --name t_clq bound no tail size.  Zero
+    sectors of size 66 and 65, which the CLI once refused, answer as the
+    in-process route does."""
+    from isods.orbits import AdjointOrbit
+    from isods.root_data import slope
+    from isods.solver import ds_solve_q
+    from isods.tables import generate
 
-    assert Q_TAIL_MAX_TOTAL == 64
-    # C33 with zero multiplicity 33 and B32 with 32: zero sectors of size 66 and 65
-    refused = (
-        ["tables", "--name", "t_clq", "--family", "C", "--rank", "33", "--slope", "1/2", "--mults", "",
-         "--zero-mult", "33"],
-        ["tables", "--name", "t_clq", "--rank", "32", "--slope", "1/4", "--mults", "", "--zero-mult", "32"],
-        ["solve-q", "--type", "B", "--rank", "32", "--slope", "1/4", "--orbit", _adjoint_json([], [1] * 65)],
-    )
-    for argv in refused:
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1, argv
-        assert f"above the bound {Q_TAIL_MAX_TOTAL}" in captured.err, argv
-    # size 64 still answers, and so does the zero-heavy golden cell C26
+    # C33 with zero multiplicity 33 and B32 with 32 (B is the default family)
+    for family, rank, sl, zero_mult in (("C", 33, slope(1, 2), 33), (None, 32, slope(1, 4), 32)):
+        argv = ["tables", "--name", "t_clq", "--rank", str(rank), "--slope", str(sl), "--mults", "",
+                "--zero-mult", str(zero_mult)] + (["--family", family] if family else [])
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == generate("t_clq", family, None, rank=rank, slope=sl, mults=(),
+                                            zero_mult=zero_mult), argv
+    t = lie_type("B", 32)
+    code, out = run_cli(capsys, "solve-q", "--type", "B", "--rank", "32", "--slope", "1/4", "--orbit",
+                        _adjoint_json([], [1] * 65))
+    answer = ds_solve_q(t, slope(1, 4), AdjointOrbit(t, (), (1,) * 65)).to_json()
+    assert code == 0 and out == json.dumps(answer, sort_keys=True) + "\n"
+    # the cells that answered under the old bound of 64 still do: sizes 64 and 63, and the golden cell C26
     code, out = run_cli(capsys, "tables", "--name", "t_clq", "--family", "C", "--rank", "32", "--slope", "1/4",
                         "--mults", "", "--zero-mult", "32")
     assert code == 0 and out.splitlines()[1] == "C,32,1/4,,[" + ",".join(["4"] * 16) + "]"

@@ -15,7 +15,6 @@ from isods.partitions import (
     is_valid,
     is_very_even,
     least_clearing,
-    minimal_valid_clearing,
     partitions_of,
     prefix_sums,
     sum_parts,
@@ -233,7 +232,8 @@ def _valid_pool(n, cls, width):
 
 
 def _scan_reference(n, cls, bound):
-    """minimal_valid_clearing by a scan of every valid partition of n."""
+    """The dominance-minimal partitions of n in the parity class cls whose
+    prefix sums clear bound, by a scan of every valid partition of n."""
     return _dominance_minimal(*_valid_pool(n, cls, len(bound)), list(bound))
 
 
@@ -275,80 +275,45 @@ def test_dominance_minimal_matches_pairwise(pool, pad, data):
     assert _dominance_minimal(pool, prefixes, order, [0] * width) == _pairwise_minimal(pool)
 
 
-def test_minimal_valid_clearing_matches_scan_exhaustive():
-    """Every bound that is the prefix sums of a partition lambda of a total
-    n <= 20 (a tail clears it iff it dominates lambda), at widths n and n + 3,
-    in each parity class."""
-    cases = 0
-    for cls in ParityClass:
-        for n in range(21):
-            for lam in partitions_of(n):
-                for width in (n, n + 3):
-                    bound = prefix_sums(lam, width)
-                    assert minimal_valid_clearing(n, cls, bound) == _scan_reference(n, cls, bound), (cls, lam, width)
-                    cases += 1
-    assert cases == 3 * 2 * sum(len(partitions_of(n)) for n in range(21))
+def test_q_route_tails_are_the_least_clearing_tail(monkeypatch):
+    """Every tail bound that q_candidates builds in B, C and D at ranks up to
+    8, for every regular d/m with d < 2m, every zero multiplicity and every
+    multiplicity list of up to 3 slots: the minimal valid tails that clear
+    it, by a scan of the valid tails, are the least clearing tail alone, or
+    none when no tail clears (the proof in q_candidates' docstring).  Every
+    candidate the route returns has a valid tail and works."""
+    import isods.solver as solver
 
+    tail_bounds = []
 
-def _draw_partition(draw, n):
-    parts, rest = [], n
-    while rest:
-        parts.append(draw(st.integers(1, min(rest, parts[-1] if parts else rest))))
-        rest -= parts[-1]
-    return tuple(parts)
+    def spy(c, p_o, linear, tail):
+        out = _anchor_bounds(c, p_o, linear, tail)
+        tail_bounds.append(out[2])
+        return out
 
-
-@st.composite
-def tail_bounds(draw):
-    """A parity class, a tail size n <= 32 of its total parity and a bound of
-    the kind _anchor_bounds gives a tail: the prefix sums of a threshold of
-    size n + 2L less twice those of linear factors of size L, so entries may
-    be negative, not concave or above n; or the prefix sums of a partition of
-    n lowered at random.  The width runs from 0 to n + 4, below n as well as
-    above it."""
-    cls = draw(st.sampled_from(list(ParityClass)))
-    eps = 1 if cls is ParityClass.B else 0
-    n = 2 * draw(st.integers(0, (32 - eps) // 2)) + eps
-    width = draw(st.integers(0, n + 4))
-    if draw(st.booleans()):
-        L = draw(st.integers(0, 8))
-        threshold, linear = _draw_partition(draw, n + 2 * L), _draw_partition(draw, L)
-        bound = [o - 2 * x for o, x in zip(prefix_sums(threshold, width), prefix_sums(linear, width))]
-    else:
-        drops = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
-        bound = [x - y for x, y in zip(prefix_sums(_draw_partition(draw, n), width), drops)]
-    return cls, n, bound
-
-
-@settings(max_examples=300, deadline=None)
-@given(tail_bounds())
-@example((ParityClass.C, 22, [7, 16, 24] + [22] * 29))  # a q_growth bound with an entry above n
-@example((ParityClass.C, 0, [0, -2, 0]))
-@example((ParityClass.D, 12, [2, 4, 6, 7, 8]))  # width below n: ties past the width
-def test_minimal_valid_clearing_matches_scan(case):
-    cls, n, bound = case
-    assert minimal_valid_clearing(n, cls, bound) == _scan_reference(n, cls, bound)
-
-
-def test_minimal_valid_clearing_closed_form_on_valid_least():
-    """When the least clearing partition lam is valid it is the answer: the
-    bound of every valid lam of n <= 30, in each parity class, at width
-    len(lam) (the bound ends in n), n and n + 3."""
-    cases = 0
-    for cls in ParityClass:
-        for n in range(31):
-            for lam in valid_partitions(n, cls):
-                for width in (len(lam), n, n + 3):
-                    assert minimal_valid_clearing(n, cls, prefix_sums(lam, width)) == [lam], (cls, lam, width)
-                    cases += 1
-    assert cases == 3 * sum(len(valid_partitions(n, cls)) for cls in ParityClass for n in range(31))
-
-
-def test_minimal_valid_clearing_needs_the_width_guard():
-    # at width 1 < n with a bound below n, (2, 2, 1) and its ties past the
-    # width are counted, but least_clearing takes one part: (5,)
-    assert least_clearing(5, [2]) == (5,)
-    assert minimal_valid_clearing(5, ParityClass.B, [2]) == [(2, 2, 1)]
+    monkeypatch.setattr(solver, "_anchor_bounds", spy)
+    calls = 0
+    for fam in "BCD":
+        cls = ParityClass[fam]
+        for t, _, _, s in slope_cells(fam, 8, lambda t: range(1, 2 * t.rank + 1), lambda m: range(1, 2 * m)):
+            for zero_mult in range(t.rank + 1):
+                tail_total = 2 * zero_mult + (fam == "B")
+                for mults in partitions_of(t.rank - zero_mult):
+                    if len(mults) > 3:
+                        continue
+                    tail_bounds.clear()
+                    cands = q_candidates(t, s, mults, zero_mult)
+                    for bound in tail_bounds:
+                        lam = least_clearing(tail_total, bound)
+                        want = [] if lam is None else [lam]
+                        assert _scan_reference(tail_total, cls, bound) == want, (t, s, mults, zero_mult, bound)
+                        calls += 1
+                    o_part = cands.threshold.partition
+                    p_o = prefix_sums(o_part, len(o_part))
+                    for cand in cands:
+                        assert is_valid(cand.tail, cls), (t, s, mults, zero_mult, cand)
+                        assert _anchor_bounds(2, p_o, cand.linear, cand.tail)[0], (t, s, mults, zero_mult, cand)
+    assert calls == 11583
 
 
 def test_ds_solve_q_reads_the_threshold_once(monkeypatch):
