@@ -9,10 +9,10 @@ import random
 
 from .coxeter import UnsupportedSlopeError, coxeter_solve
 from .orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
-from .partitions import ParityClass, collapse, lambda_evenly, partition, partitions_of, valid_partitions
+from .partitions import ParityClass, collapse, dominance_le, lambda_evenly, partition, partitions_of, valid_partitions
 from .rigidity import closed_form_delta, coxeter_delta_column, delta_of_orbit
 from .root_data import coxeter_number, defining_dim, is_elliptic_regular, is_regular, lie_type, slope, slope_cells
-from .skeleton import minimal_jordan_type_report
+from .skeleton import _orthogonal_space, jordan_type, minimal_jordan_type_report, model_orthogonal
 from .solver import ds_solve, ds_solve_q, o_nu, o_nu_rows
 
 
@@ -69,19 +69,26 @@ def check_centralizer_oracle(max_total: int = 10) -> tuple[int, str | None]:
 
 def check_skeleton(max_rank: int = 5, seed: int = 0) -> tuple[int, str | None]:
     """Skeleton minimal Jordan types against the thresholds at the elliptic
-    slopes d/m, d < 2m (type A from rank 1)."""
+    slopes d/m, d < 2m (type A from rank 1).  At each B/D cell, the models
+    on two Lagrangians drawn from random.Random(seed) test the certificate:
+    their type equals the answer when d > 1 and dominates it when d = 1."""
+    rng = random.Random(seed)
     cases = 0
     for fam in ("A", "B", "C", "D"):
         cells = slope_cells(
             fam, max_rank, lambda t: range(2, 2 * t.rank + 2), lambda m: range(1, 2 * m),
             min_rank=1 if fam == "A" else None,
         )
-        for t, m, _, s in cells:
+        for t, m, d, s in cells:
             if not is_elliptic_regular(t, m):
                 continue
-            got, cert = minimal_jordan_type_report(t, s, seed=seed)
+            got, cert = minimal_jordan_type_report(t, s)
             if not cert or got != o_nu(t, s).partition:
                 return cases, f"mismatch at {t} {s}"
+            for _ in range(2 if fam in "BD" else 0):
+                other = jordan_type(model_orthogonal(t, m, d, _orthogonal_space(t, m)[0].random_lagrangian(rng)))
+                if (other != got if d > 1 else not dominance_le(got, other)):
+                    return cases, f"a random Lagrangian at {t} {s} gives {other} against the certified {got}"
             cases += 1
     return cases, None
 

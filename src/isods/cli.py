@@ -210,8 +210,8 @@ COXETER_MAX_RANK = 1000
 # `ds oracle` eliminates the image chain of a lattice model's operator and
 # its Q/L coordinates, whose integer entries grow with the rank.  The slowest
 # elliptic cells are B at m = 2 and 4: in a cold process on a shared 2-core
-# host, by a child-process timer, the slowest took 0.16 s at rank 30, 0.38 s
-# at 40, 1.3 s at 50 (B50 1/4) and 3.1 s at 58 (B58 1/4).
+# host, by a child-process timer (best of 7), the slowest (B at 1/2) took
+# 0.08 s at rank 30, 0.10 s at 40 and 0.11 s at 50, about 0.07 s of it start-up.
 ORACLE_MAX_RANK = 50
 
 
@@ -266,12 +266,12 @@ def cmd_oracle(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
     if args.budget < 0:
-        raise CliError(f"--budget {args.budget} is negative; it caps the random Lagrangians tried, at least 0")
+        raise CliError(f"--budget {args.budget} is negative; it must be at least 0, and the answer does not depend on it")
     if t.rank > ORACLE_MAX_RANK:
         raise CliError(f"the lattice models grow steeply with the rank; rank {t.rank} is above the bound {ORACLE_MAX_RANK}")
     from .skeleton import minimal_jordan_type_report
 
-    p, certified = minimal_jordan_type_report(t, s, search_budget=args.budget, seed=args.seed)
+    p, certified = minimal_jordan_type_report(t, s)
     _emit({"jordan_type": list(p), "certified": certified})
     return 0 if certified else 4
 
@@ -357,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="minimal Jordan type from the lattice models")
     add_type(p)
     p.add_argument("--slope", required=True)
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=10000, help="at least 0; does not change the answer")
+    p.add_argument("--seed", type=int, default=0, help="does not change the answer")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("tables", help="regenerate a table as CSV")

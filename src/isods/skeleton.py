@@ -1,8 +1,8 @@
 """Independent geometric oracle: the threshold orbit recomputed as the
 minimal Jordan type of a homogeneous degree-shift operator on graded lattice
-quotients, with an exact Lagrangian search in the edge cases.  Every model
-is built over the integers: scalars, form weights, Lagrangians and quotient
-coordinates are int, and the operator reaches `linalg` without a fraction.
+quotients, on a certified Lagrangian in B and D.  Every model is built over
+the integers: scalars, form weights, Lagrangians and quotient coordinates
+are int, and the operator reaches `linalg` without a fraction.
 
 Types A and C have one model per slope, made of blocks of one size.  In B
 and D the models live on the quadratic space Q of (type, m), made once per
@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .linalg import jordan_type_from_ranks, sparse_rank
-from .partitions import Partition, dominance_le, union_parts
+from .partitions import Partition, union_parts
 from .root_data import LieType, Record, Slope, UnsupportedSlopeError, defining_dim, is_elliptic_regular, is_regular
 
 Matrix = list[list[int]]
@@ -213,12 +213,10 @@ def _rank_s(space: QuadraticSpace, lag) -> int:
     return sparse_rank(dict(enumerate(v)) for v in (*lag, *image)) - len(lag)
 
 
-def minimal_jordan_type(
-    t: LieType, s: Slope, search_budget: int = 1000, seed: int = 0
-) -> Partition:
-    p, certified = minimal_jordan_type_report(t, s, search_budget, seed)
+def minimal_jordan_type(t: LieType, s: Slope) -> Partition:
+    p, certified = minimal_jordan_type_report(t, s)
     if not certified:
-        raise UnsupportedSlopeError(f"search budget exhausted without certification for {t} {s}")
+        raise UnsupportedSlopeError(f"the certificate fails at {t} {s}: its Lagrangian maps to Q/L with rank other than one")
     return p
 
 
@@ -228,13 +226,13 @@ def minimal_jordan_type_report(
     """Minimal Jordan type over the skeleton for elliptic slopes, and whether
     it is certified.
 
-    Types A and C have a single skeleton point.  For B/D the certified
-    Lagrangian's model comes first, then up to two random Lagrangians (at
-    most search_budget), drawn from a generator seeded with seed.  With
-    d > 1 the type is Lagrangian-independent, so every sample is asserted
-    equal to the first.  With d = 1 the certified rank-one Lagrangian realizes
-    the minimum, so the samples can only confirm it from above; the answer
-    is the dominance minimum seen, certified when that rank is one.
+    Types A and C have a single skeleton point.  In B and D the answer is
+    the model on the certified Lagrangian.  With d > 1 the type does not
+    depend on the Lagrangian.  With d = 1 the certified Lagrangian realizes
+    the minimum when it maps to Q/L with rank one under the m-th power,
+    which certifies the answer; `checks.check_skeleton` tests both claims on
+    random Lagrangians.  search_budget and seed do not affect the answer;
+    they stay while the benchmark's oracle workloads pass them.
     """
     d, m = s.d, s.m
     fam, n = t.family, t.rank
@@ -251,15 +249,9 @@ def minimal_jordan_type_report(
 
     space, _ = _orthogonal_space(t, m)
     base = model_orthogonal(t, m, d)
-    best = jordan_type(base)
-    _assert_block_range(base, best)
-    rng = random.Random(seed)
-    for _ in range(max(0, min(2, search_budget))):
-        other = jordan_type(model_orthogonal(t, m, d, space.random_lagrangian(rng)))
-        assert d == 1 or other == best, "Jordan type must not depend on the Lagrangian"
-        if other != best and dominance_le(other, best):
-            best = other
-    return best, d > 1 or _rank_s(space, space.lagrangian) == 1
+    jt = jordan_type(base)
+    _assert_block_range(base, jt)
+    return jt, d > 1 or _rank_s(space, space.lagrangian) == 1
 
 
 def _assert_block_range(model: GradedModel, jt: Partition) -> None:

@@ -200,7 +200,7 @@ def ds_solve(
         return DSAnswer("unknown-needs-hasse", threshold, o_nil, None, "n/a", path)
     notes = ("very-even comparison decided by dominance only",) if ambiguous else ()
     # Delta and rigidity are reported for affirmative verdicts only; rigid is
-    # "n/a" when Delta is undefined or the orbit's resonance is undecidable
+    # "n/a" when Delta is undefined or only an undecidable resonance decides it
     delta, rigid = None, "n/a"
     if verdict is True:
         from .rigidity import rigidity_verdict
@@ -210,7 +210,8 @@ def ds_solve(
         except (ValueError, KeyError):
             pass
         else:
-            delta, rigid = rep.delta, ("n/a" if rep.orbit_nonresonant is None else rep.rigid)
+            undecided = rep.m_elliptic and rep.delta == 0 and rep.orbit_nonresonant is None
+            delta, rigid = rep.delta, ("n/a" if undecided else rep.rigid)
     return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, notes)
 
 

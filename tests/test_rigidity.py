@@ -58,6 +58,13 @@ def test_ds_solve_rigidity_fields():
     ans = ds_solve(C3, s, mixed)
     assert ans.affirmative is True and ans.delta == 0 and ans.rigid == "n/a"
     assert ans.to_json()["delta"] == "0" and ans.to_json()["rigid"] == "n/a"
+    # the resonance is undecidable again, but Delta = 5 decides rigid as false
+    # (it once printed "n/a"), as rigidity_report does
+    A3, s5 = lie_type("A", 3), slope(5, 4)
+    mixed = AdjointOrbit(A3, (Block("a1", 1, (1,)), Block(Fraction(1, 2), 1, (1,))), (1, 1))
+    ans = ds_solve(A3, s5, mixed)
+    assert ans.affirmative is True and ans.delta == 5 and ans.rigid is False
+    assert rigidity_report(A3, s5, mixed).rigid is False
     # resonant: the long root doubles 1/2 to 1
     resonant = AdjointOrbit(C3, (Block(Fraction(1, 2), 3, (3,)),), ())
     ans = ds_solve(C3, s, resonant)

@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from isods import skeleton
+from isods import checks, skeleton
 from isods.checks import check_skeleton
+from isods.cli import main
 from isods.coxeter import UnsupportedSlopeError
 from isods.linalg import sparse_rank
 from isods.root_data import is_elliptic_regular, lie_type, slope, slope_cells
@@ -48,12 +50,47 @@ def test_unsupported_cases():
         minimal_jordan_type(lie_type("B", 3), slope(1, 3))  # m = 3 not elliptic
 
 
+def _elliptic_orthogonal_cells(max_rank=12):
+    """(type, m) of the elliptic B/D cells of rank <= max_rank."""
+    for fam in "BD":
+        for t, m, _, _ in slope_cells(fam, max_rank, lambda t: range(1, 2 * t.rank + 2), lambda m: (1,)):
+            if is_elliptic_regular(t, m):
+                yield t, m
+
+
 def test_certified_lagrangian_rank_one():
-    for cvals in ([1, 2], [0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3, 4, 5]):
-        for m in (2, 4, 6):
-            space = QuadraticSpace(cvals, m)
-            lag = space.lagrangian
-            assert _rank_s(space, [list(v) for v in lag]) == 1
+    # the certificate is all that stands behind a d = 1 answer, so it is
+    # checked on the space of every elliptic B/D cell of rank <= 12 as well
+    spaces = [QuadraticSpace(cvals, m) for cvals in ([1, 2], [0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3, 4, 5])
+              for m in (2, 4, 6)]
+    cells = list(_elliptic_orthogonal_cells())
+    assert len(cells) == 60
+    for space in spaces + [_orthogonal_space(t, m)[0] for t, m in cells]:
+        assert _rank_s(space, [list(v) for v in space.lagrangian]) == 1, (space.c, space.a)
+
+
+def test_answers_draw_no_random_lagrangian(monkeypatch, capsys):
+    def refuse(self, rng):
+        raise RuntimeError("the answer drew a random Lagrangian")
+
+    monkeypatch.setattr(QuadraticSpace, "random_lagrangian", refuse)
+    B4 = lie_type("B", 4)
+    assert minimal_jordan_type_report(B4, slope(1, 4), search_budget=1000, seed=3) == ((5, 3, 1), True)
+    assert main(["oracle", "--type", "B", "--rank", "4", "--slope", "1/4", "--budget", "10000", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"certified": True, "jordan_type": [5, 3, 1]}
+
+
+@pytest.mark.parametrize("fake,passed,first_bad", [
+    # dominates every type, so B2 1/2 (d = 1) passes and B2 3/2 fails
+    (lambda model: (len(model.operator) + model.isolated_lines,), 7, "B2 3/2 gives (5,)"),
+    (lambda model: (1,) * (len(model.operator) + model.isolated_lines), 6, "B2 1/2 gives (1, 1, 1, 1, 1)"),
+], ids=["regular", "zero"])
+def test_check_skeleton_reports_a_sample_against_the_certificate(monkeypatch, fake, passed, first_bad):
+    # a sample off the certified type is a failure string of the check after
+    # the 6 cells of A1 and A2, not an AssertionError inside the oracle
+    monkeypatch.setattr(checks, "jordan_type", fake)
+    cases, failure = check_skeleton(2)
+    assert cases == passed and failure.startswith(f"a random Lagrangian at {first_bad} against"), failure
 
 
 def test_jordan_type_independent_of_lagrangian_basis():
@@ -206,6 +243,7 @@ def test_models_are_built_over_the_integers(monkeypatch):
         return traced(model)
 
     monkeypatch.setattr(skeleton, "jordan_type", record)
+    monkeypatch.setattr(checks, "jordan_type", record)  # the random-Lagrangian models
     cases, failure = check_skeleton(6)
     assert failure is None and cases
     assert {m.type.family for m in models} == set("ABCD")
@@ -223,17 +261,14 @@ def _kind(t, m):
 
 def test_orthogonal_space_matches_kind_table():
     cells = 0
-    for fam in "BD":
-        for t, m, _, _ in slope_cells(fam, 12, lambda t: range(1, 2 * t.rank + 2), lambda m: (1,)):
-            if not is_elliptic_regular(t, m):
-                continue
-            kind = _kind(t, m)
-            zero_line = kind in ("B-odd", "D-odd")
-            ell = (2 * t.rank - 2) // m if kind == "D-odd" else 2 * t.rank // m
-            space, isolated = _orthogonal_space(t, m)
-            assert (space.c[0] == 0, isolated) == (zero_line, int(kind in ("B-even", "D-odd"))), (t, m)
-            assert space.c == [0] * zero_line + list(range(1, ell + 1)), (t, m)
-            cells += 1
+    for t, m in _elliptic_orthogonal_cells():
+        kind = _kind(t, m)
+        zero_line = kind in ("B-odd", "D-odd")
+        ell = (2 * t.rank - 2) // m if kind == "D-odd" else 2 * t.rank // m
+        space, isolated = _orthogonal_space(t, m)
+        assert (space.c[0] == 0, isolated) == (zero_line, int(kind in ("B-even", "D-odd"))), (t, m)
+        assert space.c == [0] * zero_line + list(range(1, ell + 1)), (t, m)
+        cells += 1
     assert cells == 60
 
 
