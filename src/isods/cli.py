@@ -279,7 +279,7 @@ def cmd_oracle(args) -> int:
 def cmd_tables(args) -> int:
     kw = {}
     if args.name == "t_clq":
-        if not (args.rank and args.slope and args.mults is not None):
+        if None in (args.rank, args.slope, args.mults):
             raise CliError("t_clq needs --rank, --slope and --mults")
         mults = args.mults.split(",") if args.mults else []  # "" lists no multiplicity
         if "" in mults:

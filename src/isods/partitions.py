@@ -10,7 +10,6 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import le
 from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -62,38 +61,54 @@ def dominance_le(p: Partition, q: Partition) -> bool:
 
 
 def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:
-    """The dominance-least partition of n whose prefix sums, taken to width
-    W = len(bound), are >= bound pointwise; None if no partition of n does.
+    """The dominance-least partition of n with at most W = len(bound) parts
+    whose prefix sums P_1, ..., P_W are >= bound pointwise.  None exactly
+    when max(bound) > n, or when the bound is empty and n > 0; otherwise (n)
+    clears the bound.
 
-    The prefix sums P_0 = 0, P_1, ..., P_W = n of the partitions of n with at
-    most W parts are the integer sequences that are concave (parts weakly
-    decreasing) and bounded by n.  A pointwise minimum of such sequences is
-    one again, and it still clears the bound: the set that clears it is
-    closed under the dominance meet (Brylawski, The lattice of integer
-    partitions, 1973), so it has a least element.  That element is the least
-    fixed point of P_k >= max(b_k, 0, ceil((P_{k-1} + P_{k+1}) / 2)) with
-    P_W = n, reached by raising entries from below; no entry ever passes the
-    one of a solution, so once one passes n there is none."""
+    Its prefix sums P_0 = 0, ..., P_W = n are the least concave integer
+    sequence above the clipped bound c_k = max(b_k, 0), pinned at c_0 = 0
+    and c_W = n: concave sequences are closed under the pointwise minimum,
+    the dominance meet (Brylawski, The lattice of integer partitions, 1973).
+    Write E(a, b) for the even spread from (a, c_a) to (b, c_b), c_a plus
+    the prefix sums of lambda_evenly(c_b - c_a, b - a); its first part is
+    the ceiling and its last the floor of the slope
+    s_ab = (c_b - c_a)/(b - a).
+
+    1. Between consecutive points a < b where P meets c, P = E(a, b): if its
+       parts there differed by 2 or more, moving a unit from the last
+       largest to the first smallest would keep them decreasing and lower P
+       by one strictly between a and b, where P > c.
+    2. E(a, b) is the least concave integer path from (a, c_a) to (b, c_b)
+       (lambda_evenly is the least partition with at most b - a parts), and
+       lies below any concave path with higher ends too: one more unit in a
+       spread's total raises each of its prefix sums by 0 or 1.
+    3. The pass joins k by one step to the path of spreads found for
+       c_0..c_{k-1}, then pops the top vertex v, with u below it, while
+       floor(s_uv) < ceil(s_vk).  A pop replaces E(u, v) and E(v, k) by
+       E(u, k), which reaches c_v at v (v lies below the chord from u to k,
+       or both slopes lie in one [f, f + 1] and E(u, k) puts its parts f + 1
+       first), so by 2 it lies above both and the path still clears c.
+       After the pops the join at v is concave.  By induction and 2, every
+       concave path above c_0..c_k lies above this one, so at k = W it is P
+       (its parts are nonnegative: it lies below the prefix sums of (n) and
+       ends at n)."""
     if max(bound, default=0) > n or (not bound and n):
         return None
     # A partition of n has P_k = n for every k >= n, so past position n the
     # bound asks only what the check above did.
     width = min(len(bound), n)
-    prefix = [0, *(max(b, 0) for b in bound[:width])]
-    prefix[width] = n
-    todo = list(range(1, width))
-    while todo:
-        k = todo.pop()
-        need = (prefix[k - 1] + prefix[k + 1] + 1) // 2
-        if need > prefix[k]:
-            if need > n:
-                return None
-            prefix[k] = need
-            if k > 1:
-                todo.append(k - 1)
-            if k < width - 1:
-                todo.append(k + 1)
-    return tuple(b - a for a, b in zip(prefix, prefix[1:]) if b > a)
+    c = [0, *(max(b, 0) for b in bound[:width])]
+    c[width] = n
+    hull = [0]
+    for k in range(1, width + 1):
+        while len(hull) > 1:
+            u, v = hull[-2:]
+            if (c[v] - c[u]) // (v - u) >= -((c[v] - c[k]) // (k - v)):
+                break
+            hull.pop()
+        hull.append(k)
+    return tuple(x for a, b in zip(hull, hull[1:]) for x in lambda_evenly(c[b] - c[a], b - a))
 
 
 def lambda_evenly(n: int, r: int) -> Partition:

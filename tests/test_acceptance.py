@@ -52,6 +52,7 @@ _CLQ_CELLS = (
     ("C", 26, 1, 4, (1,), 25),
     ("D", 5, 3, 4, (1, 1, 1), 2),
     ("D", 6, 1, 5, (3,), 3),
+    ("B", 2000, 3, 4, (1000, 500), 500),
 )
 GOLDEN = {
     **{

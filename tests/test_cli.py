@@ -288,6 +288,9 @@ def test_inconsistent_slot_data_exit_2(capsys):
         (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "3,", "--zero-mult=1"], "empty entry"),
         # an empty --mults lists no nonzero multiplicity
         (["--family", "B", "--rank", "4", "--slope", "1/4", "--mults", "", "--zero-mult=1"], "sum to 1, expected 4"),
+        # a given but invalid rank or slope is reported as such, not as missing
+        (["--family", "B", "--rank", "0", "--slope", "1/4", "--mults", "1"], "B-rank must be >= 2"),
+        (["--family", "B", "--rank", "4", "--slope=", "--mults", "4"], "slope must be d or d/m in ASCII digits"),
     )
     for argv, message in cases:
         assert main(["tables", "--name", "t_clq", *argv]) == 2, argv

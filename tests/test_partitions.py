@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from typing import Sequence
 
 import pytest
 
@@ -10,9 +12,11 @@ from isods.partitions import (
     is_very_even,
     lambda_evenly,
     lambda_tilde,
+    least_clearing,
     partition,
     partitions_exact_parts,
     partitions_of,
+    prefix_sums,
     sum_parts,
     transpose,
     valid_partitions,
@@ -85,6 +89,75 @@ def test_lambda_evenly_is_dominance_minimum():
             for q in partitions_of(n):
                 if len(q) <= r:
                     assert dominance_le(lam, q)
+
+
+def _worklist_reference(n: int, bound: Sequence[int]):
+    """least_clearing as a worklist relaxation: the least fixed point of
+    P_k >= max(b_k, 0, ceil((P_{k-1} + P_{k+1}) / 2)) with P_W = n, reached by
+    raising prefix sums one step at a time."""
+    if max(bound, default=0) > n or (not bound and n):
+        return None
+    width = min(len(bound), n)
+    prefix = [0, *(max(b, 0) for b in bound[:width])]
+    prefix[width] = n
+    todo = list(range(1, width))
+    while todo:
+        k = todo.pop()
+        need = (prefix[k - 1] + prefix[k + 1] + 1) // 2
+        if need > prefix[k]:
+            if need > n:
+                return None
+            prefix[k] = need
+            if k > 1:
+                todo.append(k - 1)
+            if k < width - 1:
+                todo.append(k + 1)
+    return tuple(b - a for a, b in zip(prefix, prefix[1:]) if b > a)
+
+
+def _check_least_clearing(n, bound):
+    least = least_clearing(n, bound)
+    assert least == _worklist_reference(n, bound), (n, bound)
+    if max(bound, default=0) > n or (not bound and n):
+        assert least is None, (n, bound)
+    else:
+        assert sum(least) == n and len(least) <= len(bound), (n, bound, least)
+        assert list(least) == sorted(least, reverse=True), (n, bound, least)
+        assert all(p >= b for p, b in zip(prefix_sums(least, len(bound)), bound)), (n, bound, least)
+
+
+def test_least_clearing_matches_worklist_exhaustive():
+    # every bound of width <= 5 with entries in [-1, n + 1], n <= 7
+    for n in range(8):
+        for width in range(6):
+            for bound in product(range(-1, n + 2), repeat=width):
+                _check_least_clearing(n, bound)
+
+
+def test_least_clearing_matches_worklist_random():
+    rng = random.Random(20261019)
+    for i in range(3000):
+        n = rng.randint(0, 300)
+        bound = [rng.randint(-3, n + 2) for _ in range(rng.randint(0, 60))]
+        if i % 2:
+            bound.sort()
+        _check_least_clearing(n, bound)
+
+
+def test_least_clearing_none_contract():
+    assert least_clearing(0, []) == ()
+    assert least_clearing(3, []) is None
+    assert least_clearing(3, [0, 4]) is None
+    assert least_clearing(3, [4, 0, 0]) is None
+    assert least_clearing(3, [3]) == (3,)
+    assert least_clearing(3, [0, 0, 3]) == (1, 1, 1)
+    assert least_clearing(0, [-2, 0]) == ()
+    # at most len(bound) parts, so a bound shorter than n pins P_W = n
+    assert least_clearing(6, [1, 4, 5]) == (2, 2, 2)
+    assert least_clearing(6, [1, 4, 5, 6]) == (2, 2, 1, 1)
+    # spreads between the points where the least element meets the bound
+    assert least_clearing(10, [4, 4, 9, 10]) == (4, 3, 2, 1)
+    assert least_clearing(7, [-1, 5, 5, 7]) == (3, 2, 1, 1)
 
 
 def test_lambda_tilde_examples():
