@@ -246,7 +246,7 @@ def cmd_delta(args) -> int:
     from .rigidity import rigidity_report
 
     rep = rigidity_report(t, s, orbit)
-    _emit({"delta": str(rep.delta), "rigid": rep.rigid})
+    _emit({"delta": str(rep.delta), "rigid": "n/a" if rep.rigid is None else rep.rigid})
     return 0
 
 

@@ -27,7 +27,8 @@ from .solver import ds_solve, o_nu
 class RigidityReport(FrozenRecord):
     """Delta = (nu_phi - dim_c + dim_tw) / 2 with its three terms, and the
     rigidity verdict: rigid needs an elliptic denominator, a non-resonant
-    orbit and Delta = 0; orbit_nonresonant is None when undecidable."""
+    orbit and Delta = 0.  orbit_nonresonant is None when undecidable, and so
+    is rigid when the denominator is elliptic and Delta = 0."""
 
     __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
 
@@ -49,7 +50,7 @@ def rigidity_verdict(
     known, each term of Delta computed once.  A nilpotent orbit is
     non-resonant."""
     if not is_regular(t, s.m):
-        raise ValueError(f"{s.m} is not regular for {t}")
+        raise UnsupportedSlopeError(f"{s.m} is not regular for {t}")
     nu_phi, dim_c, dim_tw = s.nu * phi_count(t), dim_centralizer(o_nil), dim_cartan_fixed(t, s.m)
     d = Fraction(nu_phi - dim_c + dim_tw, 2)
     try:
@@ -57,16 +58,17 @@ def rigidity_verdict(
     except ValueError:
         nonres = None
     ell = is_elliptic_regular(t, s.m)
-    return RigidityReport(d, nu_phi, dim_c, dim_tw, bool(ell and nonres and d == 0), ell, nonres)
+    return RigidityReport(d, nu_phi, dim_c, dim_tw, nonres if ell and d == 0 else False, ell, nonres)
 
 
 def rigidity_report(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> RigidityReport:
     return rigidity_verdict(t, s, orbit, ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit)
 
 
-def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool:
+def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool | None:
     """Requires an affirmative verdict; true iff the denominator is elliptic,
-    the orbit is non-resonant, and Delta vanishes."""
+    the orbit is non-resonant, and Delta vanishes.  None when the denominator
+    is elliptic and Delta vanishes but the resonance is undecidable."""
     ans = ds_solve(t, s, orbit)
     if ans.affirmative is not True:
         raise ValueError(f"verdict for ({t}, {s}) is not affirmative: {ans.affirmative}")

@@ -1,6 +1,11 @@
 """Static root-system data: Cartan matrices, positive roots, affine marks,
 exponents, Coxeter numbers, regular and elliptic-regular number predicates.
 
+Of the Weyl-group invariants only the exponents are embedded: the root
+count, the regular numbers and ellipticity derive from them (Springer,
+Invent. Math. 1974; Lehrer-Springer, Canad. J. Math. 1999), and no list of
+regular numbers is embedded.
+
 It also holds what the command line needs before it loads an engine module:
 the two exceptions `cli.main` maps to exit codes and the table names; and
 the two bases of the package's value classes, `Record` and `FrozenRecord`,
@@ -298,18 +303,7 @@ def highest_root(t: LieType) -> tuple[int, ...]:
     return max(found, key=sum)
 
 
-def phi_count(t: LieType) -> int:
-    """Number of roots."""
-    fam, n = t.family, t.rank
-    if fam == "A":
-        return n * (n + 1)
-    if fam in ("B", "C"):
-        return 2 * n * n
-    if fam == "D":
-        return 2 * n * (n - 1)
-    return {"G2": 12, "F4": 48, "E6": 72, "E7": 126, "E8": 240}[fam]
-
-
+@lru_cache(maxsize=None)
 def exponents(t: LieType) -> tuple[int, ...]:
     fam, n = t.family, t.rank
     if fam == "A":
@@ -331,48 +325,36 @@ def coxeter_number(t: LieType) -> int:
     return max(exponents(t)) + 1
 
 
+@lru_cache(maxsize=None)
+def phi_count(t: LieType) -> int:
+    """Number of roots: the rank times the Coxeter number."""
+    return t.rank * coxeter_number(t)
+
+
+@lru_cache(maxsize=None)
 def dim_cartan_fixed(t: LieType, m: int) -> int:
     """dim of the fixed space of a regular element of order m on the Cartan:
-    the number of exponents divisible by m."""
+    the number of exponents divisible by m, as its eigenvalues there are
+    zeta^e over the exponents e, zeta a primitive m-th root of unity
+    (Springer)."""
     return sum(1 for e in exponents(t) if e % m == 0)
 
 
-# Regular numbers of the Weyl groups; exceptional values embedded as data.
-_REGULAR_EXC = {
-    "G2": {1, 2, 3, 6},
-    "F4": {1, 2, 3, 4, 6, 8, 12},
-    "E6": {1, 2, 3, 4, 6, 8, 9, 12},
-    "E7": {1, 2, 3, 6, 7, 9, 14, 18},
-    "E8": {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30},
-}
-
-
+@lru_cache(maxsize=None)
 def is_regular(t: LieType, m: int) -> bool:
-    if m < 1:
-        return False
-    fam, n = t.family, t.rank
-    if fam == "A":
-        N = n + 1
-        return N % m == 0 or (N - 1) % m == 0
-    if fam in ("B", "C"):
-        return (2 * n) % m == 0 or n % m == 0
-    if fam == "D":
-        return n % m == 0 or (2 * n - 2) % m == 0 or (n - 1) % m == 0
-    return m in _REGULAR_EXC[fam]
+    """Whether m >= 1 is a regular number of the Weyl group: as many degrees
+    e + 1 as codegrees e - 1 are multiples of m (Lehrer-Springer), with no
+    embedded list of regular numbers."""
+    es = exponents(t)
+    return m >= 1 and sum((e + 1) % m == 0 for e in es) == sum((e - 1) % m == 0 for e in es)
 
 
 def is_elliptic_regular(t: LieType, m: int) -> bool:
+    """Whether a regular element of order m fixes no nonzero vector of the
+    Cartan, that is no exponent is divisible by m (Springer); a ValueError
+    when m is not regular."""
     if not is_regular(t, m):
         raise ValueError(f"{m} is not a regular number for {t}")
-    fam, n = t.family, t.rank
-    if fam == "A":
-        return m == n + 1
-    if fam in ("B", "C"):
-        return m % 2 == 0 and (2 * n) % m == 0
-    if fam == "D":
-        if m % 2 == 0 and n % m == 0:
-            return True
-        return (2 * n - 2) % m == 0 and ((2 * n - 2) // m) % 2 == 1
     return dim_cartan_fixed(t, m) == 0
 
 

@@ -235,13 +235,11 @@ def minimal_jordan_type_report(
     they stay while the benchmark's oracle workloads pass them.
     """
     d, m = s.d, s.m
-    fam, n = t.family, t.rank
+    fam = t.family
     if t.is_exceptional:
         raise UnsupportedSlopeError(f"the graded lattice models cover types A-D, not {fam}")
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} not regular for {t}")
-    if fam == "A" and m != n + 1:
-        raise UnsupportedSlopeError("type A skeleton model needs m = n + 1")
     if not is_elliptic_regular(t, m):
         raise UnsupportedSlopeError(f"{m} is not elliptic for {t}; use the table route")
     if fam in ("A", "C"):

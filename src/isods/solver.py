@@ -210,8 +210,7 @@ def ds_solve(
         except (ValueError, KeyError):
             pass
         else:
-            undecided = rep.m_elliptic and rep.delta == 0 and rep.orbit_nonresonant is None
-            delta, rigid = rep.delta, ("n/a" if undecided else rep.rigid)
+            delta, rigid = rep.delta, ("n/a" if rep.rigid is None else rep.rigid)
     return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, notes)
 
 

@@ -577,6 +577,24 @@ def test_delta_command(capsys):
     assert json.loads(out) == {"delta": "2", "rigid": False}
 
 
+def test_delta_and_solve_agree_on_undecidable_rigid(capsys):
+    # symbolic and rational tags at an elliptic m with Delta = 0: ds delta
+    # once printed false where ds solve printed "n/a"
+    orbit = json.dumps({"kind": "adjoint", "zero_block": [], "blocks": [
+        {"eig": "a", "mult": 1, "partition": [1]}, {"eig": "1/3", "mult": 2, "partition": [2]}]})
+    head = ["--type", "C", "--rank", "3", "--slope", "1/6", "--orbit", orbit]
+    code, out = run_cli(capsys, "delta", *head)
+    assert code == 0 and json.loads(out) == {"delta": "0", "rigid": "n/a"}
+    code, out = run_cli(capsys, "solve", *head)
+    assert code == 0 and json.loads(out)["rigid"] == "n/a"
+
+
+def test_delta_at_a_non_regular_slope_is_an_unsupported_slope(capsys):
+    assert main(["delta", "--type", "B", "--rank", "2", "--slope", "1/3", "--orbit", "[3,1,1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("unsupported slope: ")
+
+
 def test_coxeter_command(capsys):
     code, out = run_cli(capsys, "coxeter", "--type", "F4", "--d", "5", "--show-subsets")
     assert code == 0

@@ -58,6 +58,7 @@ def test_ds_solve_rigidity_fields():
     ans = ds_solve(C3, s, mixed)
     assert ans.affirmative is True and ans.delta == 0 and ans.rigid == "n/a"
     assert ans.to_json()["delta"] == "0" and ans.to_json()["rigid"] == "n/a"
+    assert rigidity_report(C3, s, mixed).rigid is None
     # the resonance is undecidable again, but Delta = 5 decides rigid as false
     # (it once printed "n/a"), as rigidity_report does
     A3, s5 = lie_type("A", 3), slope(5, 4)

@@ -159,17 +159,55 @@ def test_regular_examples():
         is_elliptic_regular(lie_type("C", 3), 4)
 
 
-def test_elliptic_iff_no_fixed_vectors():
-    for t in ALL_TYPES:
-        for m in range(1, coxeter_number(t) + 1):
-            if not is_regular(t, m):
-                continue
-            assert is_elliptic_regular(t, m) == (dim_cartan_fixed(t, m) == 0), (t, m)
+# The per-family ladders and the exceptional list of regular numbers that
+# `is_regular` and `is_elliptic_regular` once embedded, kept as an
+# independent reference for the derivation from the exponents.
+_REGULAR_EXC = {
+    "G2": {1, 2, 3, 6},
+    "F4": {1, 2, 3, 4, 6, 8, 12},
+    "E6": {1, 2, 3, 4, 6, 8, 9, 12},
+    "E7": {1, 2, 3, 6, 7, 9, 14, 18},
+    "E8": {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30},
+}
 
 
-def test_elliptic_implies_regular():
-    # membership is only defined on regular m; the exceptional data lists agree
-    for t in ALL_TYPES:
-        for m in range(1, coxeter_number(t) + 1):
-            if is_regular(t, m) and is_elliptic_regular(t, m):
-                assert is_regular(t, m)
+def _regular_reference(t, m):
+    if m < 1:
+        return False
+    fam, n = t.family, t.rank
+    if fam == "A":
+        N = n + 1
+        return N % m == 0 or (N - 1) % m == 0
+    if fam in ("B", "C"):
+        return (2 * n) % m == 0 or n % m == 0
+    if fam == "D":
+        return n % m == 0 or (2 * n - 2) % m == 0 or (n - 1) % m == 0
+    return m in _REGULAR_EXC[fam]
+
+
+def _elliptic_reference(t, m):
+    if not _regular_reference(t, m):
+        raise ValueError(f"{m} is not a regular number for {t}")
+    fam, n = t.family, t.rank
+    if fam == "A":
+        return m == n + 1
+    if fam in ("B", "C"):
+        return m % 2 == 0 and (2 * n) % m == 0
+    if fam == "D":
+        if m % 2 == 0 and n % m == 0:
+            return True
+        return (2 * n - 2) % m == 0 and ((2 * n - 2) // m) % 2 == 1
+    return dim_cartan_fixed(t, m) == 0
+
+
+def test_regular_and_elliptic_match_the_family_ladders():
+    types = [lie_type(f, n) for f in "ABCD" for n in range({"A": 1, "D": 3}.get(f, 2), 61)]
+    for t in types + [lie_type(f) for f in ("G2", "F4", "E6", "E7", "E8")]:
+        for m in range(-2, 4 * coxeter_number(t) + 5):
+            regular = is_regular(t, m)
+            assert regular == _regular_reference(t, m), (t, m)
+            if regular:
+                assert is_elliptic_regular(t, m) == _elliptic_reference(t, m), (t, m)
+            else:
+                with pytest.raises(ValueError):
+                    is_elliptic_regular(t, m)
