@@ -1,9 +1,11 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from isods.root_data import (
     affine_marks,
+    cartan_matrix,
     coxeter_number,
     dim_cartan_fixed,
     exponents,
@@ -157,6 +159,68 @@ def test_regular_examples():
     assert is_elliptic_regular(lie_type("C", 4), 8)
     with pytest.raises(ValueError):
         is_elliptic_regular(lie_type("C", 3), 4)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _coxeter_element(t):
+    # s_1 ... s_r on the root lattice: s_i(alpha_j) = alpha_j - A[i][j] alpha_i
+    A = cartan_matrix(t)
+    r = t.rank
+    c = [[int(k == j) for j in range(r)] for k in range(r)]
+    for i in range(r):
+        s = [[int(k == j) - (A[i][j] if k == i else 0) for j in range(r)] for k in range(r)]
+        c = _matmul(c, s)
+    return c
+
+
+def _matrix_rank(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(len(rows)):
+            if k != rank and rows[k][col]:
+                f = rows[k][col] / rows[rank][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_elliptic_iff_no_fixed_vectors():
+    # c^(h/m), c a Coxeter element, is regular of order m for every m | h;
+    # its fixed space on the Cartan, read off the reflection matrices, has
+    # the dimension dim_cartan_fixed gives and is zero exactly when m is
+    # elliptic
+    for t in ALL_TYPES:
+        h, r = coxeter_number(t), t.rank
+        c = _coxeter_element(t)
+        for m in (m for m in range(1, h + 1) if h % m == 0):
+            assert is_regular(t, m), (t, m)
+            w = [[int(k == j) for j in range(r)] for k in range(r)]
+            for _ in range(h // m):
+                w = _matmul(w, c)
+            fixed = r - _matrix_rank([[w[k][j] - (k == j) for j in range(r)] for k in range(r)])
+            assert dim_cartan_fixed(t, m) == fixed, (t, m)
+            assert is_elliptic_regular(t, m) == (fixed == 0), (t, m)
+
+
+def test_elliptic_implies_regular():
+    # ellipticity is only defined on regular m: an m dividing no exponent but
+    # missing from the family ladders below is refused, and every elliptic m
+    # is regular there
+    for t in ALL_TYPES:
+        for m in range(1, 2 * coxeter_number(t) + 3):
+            if not _regular_reference(t, m):
+                with pytest.raises(ValueError):
+                    is_elliptic_regular(t, m)
+            elif is_elliptic_regular(t, m):
+                assert is_regular(t, m) and dim_cartan_fixed(t, m) == 0, (t, m)
 
 
 # The per-family ladders and the exceptional list of regular numbers that
