@@ -217,20 +217,18 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
 
 
 @lru_cache(maxsize=None)
-def _e7_primed_invariants() -> dict[str, tuple]:
-    """Orthogonal-complement invariants of the primed Levi classes of E7
-    (shapes 3A1, A3+A1, A5); the double-primed class of a shape has another.
-    The primed class is the one conjugate into the standard E6 parabolic
-    (nodes 1..6)."""
+def _e7_primed_invariants() -> dict[str, int]:
+    """Orthogonal-complement invariants of the primed Levi classes of E7:
+    4, 2 and 1 positive roots for 3A1, A3+A1 and A5, against 12, 6 and 3 in
+    the double-primed class.  The primed class is the one conjugate into the
+    standard E6 parabolic (nodes 1..6)."""
     t = LieType("E7", 7)
     refs = {"3A1": frozenset({2, 3, 5}), "A3+A1": frozenset({1, 3, 4, 6}), "A5": frozenset({1, 3, 4, 5, 6})}
     return {shape: _perp_invariant(t, J) for shape, J in refs.items()}
 
 
-def _perp_invariant(t: LieType, J: frozenset[int]) -> tuple:
-    """(rank, size) of the sub-root-system orthogonal to the span of J."""
-    from .linalg import sparse_rank
-
+def _perp_invariant(t: LieType, J: frozenset[int]) -> int:
+    """The number of positive roots orthogonal to the span of J."""
     M = cartan_matrix(t)  # the pairing matrix for a simply-laced type
     r = t.rank
 
@@ -242,8 +240,7 @@ def _perp_invariant(t: LieType, J: frozenset[int]) -> tuple:
         for g in positive_roots(t)
         if all(pair_with_simple(g, j - 1) == 0 for j in sorted(J))
     ]
-    rows = [{i: x for i, x in enumerate(g) if x} for g in perp]
-    return (sparse_rank(rows), len(perp))
+    return len(perp)
 
 
 def _exceptional_label(t: LieType, J: frozenset[int]) -> str:

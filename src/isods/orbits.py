@@ -121,10 +121,10 @@ class AdjointOrbit(FrozenRecord):
         else:
             total = 2 * sum(b.mult for b in self.blocks) + sum(z)
             if t.family == "B":
-                if sum(z) % 2 == 0 or not is_valid(z, ParityClass.B):
+                if not is_valid(z, ParityClass.B):
                     raise ValueError("type B zero block must be a valid odd B-partition")
             else:
-                if sum(z) % 2 or (z and not is_valid(z, parity_class(t))):
+                if not is_valid(z, parity_class(t)):
                     raise ValueError(f"zero block {z} invalid for {t.family}")
         if total != N:
             raise ValueError(f"multiplicities sum to {total}, expected {N}")

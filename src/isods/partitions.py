@@ -10,17 +10,18 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
 
 
 class ParityClass(Enum):
-    """Parity constraint family for nilpotent-orbit partitions."""
+    """Parity constraint family for nilpotent-orbit partitions; its value is
+    (parity of the total, parity of the parts needing even multiplicity)."""
 
-    B = "B"  # odd total, even parts occur with even multiplicity
-    C = "C"  # even total, odd parts occur with even multiplicity
-    D = "D"  # even total, even parts occur with even multiplicity
+    B = (1, 0)  # odd total, even parts occur with even multiplicity
+    C = (0, 1)  # even total, odd parts occur with even multiplicity
+    D = (0, 0)  # even total, even parts occur with even multiplicity
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -135,56 +136,34 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_exact_parts(n: int, r: int) -> Iterator[Partition]:
-    """Partitions of n with exactly r (positive) parts."""
-    if r < 0 or n < r:
-        return
-    if r == 0:
-        if n == 0:
-            yield ()
-        return
-    # bijection with partitions of n-r having at most r parts
-    for q in partitions_of(n - r):
-        if len(q) <= r:
-            yield tuple(q[i] + 1 if i < len(q) else 1 for i in range(r))
-
-
-def dominance_minimum(items: Iterable[Partition]) -> Partition | None:
-    """The element <= all others, or None if no unique minimum exists."""
-    pool = list(items)
-    if not pool:
-        return None
-    best = pool[0]
-    for p in pool[1:]:
-        if dominance_le(p, best):
-            best = p
-    if all(dominance_le(best, p) for p in pool):
-        return best
-    return None
-
-
 def lambda_tilde(n: int, r: int) -> Partition:
-    """Dominance minimum among partitions of n with exactly r parts,
-    excluding lambda_evenly(n, r).
+    """Dominance minimum among partitions of n with exactly r parts, other
+    than E = lambda_evenly(n, r) = ((k+1)^rem, k^(r-rem)), n = k*r + rem;
+    ValueError when n <= r, when E is alone, or when it is not unique.
 
-    Raises when n <= r (only (1,...,1) has r parts) or when the minimum
-    fails to be unique.  When r divides n (the case the solvers use) the
-    minimum always exists and a closed form is asserted against it.
-    """
+    Less one per part, these are the partitions of n - r with at most r
+    parts, an up-set of the dominance lattice whose least element is E less
+    one per part, so its minimal elements other than E are the covers of E:
+    moves of one unit to an earlier part that is adjacent or of equal size
+    (Brylawski, The lattice of integer partitions, 1973) that keep the parts
+    decreasing and positive.  From E: the last k to the first k (rem <= r - 2,
+    k >= 2), the last k+1 to the first part (rem >= 2), or (k+1, k) to
+    (k+2, k-1) (r = 2, rem = 1, k >= 2)."""
     if r < 1 or n <= r:
         raise ValueError(f"lambda_tilde undefined for n={n}, r={r}")
-    lam = lambda_evenly(n, r)
-    pool = [p for p in partitions_exact_parts(n, r) if p != lam]
-    if not pool:
-        raise ValueError(f"no partition of {n} with {r} parts other than {lam}")
-    best = dominance_minimum(pool)
-    if best is None:
-        raise ValueError(f"no unique next-smallest partition for n={n}, r={r}")
     k, rem = divmod(n, r)
-    if k >= 2 and rem <= r - 2:
-        fast = partition((k + 1,) * (rem + 1) + (k,) * (r - rem - 2) + (k - 1,))
-        assert fast == best, (n, r, fast, best)
-    return best
+    covers = []
+    if rem <= r - 2 and k >= 2:
+        covers.append((k + 1,) * (rem + 1) + (k,) * (r - rem - 2) + (k - 1,))
+    if rem >= 2:
+        covers.append((k + 2,) + (k + 1,) * (rem - 2) + (k,) * (r - rem + 1))
+    if r == 2 and rem == 1 and k >= 2:
+        covers.append((k + 2, k - 1))
+    if not covers:
+        raise ValueError(f"no partition of {n} with {r} parts other than {lambda_evenly(n, r)}")
+    if len(covers) > 1:
+        raise ValueError(f"no unique next-smallest partition for n={n}, r={r}")
+    return covers[0]
 
 
 def is_very_even(p: Partition) -> bool:
@@ -193,13 +172,8 @@ def is_very_even(p: Partition) -> bool:
 
 def is_valid(p: Partition, cls: ParityClass) -> bool:
     """Parity-class membership test, including the total-parity constraint."""
-    total = sum(p)
-    counts = Counter(p)
-    if cls is ParityClass.B:
-        return total % 2 == 1 and all(c % 2 == 0 for v, c in counts.items() if v % 2 == 0)
-    if cls is ParityClass.C:
-        return total % 2 == 0 and all(c % 2 == 0 for v, c in counts.items() if v % 2 == 1)
-    return total % 2 == 0 and all(c % 2 == 0 for v, c in counts.items() if v % 2 == 0)
+    total_parity, paired = cls.value
+    return sum(p) % 2 == total_parity and all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == paired)
 
 
 @lru_cache(maxsize=None)
@@ -215,19 +189,9 @@ def collapse(p: Partition, cls: ParityClass) -> Partition:
     multiplicity, shrink its last occurrence and regrow as early as the
     weakly decreasing shape allows.  Verified against exhaustive search.
     """
-    total = sum(p)
-    if cls is ParityClass.B:
-        if total % 2 == 0:
-            raise ValueError("B-collapse needs odd total")
-        bad_residue = 0
-    elif cls is ParityClass.C:
-        if total % 2 == 1:
-            raise ValueError("C-collapse needs even total")
-        bad_residue = 1
-    else:
-        if total % 2 == 1:
-            raise ValueError("D-collapse needs even total")
-        bad_residue = 0
+    total_parity, bad_residue = cls.value
+    if sum(p) % 2 != total_parity:
+        raise ValueError(f"{cls.name}-collapse needs {'odd' if total_parity else 'even'} total")
 
     parts = list(p)
     while True:

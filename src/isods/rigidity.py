@@ -210,11 +210,9 @@ def coxeter_delta_column(t: LieType, d: int) -> Fraction:
     k, dp = divmod(N, d)
     if fam == "A":
         return F((dp - 1) * (d - dp - 1), 2)
-    if fam == "B":
-        return F((dp - 1) * (d - dp), 4) if k % 2 == 0 else F(dp * (d - dp - 1), 4)
     if fam == "C":
         return F(dp * (d - dp - 1), 4) if k % 2 == 0 else F((dp - 1) * (d - dp), 4)
-    return F((dp - 1) * (d - dp), 4) if k % 2 == 0 else F(dp * (d - dp - 1), 4)
+    return F((dp - 1) * (d - dp), 4) if k % 2 == 0 else F(dp * (d - dp - 1), 4)  # B and D
 
 
 # ---------------------------------------------------------------------------

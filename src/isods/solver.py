@@ -240,24 +240,23 @@ class QCandidates(list):
 
 def _anchor_bounds(
     c: int, p_o: list[int], linear: tuple[Partition, ...], tail: Partition
-) -> tuple[bool, list[list[int]], list[int]]:
+) -> tuple[list[list[int]], list[int]]:
     """The works test around one anchor, as bounds on prefix sums to the
-    width of p_o (the threshold's length; see q_candidates): whether the anchor itself works; for each slot j, the
-    bound that the prefix sums of a replacement for linear[j] must clear; and
-    the bound for a replacement of the tail.  c is the weight of a linear
+    width of p_o (the threshold's length; see q_candidates): for each slot j,
+    the bound that the prefix sums of a replacement for linear[j] must clear;
+    and the bound for a replacement of the tail.  c is the weight of a linear
     factor in the sum (1 in type A, 2 otherwise)."""
     width = len(p_o)
     p_lin = [prefix_sums(p, width) for p in linear]
     p_tail = prefix_sums(tail, width)
     lin_sum = [sum(col) for col in zip(*p_lin)] if p_lin else [0] * width
-    works = all(o <= c * ls + pt for o, ls, pt in zip(p_o, lin_sum, p_tail))
     # c * P_mu >= P_o - P_tail - c * (sum of the other factors), rounded up
     slot_bounds = [
         [-((c * (ls - pj) + pt - o) // c) for o, pt, ls, pj in zip(p_o, p_tail, lin_sum, pl)]
         for pl in p_lin
     ]
     tail_bound = [o - c * ls for o, ls in zip(p_o, lin_sum)]
-    return works, slot_bounds, tail_bound
+    return slot_bounds, tail_bound
 
 
 def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -> QCandidates:
@@ -377,34 +376,28 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
             base_tail = partition((1,) * tail_total)
         else:
             base = [lambda_evenly(M, e) for M in slots]
-            if row.row_id == "B1":
-                base_tail = lambda_evenly(tail_total, e)
-            elif row.row_id in ("B2", "B3"):
+            if row.row_id in ("B2", "B3", "D3") and tail_total:
                 base_tail = union_parts(lambda_evenly(tail_total - 1, e), (1,))
-            elif row.row_id == "D3":
-                base_tail = (
-                    union_parts(lambda_evenly(tail_total - 1, e), (1,)) if tail_total else ()
-                )
-            else:  # C1, D1, D2, D4, D5
+            else:  # B1, C1, D1, D2, D4, D5, and D3 without a zero eigenvalue
                 base_tail = lambda_evenly(tail_total, e)
 
     # Search anchors.  A minimal candidate deviates from one of these in at
     # most one position: the all-base tuple; the tuple with two ones appended
     # to the zero sector (the alternate tail of the rows that split the zero
     # multiplicities); and for each factor the tuple with a one placed there.
-    # Anchors and searched candidates are always filtered through the
-    # dominance test against the threshold, so extra anchors are harmless.
-    npos = len(slots)
+    # Only an anchor's least clearing replacements, one slot or the tail at a
+    # time, are pushed; each works, so extra anchors are harmless.  An anchor
+    # that works clears its own bounds, so each replacement lies at or below
+    # it, and the first is the anchor itself, in its place, or prunes it.
     anchors: list[tuple[tuple[Partition, ...], Partition]] = [(tuple(base), base_tail)]
     if s.nu < 1:
-        if fam != "A" and row.row_id in ("D4", "D5") and tail_total >= 2:
+        if row.row_id in ("D4", "D5") and tail_total >= 2:
             alt = union_parts(lambda_evenly(tail_total - 2, e), (1, 1))
             anchors.append((tuple(base), alt))
-        if e:
-            for k in range(npos):
-                placed = list(base)
-                placed[k] = union_parts(lambda_evenly(slots[k] - 1, e), (1,))
-                anchors.append((tuple(placed), base_tail))
+        for k, M in enumerate(slots):
+            placed = list(base)
+            placed[k] = union_parts(lambda_evenly(M - 1, e), (1,))
+            anchors.append((tuple(placed), base_tail))
 
     width = len(o_part)
     c = 1 if fam == "A" else 2
@@ -420,9 +413,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
             cands.append(cand)
 
     for anchor_lin, anchor_tail in dict.fromkeys(anchors):
-        works, slot_bounds, tail_bound = _anchor_bounds(c, p_o, anchor_lin, anchor_tail)
-        if works:
-            push(anchor_lin, anchor_tail)
+        slot_bounds, tail_bound = _anchor_bounds(c, p_o, anchor_lin, anchor_tail)
         for j, bound in enumerate(slot_bounds):
             mu = least_clearing(slots[j], bound)
             if mu is not None:

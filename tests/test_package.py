@@ -127,6 +127,13 @@ def test_classical_orbit_verbs_load_no_route_or_table_module(argv):
     assert "linalg" not in modules, modules
 
 
+def test_e7_label_loads_no_linalg():
+    # the E7 primes come from a count of orthogonal positive roots, not a rank
+    code, modules = footprint("solve", "--type=E7", "--slope=7/18", "--orbit=(A5)''")
+    assert code == 3  # unknown-needs-hasse
+    assert "coxeter" in modules and "linalg" not in modules, modules
+
+
 @pytest.mark.parametrize("argv", [
     ["coxeter", "--type=B", "--rank=5", "--d=3"],
     ["coxeter", "--type=F4", "--d=5", "--show-subsets"],

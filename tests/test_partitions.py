@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 import pytest
@@ -14,7 +14,6 @@ from isods.partitions import (
     lambda_tilde,
     least_clearing,
     partition,
-    partitions_exact_parts,
     partitions_of,
     prefix_sums,
     sum_parts,
@@ -168,22 +167,36 @@ def test_lambda_tilde_examples():
         lambda_tilde(3, 3)
 
 
+def _lambda_tilde_reference(n, r):
+    """lambda_tilde by enumeration: the partitions of n with exactly r parts
+    other than lambda_evenly(n, r), and the one below all the others."""
+    if r < 1 or n <= r:
+        raise ValueError(f"lambda_tilde undefined for n={n}, r={r}")
+    lam = lambda_evenly(n, r)
+    pool = [p for p in partitions_of(n) if len(p) == r and p != lam]
+    if not pool:
+        raise ValueError(f"no partition of {n} with {r} parts other than {lam}")
+    # the least prefix sums in lexicographic order, a linear extension of dominance
+    best = min(pool, key=lambda p: list(accumulate(p)))
+    if not all(dominance_le(best, q) for q in pool):
+        raise ValueError(f"no unique next-smallest partition for n={n}, r={r}")
+    return best
+
+
 def test_lambda_tilde_properties():
-    # where defined: exactly r parts, distinct from the even minimum, and
-    # below every other exact-r partition; always defined when r | n, n > r
-    for n in range(2, 15):
-        for r in range(1, n):
+    # the closed form against enumeration, error messages included; always
+    # defined when 1 < r < n and r | n
+    for n in range(31):
+        for r in range(-1, n + 2):
             try:
-                lt = lambda_tilde(n, r)
-            except ValueError:
-                # always defined when r | n (and 1 < r < n); r = 1 never is
-                assert r == 1 or n % r != 0
+                want = _lambda_tilde_reference(n, r)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    lambda_tilde(n, r)
+                assert str(info.value) == str(exc), (n, r)
+                assert not (1 < r < n and n % r == 0), (n, r)
                 continue
-            lam = lambda_evenly(n, r)
-            assert lt != lam and len(lt) == r
-            for q in partitions_exact_parts(n, r):
-                if q != lam:
-                    assert dominance_le(lt, q)
+            assert lambda_tilde(n, r) == want, (n, r)
 
 
 def test_parity_examples():

@@ -288,7 +288,7 @@ def test_q_route_tails_are_the_least_clearing_tail(monkeypatch):
 
     def spy(c, p_o, linear, tail):
         out = _anchor_bounds(c, p_o, linear, tail)
-        tail_bounds.append(out[2])
+        tail_bounds.append(out[1])
         return out
 
     monkeypatch.setattr(solver, "_anchor_bounds", spy)
@@ -309,10 +309,9 @@ def test_q_route_tails_are_the_least_clearing_tail(monkeypatch):
                         assert _scan_reference(tail_total, cls, bound) == want, (t, s, mults, zero_mult, bound)
                         calls += 1
                     o_part = cands.threshold.partition
-                    p_o = prefix_sums(o_part, len(o_part))
                     for cand in cands:
                         assert is_valid(cand.tail, cls), (t, s, mults, zero_mult, cand)
-                        assert _anchor_bounds(2, p_o, cand.linear, cand.tail)[0], (t, s, mults, zero_mult, cand)
+                        assert _works_reference(t, o_part, cand.linear, cand.tail), (t, s, mults, zero_mult, cand)
     assert calls == 11583
 
 
@@ -351,6 +350,28 @@ def test_ds_solve_q_reads_the_threshold_once(monkeypatch):
         plain = list(cands)
         assert plain and cands == plain and len(cands) == len(plain)
         assert ans.o_nu == cands.threshold == o_nu(t, s)
+
+
+def test_closed_forms_list_no_partitions(monkeypatch):
+    """lambda_tilde, both solvers, the classical Coxeter route and the
+    lattice oracle answer with partitions_of refusing every call."""
+    from isods.coxeter import coxeter_solve
+    from isods.partitions import lambda_tilde
+    from isods.skeleton import minimal_jordan_type
+
+    def refuse(*args):
+        raise AssertionError(f"partitions_of{args} was called")
+
+    for mod in [m for name, m in sys.modules.items() if name == "isods" or name.startswith("isods.")]:
+        if hasattr(mod, "partitions_of"):
+            monkeypatch.setattr(mod, "partitions_of", refuse)
+    t, s = lie_type("B", 4), slope(3, 8)
+    assert lambda_tilde(9, 3) == (4, 3, 2) and lambda_tilde(12, 4) == (4, 3, 3, 2)
+    assert ds_solve(t, s, NilpotentOrbit(t, (3, 3, 3))).affirmative is True
+    adjoint = AdjointOrbit(t, (Block("a", 2, (2,)),), (3, 1, 1))
+    assert ds_solve_q(t, s, adjoint).affirmative is ds_solve(t, s, adjoint).affirmative is True
+    assert coxeter_solve(t, 3).partition == (3, 3, 3)
+    assert minimal_jordan_type(t, slope(1, 4)) == o_nu(t, slope(1, 4)).partition
 
 
 def test_q_candidates_lists_no_partition_pool(monkeypatch):
@@ -452,8 +473,11 @@ def test_prefix_sum_works_test_matches_partition_reference(width_of, case):
     o_part = o_nu_rows(t, s)[0].orbit.partition
     width = width_of(o_part)
     p_o = prefix_sums(o_part, width)
-    works, slot_bounds, tail_bound = _anchor_bounds(1 if t.family == "A" else 2, p_o, linear, tail)
-    assert works == _works_reference(t, o_part, linear, tail)
+    slot_bounds, tail_bound = _anchor_bounds(1 if t.family == "A" else 2, p_o, linear, tail)
+    # the anchor works exactly when its own slots and tail clear their bounds
+    own = [_clears(prefix_sums(p, width), bound) for p, bound in zip(linear, slot_bounds)]
+    own.append(_clears(prefix_sums(tail, width), tail_bound))
+    assert all(own) == _works_reference(t, o_part, linear, tail)
     for j, bound in enumerate(slot_bounds):
         for mu in partitions_of(slots[j]):
             lin = linear[:j] + (mu,) + linear[j + 1:]
