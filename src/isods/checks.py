@@ -93,10 +93,19 @@ def check_skeleton(max_rank: int = 5, seed: int = 0) -> tuple[int, str | None]:
     return cases, None
 
 
+def _column_refuses(t, d: int) -> bool:
+    try:
+        coxeter_delta_column(t, d)
+    except UnsupportedSlopeError:
+        return True
+    return False
+
+
 def check_delta(max_rank: int = 8) -> tuple[int, int, str | None]:
     """Closed-form Delta rows against the direct Delta of the threshold, and
-    against the Coxeter columns at m = h, d <= h + 1.  Returns the agreeing
-    cells, the cells outside the rows' domain, and the first failure."""
+    against the Coxeter columns at m = h, which must refuse exactly the
+    cells the rows refuse there.  Returns the agreeing cells, the cells
+    outside the rows' domain, and the first failure."""
     cases = skipped = 0
     for fam in ("A", "B", "C", "D"):
         cells = slope_cells(fam, max_rank, lambda t: range(1, 2 * t.rank + 2), lambda m: range(1, 2 * m))
@@ -110,13 +119,15 @@ def check_delta(max_rank: int = 8) -> tuple[int, int, str | None]:
             except UnsupportedSlopeError:
                 # the rows provably stop at nu = 1 away from m = h (and at
                 # the Airy slope for D)
-                if s.nu < 1 or (m == h and not (fam == "D" and d > m + 1)):
+                if d < m or (m == h and not (fam == "D" and d > m + 1)):
                     return cases, skipped, f"unexpectedly unsupported: {t} {s}"
+                if m == h and not _column_refuses(t, d):
+                    return cases, skipped, f"Coxeter column answers outside the rows' domain: {t} {s}"
                 skipped += 1
                 continue
             if cf != direct:
                 return cases, skipped, f"mismatch at {t} {s}: {cf} vs {direct}"
-            if m == h and d <= h + 1 and coxeter_delta_column(t, d) != direct:
+            if m == h and coxeter_delta_column(t, d) != direct:
                 return cases, skipped, f"Coxeter column mismatch at {t} {s}"
             cases += 1
     return cases, skipped, None

@@ -5,6 +5,7 @@ classification scan over elliptic slopes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import exceptional_data as xd
 from .orbits import AdjointOrbit, NilpotentOrbit, dim_centralizer, ls_induction
@@ -51,14 +52,18 @@ def rigidity_verdict(
     non-resonant."""
     if not is_regular(t, s.m):
         raise UnsupportedSlopeError(f"{s.m} is not regular for {t}")
-    nu_phi, dim_c, dim_tw = s.nu * phi_count(t), dim_centralizer(o_nil), dim_cartan_fixed(t, s.m)
-    d = Fraction(nu_phi - dim_c + dim_tw, 2)
+    # 2m * Delta = d|Phi| - m(dim C - dim t^w) is an integer
+    phi, dim_c, dim_tw = phi_count(t), dim_centralizer(o_nil), dim_cartan_fixed(t, s.m)
+    twice_m_delta = s.d * phi - s.m * (dim_c - dim_tw)
     try:
         nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
     except ValueError:
         nonres = None
     ell = is_elliptic_regular(t, s.m)
-    return RigidityReport(d, nu_phi, dim_c, dim_tw, nonres if ell and d == 0 else False, ell, nonres)
+    return RigidityReport(
+        Fraction(twice_m_delta, 2 * s.m), Fraction(s.d * phi, s.m), dim_c, dim_tw,
+        nonres if ell and twice_m_delta == 0 else False, ell, nonres,
+    )
 
 
 def rigidity_report(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> RigidityReport:
@@ -89,18 +94,17 @@ def non_resonant(a: AdjointOrbit) -> bool:
         raise ValueError("mixed symbolic and rational eigenvalue tags are undecidable")
     if sym:
         return True
-    vals = [Fraction(v) for v in rat]
     fam = a.type.family
 
-    def bad(x: Fraction) -> bool:
+    def bad(x: int | Fraction) -> bool:
         return x != 0 and x.denominator == 1
 
     if fam == "A":
-        eigs = vals + ([Fraction(0)] if a.zero_block else [])
+        eigs = rat + ([0] if a.zero_block else [])
         return not any(bad(x - y) for x in eigs for y in eigs)
     # roots evaluate to +-a_i +- a_j, and +-a_i (B), +-2 a_i (C)
-    for i, x in enumerate(vals):
-        for y in vals[i:]:
+    for i, x in enumerate(rat):
+        for y in rat[i:]:
             if bad(x - y) or bad(x + y):
                 return False
         if a.zero_block and bad(x):
@@ -122,22 +126,21 @@ def _kd(m: int, d: int) -> tuple[int, int]:
     return k, m - k * d
 
 
-def _orthogonal_row(ell: int, m: int, d: int) -> Fraction:
-    """The B/D row of Delta_nu when m divides an orthogonal block count
+def _orthogonal_row(ell: int, m: int, d: int) -> int:
+    """4 Delta_nu on the B/D row where m divides an orthogonal block count
     (2n in B, 2n or 2n - 2 in D) into ell blocks; ell is odd only for even m."""
-    F = Fraction
     k, dp = _kd(m, d)
-    lead = F(ell * (ell - 1), 4) * dp * (d - dp)
+    lead = ell * (ell - 1) * dp * (d - dp)
     if ell % 2:
         if k % 2 == 0:
-            return lead + F(ell, 4) * dp * (d - dp - 1)
-        return lead + F(ell, 4) * (dp + 1) * (d - dp - 2) + F(ell - 1, 2)
+            return lead + ell * dp * (d - dp - 1)
+        return lead + ell * (dp + 1) * (d - dp - 2) + 2 * (ell - 1)
     if m % 2 == 0 and d == 1:
-        return F(0)
+        return 0
     shift = 2 if m % 2 == 0 else 1
     if k % 2 == 0:
-        return lead + F(ell, 4) * ((dp - 2) * (d - dp - 1) - shift)
-    return lead + F(ell, 4) * ((dp - 1) * (d - dp - 2) - shift)
+        return lead + ell * ((dp - 2) * (d - dp - 1) - shift)
+    return lead + ell * ((dp - 1) * (d - dp - 2) - shift)
 
 
 def closed_form_delta(t: LieType, s: Slope) -> Fraction:
@@ -148,7 +151,7 @@ def closed_form_delta(t: LieType, s: Slope) -> Fraction:
     domain the rows do not compute Delta of the zero orbit and an
     UnsupportedSlopeError is raised.  All four families carry the common
     leading term l(l-1)/4 d'(d-d'), with l the block count of the matching
-    divisibility.
+    divisibility.  Each row computes the integer 4 Delta_nu.
     """
     d, m = s.d, s.m
     fam, n = t.family, t.rank
@@ -156,33 +159,24 @@ def closed_form_delta(t: LieType, s: Slope) -> Fraction:
         raise UnsupportedSlopeError("closed-form Delta rows are classical")
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} not regular for {t}")
-    if s.nu >= 1 and m != coxeter_number(t):
+    if d >= m and m != coxeter_number(t):
         raise UnsupportedSlopeError(
             f"Delta rows apply for nu < 1 or m = h; got {s} for {t}"
         )
-    if s.nu >= 1 and fam == "D" and d > m + 1:
+    if fam == "D" and d > m + 1:
         # the D rows extend past nu = 1 only to the Airy slope 1 + 1/h
         raise UnsupportedSlopeError(f"Delta rows for D stop at d = h + 1; got {s}")
     k, dp = _kd(m, d)
-    F = Fraction
     if fam == "A":
         vals = [
-            F(ell * (ell - 1), 2) * dp * (d - dp) + F(ell, 2) * (dp - 1) * (d - dp - 1)
+            2 * ell * (ell - 1) * dp * (d - dp) + 2 * ell * (dp - 1) * (d - dp - 1)
             for ell in (N // m for N in (n + 1, n) if N % m == 0)
         ]
     elif fam == "C":
         ell = 2 * n // m
-        lead = F(ell * (ell - 1), 4) * dp * (d - dp)
-        if m % 2 == 0:
-            if k % 2 == 0:
-                vals = [lead + F(ell, 4) * dp * (d - dp - 1)]
-            else:
-                vals = [lead + F(ell, 4) * (dp - 1) * (d - dp)]
-        else:
-            if k % 2 == 0:
-                vals = [lead + F(ell, 4) * (dp * (d - dp - 1) + 1)]
-            else:
-                vals = [lead + F(ell, 4) * ((dp - 1) * (d - dp) + 1)]
+        # odd m adds one inside the bracket
+        bracket = dp * (d - dp - 1) if k % 2 == 0 else (dp - 1) * (d - dp)
+        vals = [ell * (ell - 1) * dp * (d - dp) + ell * (bracket + m % 2)]
     else:
         # B carries one orthogonal block count, 2n; D two, 2n and 2n - 2
         counts = (2 * n, 2 * n - 2) if fam == "D" else (2 * n,)
@@ -190,29 +184,39 @@ def closed_form_delta(t: LieType, s: Slope) -> Fraction:
     if not vals:
         raise UnsupportedSlopeError(f"no Delta row matches {t} at {s}")
     assert all(v == vals[0] for v in vals), (t, s, vals)
-    return vals[0]
+    return Fraction(vals[0], 4)
 
 
 def coxeter_delta_column(t: LieType, d: int) -> Fraction:
     """Delta at slope d/h from the Coxeter-solution table columns.
 
     Here k and d' come from writing N = d*k + d' for the relevant defining
-    count N (n, 2n+1, 2n, 2n-1); valid for d <= h + 1.
+    count N (n+1, 2n+1, 2n, 2n-1).  The classical columns hold on the domain
+    of closed_form_delta at m = h: d >= 1 prime to h, and d <= h + 1 in
+    type D.  Any other d raises UnsupportedSlopeError, as does an
+    exceptional d without a table entry.
     """
-    F = Fraction
     fam, n = t.family, t.rank
     if t.is_exceptional:
         key = (fam, d)
         if key not in xd.EXC_COXETER:
             raise UnsupportedSlopeError(f"no Coxeter table entry for {key}")
-        return F(xd.EXC_COXETER[key][1])
+        return Fraction(xd.EXC_COXETER[key][1])
+    h = coxeter_number(t)
+    if d < 1 or gcd(d, h) != 1:
+        raise UnsupportedSlopeError(f"Coxeter columns need d >= 1 prime to h = {h}; got d = {d} for {t}")
+    if fam == "D" and d > h + 1:
+        raise UnsupportedSlopeError(f"Coxeter columns for D stop at d = h + 1; got d = {d} for {t}")
     N = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n - 1}[fam]
     k, dp = divmod(N, d)
+    # 4 Delta; B and D swap the two brackets of C
     if fam == "A":
-        return F((dp - 1) * (d - dp - 1), 2)
-    if fam == "C":
-        return F(dp * (d - dp - 1), 4) if k % 2 == 0 else F((dp - 1) * (d - dp), 4)
-    return F((dp - 1) * (d - dp), 4) if k % 2 == 0 else F(dp * (d - dp - 1), 4)  # B and D
+        v = 2 * (dp - 1) * (d - dp - 1)
+    elif (fam == "C") == (k % 2 == 0):
+        v = dp * (d - dp - 1)
+    else:
+        v = (dp - 1) * (d - dp)
+    return Fraction(v, 4)
 
 
 # ---------------------------------------------------------------------------

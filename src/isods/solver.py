@@ -92,7 +92,7 @@ def o_nu_rows(t: LieType, s: Slope) -> list[_Row]:
     d, m = s.d, s.m
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} is not a regular number for {t}")
-    if s.nu >= 1:
+    if d >= m:
         return [_Row("nu_ge_1", zero_orbit(t), 0)]
     fam, n = t.family, t.rank
     rows: list[_Row] = []
@@ -371,7 +371,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
         slots = list(mults)
         eps = 1 if fam == "B" else 0
         tail_total = 2 * zero_mult + eps
-        if s.nu >= 1:
+        if s.d >= s.m:
             base = [(1,) * M for M in slots]
             base_tail = partition((1,) * tail_total)
         else:
@@ -390,7 +390,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     # that works clears its own bounds, so each replacement lies at or below
     # it, and the first is the anchor itself, in its place, or prunes it.
     anchors: list[tuple[tuple[Partition, ...], Partition]] = [(tuple(base), base_tail)]
-    if s.nu < 1:
+    if s.d < s.m:
         if row.row_id in ("D4", "D5") and tail_total >= 2:
             alt = union_parts(lambda_evenly(tail_total - 2, e), (1, 1))
             anchors.append((tuple(base), alt))

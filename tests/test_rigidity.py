@@ -1,20 +1,34 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from isods.checks import check_delta
-from isods.orbits import AdjointOrbit, Block, NilpotentOrbit
+from isods import exceptional_data as xd
+from isods.checks import _random_adjoint, check_delta
+from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer
 from isods.rigidity import (
     closed_form_delta,
     coxeter_delta_column,
     delta,
+    delta_of_orbit,
     is_cohomologically_rigid,
     non_resonant,
     rigid_predicate,
     rigidity_report,
+    rigidity_verdict,
     scan_rigid,
 )
-from isods.root_data import lie_type, slope
+from isods.root_data import (
+    UnsupportedSlopeError,
+    coxeter_number,
+    dim_cartan_fixed,
+    is_regular,
+    lie_type,
+    phi_count,
+    slope,
+    slope_cells,
+)
 from isods.solver import ds_solve, o_nu
 
 
@@ -96,6 +110,204 @@ def test_closed_form_matches_direct_rank8():
     cells, skipped, failure = check_delta(8)
     assert failure is None, failure
     assert cells and skipped
+
+
+def test_coxeter_column_refuses_outside_its_domain():
+    D3 = lie_type("D", 3)
+    # past the Airy slope the D column is not Delta: D3 at 7/4 has Delta 3
+    assert delta_of_orbit(D3, slope(7, 4), o_nu(D3, slope(7, 4))) == 3
+    with pytest.raises(UnsupportedSlopeError, match="stop at d = h"):
+        coxeter_delta_column(D3, 7)
+    assert coxeter_delta_column(D3, 5) == delta_of_orbit(D3, slope(5, 4), o_nu(D3, slope(5, 4)))
+    with pytest.raises(UnsupportedSlopeError, match="prime to h"):
+        coxeter_delta_column(D3, 0)
+    with pytest.raises(UnsupportedSlopeError, match="prime to h"):
+        coxeter_delta_column(lie_type("B", 2), 2)
+
+
+# The row formulas as they were written over Fraction, kept as the reference
+# for the integer rows (4 Delta) of isods.rigidity.
+
+
+def _fraction_orthogonal_row(ell, m, d):
+    F = Fraction
+    k, dp = m // d, m % d
+    lead = F(ell * (ell - 1), 4) * dp * (d - dp)
+    if ell % 2:
+        if k % 2 == 0:
+            return lead + F(ell, 4) * dp * (d - dp - 1)
+        return lead + F(ell, 4) * (dp + 1) * (d - dp - 2) + F(ell - 1, 2)
+    if m % 2 == 0 and d == 1:
+        return F(0)
+    shift = 2 if m % 2 == 0 else 1
+    if k % 2 == 0:
+        return lead + F(ell, 4) * ((dp - 2) * (d - dp - 1) - shift)
+    return lead + F(ell, 4) * ((dp - 1) * (d - dp - 2) - shift)
+
+
+def _fraction_closed_form_delta(t, s):
+    d, m = s.d, s.m
+    fam, n = t.family, t.rank
+    if not is_regular(t, m):
+        raise UnsupportedSlopeError(f"{m} not regular for {t}")
+    if s.nu >= 1 and m != coxeter_number(t):
+        raise UnsupportedSlopeError(f"Delta rows apply for nu < 1 or m = h; got {s} for {t}")
+    if s.nu >= 1 and fam == "D" and d > m + 1:
+        raise UnsupportedSlopeError(f"Delta rows for D stop at d = h + 1; got {s}")
+    k, dp = m // d, m % d
+    F = Fraction
+    if fam == "A":
+        vals = [
+            F(ell * (ell - 1), 2) * dp * (d - dp) + F(ell, 2) * (dp - 1) * (d - dp - 1)
+            for ell in (N // m for N in (n + 1, n) if N % m == 0)
+        ]
+    elif fam == "C":
+        ell = 2 * n // m
+        lead = F(ell * (ell - 1), 4) * dp * (d - dp)
+        if m % 2 == 0:
+            if k % 2 == 0:
+                vals = [lead + F(ell, 4) * dp * (d - dp - 1)]
+            else:
+                vals = [lead + F(ell, 4) * (dp - 1) * (d - dp)]
+        else:
+            if k % 2 == 0:
+                vals = [lead + F(ell, 4) * (dp * (d - dp - 1) + 1)]
+            else:
+                vals = [lead + F(ell, 4) * ((dp - 1) * (d - dp) + 1)]
+    else:
+        counts = (2 * n, 2 * n - 2) if fam == "D" else (2 * n,)
+        vals = [_fraction_orthogonal_row(c // m, m, d) for c in counts if c % m == 0]
+    if not vals:
+        raise UnsupportedSlopeError(f"no Delta row matches {t} at {s}")
+    assert all(v == vals[0] for v in vals), (t, s, vals)
+    return vals[0]
+
+
+def _fraction_coxeter_delta_column(t, d):
+    F = Fraction
+    fam, n = t.family, t.rank
+    N = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n - 1}[fam]
+    k, dp = divmod(N, d)
+    if fam == "A":
+        return F((dp - 1) * (d - dp - 1), 2)
+    if fam == "C":
+        return F(dp * (d - dp - 1), 4) if k % 2 == 0 else F((dp - 1) * (d - dp), 4)
+    return F((dp - 1) * (d - dp), 4) if k % 2 == 0 else F(dp * (d - dp - 1), 4)
+
+
+def _outcome(f, *args):
+    """The value and whether it is a Fraction, or the exception class and
+    message."""
+    try:
+        v = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return v, type(v) is Fraction
+
+
+def test_row_formulas_match_the_fraction_reference():
+    cells = 0
+    for fam in ("A", "B", "C", "D"):
+        for n in range({"A": 1, "D": 3}.get(fam, 2), 25):
+            t = lie_type(fam, n)
+            h = coxeter_number(t)
+            for m in range(1, 2 * n + 4):
+                for d in range(1, 3 * m + 2):
+                    if gcd(d, m) != 1:
+                        continue
+                    s = slope(d, m)
+                    got = _outcome(closed_form_delta, t, s)
+                    assert got == _outcome(_fraction_closed_form_delta, t, s), (t, s)
+                    if m == h:
+                        if fam == "D" and d > h + 1:
+                            assert got[0] is UnsupportedSlopeError
+                            with pytest.raises(UnsupportedSlopeError):
+                                coxeter_delta_column(t, d)
+                        else:
+                            want = _outcome(_fraction_coxeter_delta_column, t, d)
+                            assert _outcome(coxeter_delta_column, t, d) == want, (t, d)
+                    cells += 1
+    assert cells == 91274
+
+
+def _fraction_delta(t, s, o_nil):
+    return (s.nu * phi_count(t) - dim_centralizer(o_nil) + dim_cartan_fixed(t, s.m)) / 2
+
+
+def _assert_fraction_identity(t, s, o):
+    rep = rigidity_verdict(t, s, o, o)
+    assert type(rep.delta) is Fraction and type(rep.nu_phi) is Fraction
+    assert rep.delta == _fraction_delta(t, s, o) and rep.nu_phi == s.nu * phi_count(t), (t, s, o)
+    return rep
+
+
+def test_rigidity_verdict_matches_the_fraction_identity():
+    cells = 0
+    for fam in ("A", "B", "C", "D"):
+        cells_of_fam = slope_cells(
+            fam, 8, lambda t: range(1, 2 * t.rank + 4), lambda m: range(1, 3 * m + 2), min_rank=1 if fam == "A" else None
+        )
+        for t, m, d, s in cells_of_fam:
+            o = o_nu(t, s)
+            _assert_fraction_identity(t, s, o)
+            _assert_fraction_identity(t, s, NilpotentOrbit(t, (1,) * sum(o.partition)))
+            cells += 1
+    assert cells == 997
+    for fam in ("G2", "F4", "E6", "E7", "E8"):
+        t = lie_type(fam)
+        h = coxeter_number(t)
+        for (f, d), (label, table_delta) in xd.EXC_COXETER.items():
+            if f != fam:
+                continue
+            s = slope(d, h)
+            assert _assert_fraction_identity(t, s, NilpotentOrbit(t, label=label)).delta == table_delta
+            for f2, other in xd.DIM_C:
+                if f2 == fam:
+                    _assert_fraction_identity(t, s, NilpotentOrbit(t, label=other))
+
+
+def _fraction_non_resonant(a):
+    rat = [b.tag for b in a.blocks if isinstance(b.tag, (int, Fraction))]
+    vals = [Fraction(v) for v in rat]
+    fam = a.type.family
+
+    def bad(x):
+        return x != 0 and x.denominator == 1
+
+    if fam == "A":
+        eigs = vals + ([Fraction(0)] if a.zero_block else [])
+        return not any(bad(x - y) for x in eigs for y in eigs)
+    for i, x in enumerate(vals):
+        for y in vals[i:]:
+            if bad(x - y) or bad(x + y):
+                return False
+        if a.zero_block and bad(x):
+            return False
+        if fam == "B" and bad(x):
+            return False
+        if fam == "C" and bad(2 * x):
+            return False
+    return True
+
+
+def test_non_resonant_matches_the_fraction_reference():
+    rng = random.Random(9)
+    seen = set()
+    for fam in ("A", "B", "C", "D"):
+        for _ in range(300):
+            t, _, a = _random_adjoint(rng, fam, rng.randint(3, 8))
+            tags = []
+            for _ in a.blocks:
+                x = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4]))
+                tags.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
+            try:
+                a = AdjointOrbit(t, tuple(Block(g, b.mult, b.partition) for g, b in zip(tags, a.blocks)), a.zero_block)
+            except ValueError:  # a repeated tag, or a tag 0 outside type A
+                continue
+            got = non_resonant(a)
+            assert got == _fraction_non_resonant(a), a.to_json()
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_non_resonant_examples():
