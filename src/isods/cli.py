@@ -45,21 +45,17 @@ def _parse_type(args) -> LieType:
 
 
 def _labelled_orbit(t: LieType, label: str) -> NilpotentOrbit:
-    """An exceptional orbit by Bala-Carter label.  The embedded catalogue
-    lists every G2 and F4 orbit; an E6-E8 label must be in `orbit_labels`:
-    a Levi label whose D and E factors carry only the (a_k)/(b_k) suffixes of
-    their distinguished orbits.  Other labels are invalid input."""
-    from . import exceptional_data as xd
+    """An orbit by Bala-Carter label.  In G2-E8 the label must be in
+    `catalogue.orbit_labels`: a Levi label whose factors carry only the
+    (a_k)/(b_k) suffixes of their distinguished orbits.  Other labels are
+    invalid input, as is any label of a classical type."""
     from .orbits import NilpotentOrbit
 
-    if t.family in ("E6", "E7", "E8"):
-        from .coxeter import orbit_labels
+    if t.is_exceptional:
+        from .catalogue import orbit_labels
 
-        known = label in orbit_labels(t)
-    else:
-        known = t.family not in ("G2", "F4") or (t.family, label) in xd.DIM_C
-    if not known:
-        raise CliError(f"unknown {t.family} orbit label {label!r}")
+        if label not in orbit_labels(t):
+            raise CliError(f"unknown {t.family} orbit label {label!r}")
     return NilpotentOrbit(t, label=label)
 
 

@@ -14,13 +14,11 @@ the table code it is checked against.
 
 from __future__ import annotations
 
-import re
-from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
 from math import gcd
 
 from . import exceptional_data as xd
+from .catalogue import exceptional_label
 from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
 from .partitions import Partition, is_valid, lambda_evenly, partition
 from .root_data import (
@@ -28,11 +26,9 @@ from .root_data import (
     LieType,
     UnsupportedSlopeError,
     affine_marks,
-    cartan_matrix,
+    components,
     coxeter_number,
     defining_dim,
-    levi_factor_types,
-    positive_roots,
     sorted_pairs,
 )
 
@@ -161,9 +157,12 @@ def _runs_partition(t: LieType, runs, tail: int) -> Partition:
 
 
 def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
-    factors = levi_factor_types(t, J)
-    runs = [int(f[1:]) for f in factors if f[0] == "A"]
-    return _runs_partition(t, runs, sum(int(f[1:]) for f in factors if f[0] != "A"))
+    """`_runs_partition` of the components of J: the tail is the component
+    through node n in B and C, and in D the components meeting the fork when
+    J holds both fork nodes; the other components are runs."""
+    fam, n, comps = t.family, t.rank, components(t, J)
+    ends = {n} if fam in ("B", "C") else {n - 1, n} if fam == "D" and {n - 1, n} <= J else set()
+    return _runs_partition(t, [len(c) for c in comps if not c & ends], sum(len(c) for c in comps if c & ends))
 
 
 def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
@@ -216,86 +215,12 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _e7_primed_invariants() -> dict[str, int]:
-    """Orthogonal-complement invariants of the primed Levi classes of E7:
-    4, 2 and 1 positive roots for 3A1, A3+A1 and A5, against 12, 6 and 3 in
-    the double-primed class.  The primed class is the one conjugate into the
-    standard E6 parabolic (nodes 1..6)."""
-    t = LieType("E7", 7)
-    refs = {"3A1": frozenset({2, 3, 5}), "A3+A1": frozenset({1, 3, 4, 6}), "A5": frozenset({1, 3, 4, 5, 6})}
-    return {shape: _perp_invariant(t, J) for shape, J in refs.items()}
-
-
-def _perp_invariant(t: LieType, J: frozenset[int]) -> int:
-    """The number of positive roots orthogonal to the span of J."""
-    M = cartan_matrix(t)  # the pairing matrix for a simply-laced type
-    r = t.rank
-
-    def pair_with_simple(g, j):
-        return sum(g[i] * M[i][j] for i in range(r))
-
-    perp = [
-        g
-        for g in positive_roots(t)
-        if all(pair_with_simple(g, j - 1) == 0 for j in sorted(J))
-    ]
-    return len(perp)
-
-
-def _exceptional_label(t: LieType, J: frozenset[int]) -> str:
-    """Bala-Carter label of the regular orbit of the Levi on J: its factor
-    types by falling rank, A-type factors after the others of their rank and
-    long-root ones before short-root (~) ones, equal factors counted, and the
-    E7 prime of 3A1, A3+A1 and A5."""
-    factors = sorted(levi_factor_types(t, J), key=lambda f: (-int(f[-1]), f.lstrip("~")[0] == "A", f))
-    if not factors:
-        return "0"
-    label = "+".join(f"{k}{f}" if k > 1 else f for f, k in Counter(factors).items())
-    if t.family == "E7" and label in _e7_primed_invariants():
-        prime = "'" if _perp_invariant(t, J) == _e7_primed_invariants()[label] else "''"
-        label = f"({label}){prime}"
-    return label
-
-
-@lru_cache(maxsize=None)
-def levi_labels(t: LieType) -> frozenset[str]:
-    """The Bala-Carter labels of the Levi subalgebras of an exceptional type:
-    `_exceptional_label` of every subset of the finite diagram (17, 32 and 41
-    labels in E6, E7 and E8)."""
-    nodes = affine_marks(t).finite_nodes
-    return frozenset(
-        _exceptional_label(t, frozenset(J)) for k in range(len(nodes) + 1) for J in combinations(nodes, k)
-    )
-
-
-# The distinguished orbits of each D and E factor other than its regular one,
-# by the suffix of their Bala-Carter label (Bala-Carter 1976).
-DISTINGUISHED = {
-    "D4": ("a1",), "D5": ("a1",), "D6": ("a1", "a2"), "D7": ("a1", "a2"), "E6": ("a1", "a3"),
-    "E7": ("a1", "a2", "a3", "a4", "a5"), "E8": ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "b4", "b5", "b6"),
-}
-
-
-@lru_cache(maxsize=None)
-def orbit_labels(t: LieType) -> frozenset[str]:
-    """The Bala-Carter labels of the nilpotent orbits of E6-E8: each Levi
-    label with each of its D and E factors regular or suffixed by one of its
-    `DISTINGUISHED` orbits (21, 45 and 70 labels)."""
-    out = set()
-    for label in levi_labels(t):
-        pieces = re.split(r"([DE][4-8])", label)  # the factors at the odd places
-        choices = [[p, *(f"{p}({k})" for k in DISTINGUISHED[p])] if i % 2 else [p] for i, p in enumerate(pieces)]
-        out.update(map("".join, product(*choices)))
-    return frozenset(out)
-
-
 def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
     """Nilpotent orbit of a regular nilpotent element of the Levi with simple
     roots J (J inside the finite diagram)."""
     J = frozenset(J)
     if t.is_exceptional:
-        return NilpotentOrbit(t, label=_exceptional_label(t, J))
+        return NilpotentOrbit(t, label=exceptional_label(t, J))
     p = _classical_levi_partition(t, J)
     if t.family != "A":
         assert is_valid(p, parity_class(t)), (t, J, p)

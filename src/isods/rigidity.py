@@ -34,10 +34,18 @@ class RigidityReport(FrozenRecord):
     __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
 
 
+def _twice_m_delta(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> int:
+    """The integer 2m * Delta = d|Phi| - m(dim C - dim t^w) of a nilpotent
+    orbit; an UnsupportedSlopeError when m is not regular."""
+    if not is_regular(t, s.m):
+        raise UnsupportedSlopeError(f"{s.m} is not regular for {t}")
+    return s.d * phi_count(t) - s.m * (dim_centralizer(o_nil) - dim_cartan_fixed(t, s.m))
+
+
 def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:
     """Delta = (nu*|Phi| - dim C + dim t^w) / 2 for a nilpotent orbit; adjoint
     orbits share the value of their induced nilpotent orbit."""
-    return rigidity_verdict(t, s, o_nil, o_nil).delta
+    return Fraction(_twice_m_delta(t, s, o_nil), 2 * s.m)
 
 
 def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fraction:
@@ -48,20 +56,17 @@ def rigidity_verdict(
     t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit, o_nil: NilpotentOrbit
 ) -> RigidityReport:
     """The report for an orbit whose induced nilpotent orbit o_nil is already
-    known, each term of Delta computed once.  A nilpotent orbit is
-    non-resonant."""
-    if not is_regular(t, s.m):
-        raise UnsupportedSlopeError(f"{s.m} is not regular for {t}")
-    # 2m * Delta = d|Phi| - m(dim C - dim t^w) is an integer
-    phi, dim_c, dim_tw = phi_count(t), dim_centralizer(o_nil), dim_cartan_fixed(t, s.m)
-    twice_m_delta = s.d * phi - s.m * (dim_c - dim_tw)
+    known, each term of Delta computed once: dim C is read back from 2m *
+    Delta.  A nilpotent orbit is non-resonant."""
+    twice_m_delta = _twice_m_delta(t, s, o_nil)
+    d_phi, dim_tw = s.d * phi_count(t), dim_cartan_fixed(t, s.m)
     try:
         nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
     except ValueError:
         nonres = None
     ell = is_elliptic_regular(t, s.m)
     return RigidityReport(
-        Fraction(twice_m_delta, 2 * s.m), Fraction(s.d * phi, s.m), dim_c, dim_tw,
+        Fraction(twice_m_delta, 2 * s.m), Fraction(d_phi, s.m), (d_phi - twice_m_delta) // s.m + dim_tw, dim_tw,
         nonres if ell and twice_m_delta == 0 else False, ell, nonres,
     )
 

@@ -255,19 +255,6 @@ def adjacency(t: LieType) -> dict[int, frozenset[int]]:
     return out
 
 
-def short_nodes(t: LieType) -> frozenset[int]:
-    fam, r = t.family, t.rank
-    if fam == "B":
-        return frozenset({r})
-    if fam == "C":
-        return frozenset(range(1, r))
-    if fam == "G2":
-        return frozenset({2})
-    if fam == "F4":
-        return frozenset({3, 4})
-    return frozenset()
-
-
 @lru_cache(maxsize=None)
 def positive_roots(t: LieType) -> tuple[tuple[int, ...], ...]:
     """All positive roots as coefficient vectors over the simple roots,
@@ -425,6 +412,9 @@ def components(t: LieType, J) -> list[frozenset[int]]:
     """Connected components of the sub-diagram on nodes J."""
     adj = adjacency(t)
     J = set(J)
+    bad = J - adj.keys()
+    if bad:
+        raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
     seen: set[int] = set()
     comps = []
     for start in sorted(J):
@@ -440,76 +430,3 @@ def components(t: LieType, J) -> list[frozenset[int]]:
         seen |= comp
         comps.append(frozenset(comp))
     return comps
-
-
-_F4_MIXED = {
-    frozenset({2, 3}): "B2",
-    frozenset({1, 2, 3}): "B3",
-    frozenset({2, 3, 4}): "C3",
-    frozenset({1, 2, 3, 4}): "F4",
-}
-
-
-def levi_factor_types(t: LieType, J) -> tuple[str, ...]:
-    """Irreducible factor types of the sub-diagram on J, with '~' marking
-    components made of short roots only."""
-    J = frozenset(J)
-    bad = J - set(range(1, t.rank + 1))
-    if bad:
-        raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
-    fam, n = t.family, t.rank
-    shorts = short_nodes(t)
-    out = []
-    comps = components(t, J)
-    for comp in comps:
-        if fam == "G2":
-            out.append("G2" if len(comp) == 2 else ("~A1" if comp <= shorts else "A1"))
-        elif fam == "F4":
-            if comp & shorts and comp - shorts:
-                out.append(_F4_MIXED[comp])
-            else:
-                out.append(("~" if comp <= shorts else "") + f"A{len(comp)}")
-        elif fam in ("E6", "E7", "E8"):
-            cf, cr = simply_laced_component_type(t, comp)
-            out.append(f"{cf}{cr}")
-        elif fam == "A":
-            out.append(f"A{len(comp)}")
-        elif fam in ("B", "C"):
-            out.append(f"{fam}{len(comp)}" if n in comp else f"A{len(comp)}")
-        else:  # D: both fork nodes together form the D-tail
-            fork = {n - 1, n}
-            if comp & fork and fork <= J:
-                continue  # merged below
-            out.append(f"A{len(comp)}")
-    if fam == "D" and {n - 1, n} <= J:
-        tail = frozenset().union(*(c for c in comps if c & {n - 1, n}))
-        out.append(f"D{len(tail)}")
-    return tuple(sorted(out))
-
-
-def simply_laced_component_type(t: LieType, comp: frozenset[int]) -> tuple[str, int]:
-    """Cartan type (family, rank) of a connected sub-diagram of an ADE diagram."""
-    adj = adjacency(t)
-    deg = {x: len(adj[x] & comp) for x in comp}
-    branch = [x for x in comp if deg[x] == 3]
-    if not branch:
-        return ("A", len(comp))
-    if len(branch) != 1:
-        raise ValueError(f"not a connected ADE sub-diagram: {sorted(comp)}")
-    b = branch[0]
-    arms = []
-    for first in sorted(adj[b] & comp):
-        length, prev, cur = 1, b, first
-        while True:
-            nxt = [y for y in (adj[cur] & comp) if y != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", len(comp))
-    if arms[0] == 1 and arms[1] == 2:
-        return ("E", len(comp))
-    raise ValueError(f"not an ADE sub-diagram: {sorted(comp)}")

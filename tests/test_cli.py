@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import isods
 from isods.cli import main
-from isods.coxeter import levi_labels, orbit_J_reg
+from isods.catalogue import orbit_labels
+from isods.coxeter import orbit_J_reg
 from isods.root_data import affine_marks, lie_type
 from isods.tables import TABLE_NAMES
 
@@ -92,9 +93,11 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
         assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fam,sl", [("G2", "1/6"), ("F4", "5/6")])
+@pytest.mark.parametrize("fam,sl", [("G2", "1/6"), ("F4", "5/6"), ("E6", "1/12")])
 def test_unknown_exceptional_label_exit_2(tmp_path, capsys, fam, sl):
-    for label in ("FOO", "A9", "G2(a9)", "~A3"):
+    # a suffix that names no distinguished orbit of its factor, and factors of another type
+    wrong = {"G2": ["G2(a2)"], "F4": ["F4(a4)", "C3(a2)", "B3(a1)", "B2(a1)"], "E6": ["C3(a1)", "F4(a1)"]}[fam]
+    for label in ("FOO", "A9", "G2(a9)", "~A3", *wrong):
         assert main(["solve", "--type", fam, "--slope", sl, "--orbit", label]) == 2
         assert main(["delta", "--type", fam, "--slope", sl, "--orbit", label]) == 2
         path = tmp_path / "o.json"
@@ -504,8 +507,7 @@ def orbit_text(draw, family, rank):
     if not draw(st.sampled_from((True, True, True, False))):
         return json.dumps(draw(_JSON_VALUES))
     if family in _EXCEPTIONAL:
-        labels = _embedded_labels(family) | (levi_labels(lie_type(family)) if family[0] == "E" else set())
-        label = draw(st.sampled_from(sorted(labels)))
+        label = draw(st.sampled_from(sorted(orbit_labels(lie_type(family)))))
         return draw(st.sampled_from((label, json.dumps({"kind": "nilpotent", "label": label}))))
     parts, rest = [], {"A": rank + 1, "B": 2 * rank + 1}.get(family, 2 * rank)
     while rest > 0:

@@ -1,25 +1,26 @@
 import re
 import sys
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from isods import coxeter
 from isods.checks import _coxeter_closed_form
+from isods.catalogue import levi_labels, orbit_labels
 from isods.coxeter import (
     UnsupportedSlopeError,
+    _classical_levi_partition,
     _runs_partition,
     _witness,
     coxeter_candidates,
     coxeter_solve,
     enumerate_d_allowable,
-    levi_labels,
     minimal_allowable_in_finite,
     orbit_J_reg,
-    orbit_labels,
 )
 from isods.orbits import NilpotentOrbit, closure_le, zero_orbit
-from isods.root_data import affine_marks, coxeter_number, lie_type
+from isods.root_data import affine_marks, components, coxeter_number, lie_type
 
 
 def test_g2_allowable_example():
@@ -161,16 +162,52 @@ def test_orbit_labels_catalogue():
         | {(f, label) for (f, _), (label, _) in xd.EXC_COXETER.items()}
         | {(f, label) for f, _, label, _ in xd.POTENTIALLY_RIGID_EXC}
     )
-    # the orbit counts of E6, E7 and E8 (Collingwood-McGovern ch. 8)
-    for fam, size in (("E6", 21), ("E7", 45), ("E8", 70)):
+    # the orbit counts of G2, F4, E6, E7 and E8 (Collingwood-McGovern ch. 8)
+    for fam, size in (("G2", 5), ("F4", 16), ("E6", 21), ("E7", 45), ("E8", 70)):
         t = lie_type(fam)
         labels = orbit_labels(t)
         assert len(labels) == size and levi_labels(t) < labels
         assert {label for f, label in embedded if f == fam} <= labels
+    # G2 and F4 embed every orbit, and G2(a1), C3(a1) and F4(a1)-F4(a3) are not Levi labels
+    for fam, levis in (("G2", 4), ("F4", 12)):
+        t = lie_type(fam)
+        assert orbit_labels(t) == {label for f, label in xd.DIM_C if f == fam}
+        assert len(levi_labels(t)) == levis
     assert {"E6(a1)", "E6(a3)", "D4(a1)", "D5(a1)"} == orbit_labels(lie_type("E6")) - levi_labels(lie_type("E6"))
     assert {"E7(a5)", "D6(a2)", "D5(a1)+A1", "D4(a1)+A1"} <= orbit_labels(lie_type("E7"))
     assert {"E8(b4)", "E8(a7)", "D7(a2)", "E6(a3)+A1", "D4(a1)+A2"} <= orbit_labels(lie_type("E8"))
     assert not {"E6(a2)", "E7(b4)", "D4(a2)", "D6(a3)"} & orbit_labels(lie_type("E7"))
+
+
+def _levi_factor_strings(t, J):
+    """The classical Levi factor types as strings, the tail as B_k, C_k or
+    D_k: the route `_classical_levi_partition` replaced."""
+    fam, n = t.family, t.rank
+    out = []
+    comps = components(t, J)
+    for comp in comps:
+        if fam in ("B", "C"):
+            out.append(f"{fam}{len(comp)}" if n in comp else f"A{len(comp)}")
+        elif fam != "D" or not (comp & {n - 1, n} and {n - 1, n} <= J):
+            out.append(f"A{len(comp)}")
+    if fam == "D" and {n - 1, n} <= J:
+        out.append(f"D{len(frozenset().union(*(c for c in comps if c & {n - 1, n})))}")
+    return out
+
+
+def test_classical_levi_partition_matches_the_factor_strings():
+    subsets = 0
+    for fam in ("A", "B", "C", "D"):
+        for n in range(1 if fam == "A" else (3 if fam == "D" else 2), 11):
+            t = lie_type(fam, n)
+            for k in range(n + 1):
+                for J in map(frozenset, combinations(range(1, n + 1), k)):
+                    factors = _levi_factor_strings(t, J)
+                    runs = [int(f[1:]) for f in factors if f[0] == "A"]
+                    tail = sum(int(f[1:]) for f in factors if f[0] != "A")
+                    assert _classical_levi_partition(t, J) == _runs_partition(t, runs, tail), (t, J)
+                    subsets += 1
+    assert subsets == 8174
 
 
 def test_affine_marks_are_read_only():

@@ -123,7 +123,7 @@ def test_classical_orbit_verbs_load_no_route_or_table_module(argv):
     code, modules = footprint(*argv)
     assert code == 0
     assert {"cli", "root_data", "solver"} <= modules
-    assert not modules & {"coxeter", "skeleton", "tables", "checks"}, modules
+    assert not modules & {"catalogue", "coxeter", "skeleton", "tables", "checks"}, modules
     assert "linalg" not in modules, modules
 
 
@@ -131,7 +131,17 @@ def test_e7_label_loads_no_linalg():
     # the E7 primes come from a count of orthogonal positive roots, not a rank
     code, modules = footprint("solve", "--type=E7", "--slope=7/18", "--orbit=(A5)''")
     assert code == 3  # unknown-needs-hasse
-    assert "coxeter" in modules and "linalg" not in modules, modules
+    assert "catalogue" in modules and not modules & {"coxeter", "linalg"}, modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--type=G2", "--slope=1/6", "--orbit=G2(a1)"],
+    ["solve", "--type=F4", "--slope=5/6", "--orbit=C3(a1)"],
+])
+def test_g2_f4_label_loads_the_catalogue_not_coxeter(argv):
+    code, modules = footprint(*argv)
+    assert code == 0
+    assert "catalogue" in modules and "coxeter" not in modules, modules
 
 
 @pytest.mark.parametrize("argv", [

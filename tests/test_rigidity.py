@@ -6,7 +6,7 @@ import pytest
 
 from isods import exceptional_data as xd
 from isods.checks import _random_adjoint, check_delta
-from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer
+from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, zero_orbit
 from isods.rigidity import (
     closed_form_delta,
     coxeter_delta_column,
@@ -238,6 +238,7 @@ def _assert_fraction_identity(t, s, o):
     rep = rigidity_verdict(t, s, o, o)
     assert type(rep.delta) is Fraction and type(rep.nu_phi) is Fraction
     assert rep.delta == _fraction_delta(t, s, o) and rep.nu_phi == s.nu * phi_count(t), (t, s, o)
+    assert (rep.dim_c, rep.dim_tw) == (dim_centralizer(o), dim_cartan_fixed(t, s.m)), (t, s, o)
     return rep
 
 
@@ -264,6 +265,45 @@ def test_rigidity_verdict_matches_the_fraction_identity():
             for f2, other in xd.DIM_C:
                 if f2 == fam:
                     _assert_fraction_identity(t, s, NilpotentOrbit(t, label=other))
+
+
+def test_delta_of_orbit_is_the_verdict_delta():
+    # every classical cell of rank <= 8 at its threshold and zero orbits, and
+    # every Coxeter row of G2-E8 with each embedded dim C of its type
+    cells = 0
+    for fam in ("A", "B", "C", "D"):
+        cells_of_fam = slope_cells(
+            fam, 8, lambda t: range(1, 2 * t.rank + 4), lambda m: range(1, 3 * m + 2), min_rank=1 if fam == "A" else None
+        )
+        for t, m, d, s in cells_of_fam:
+            for o in (o_nu(t, s), zero_orbit(t)):
+                got = delta_of_orbit(t, s, o)
+                assert type(got) is Fraction and got == rigidity_verdict(t, s, o, o).delta, (t, s, o)
+            cells += 1
+    assert cells == 997
+    rows = set()
+    for (fam, d), (label, _) in xd.EXC_COXETER.items():
+        t = lie_type(fam)
+        s = slope(d, coxeter_number(t))
+        for other in {label} | {other for f, other in xd.DIM_C if f == fam}:
+            o = NilpotentOrbit(t, label=other)
+            assert delta_of_orbit(t, s, o) == rigidity_verdict(t, s, o, o).delta, (t, s, o)
+            rows.add((fam, other))
+    assert set(xd.DIM_C) <= rows
+
+
+def test_delta_of_orbit_reads_no_ellipticity(monkeypatch):
+    from isods import rigidity
+
+    def refuse(t, m):
+        raise AssertionError(f"delta_of_orbit asked whether {m} is elliptic for {t}")
+
+    monkeypatch.setattr(rigidity, "is_elliptic_regular", refuse)
+    B2, E8 = lie_type("B", 2), lie_type("E8")
+    assert delta_of_orbit(B2, slope(3, 4), NilpotentOrbit(B2, (2, 2, 1))) == 0
+    assert delta_of_orbit(E8, slope(1, 30), NilpotentOrbit(E8, label="E8")) == 0
+    with pytest.raises(UnsupportedSlopeError):
+        delta_of_orbit(B2, slope(1, 3), NilpotentOrbit(B2, (2, 2, 1)))
 
 
 def _fraction_non_resonant(a):

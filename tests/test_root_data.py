@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from isods.coxeter import orbit_J_reg
 from isods.root_data import (
     affine_marks,
     cartan_matrix,
@@ -12,7 +13,6 @@ from isods.root_data import (
     highest_root,
     is_elliptic_regular,
     is_regular,
-    levi_factor_types,
     lie_type,
     parse_slope,
     phi_count,
@@ -135,19 +135,16 @@ def test_slope_cells():
 
 
 def test_levi_factors():
+    # a classical Levi factor shows in the Jordan type of its regular orbit
     B4 = lie_type("B", 4)
-    assert levi_factor_types(B4, {1, 3, 4}) == ("A1", "B2")
-    assert levi_factor_types(B4, {4}) == ("B1",)
+    assert orbit_J_reg(B4, {1, 3, 4}).partition == (5, 2, 2)
+    assert orbit_J_reg(B4, {4}).partition == (3, 1, 1, 1, 1, 1, 1)
     D5 = lie_type("D", 5)
-    assert levi_factor_types(D5, {4, 5}) == ("D2",)
-    assert levi_factor_types(D5, {1, 4}) == ("A1", "A1")
-    assert levi_factor_types(D5, {3, 4, 5}) == ("D3",)
-    F4 = lie_type("F4")
-    assert levi_factor_types(F4, {1, 2, 4}) == ("A2", "~A1")
-    assert levi_factor_types(F4, {2, 3, 4}) == ("C3",)
-    assert levi_factor_types(lie_type("E7"), {2, 3, 5, 7}) == ("A1", "A1", "A1", "A1")
-    with pytest.raises(ValueError):
-        levi_factor_types(lie_type("A", 3), {0, 1})
+    assert orbit_J_reg(D5, {4, 5}).partition == (3,) + (1,) * 7
+    assert orbit_J_reg(D5, {1, 4}).partition == (2, 2, 2, 2, 1, 1)
+    assert orbit_J_reg(D5, {3, 4, 5}).partition == (5, 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"nodes \[0\] are not finite diagram nodes of A3"):
+        orbit_J_reg(lie_type("A", 3), {0, 1})
 
 
 def test_regular_examples():
