@@ -1,8 +1,9 @@
 """Bala-Carter labels of the exceptional types G2, F4 and E6-E8 (Bala-Carter
 1976), derived from the Cartan matrix: the short simple roots, the factor
-types of each Levi subalgebra, the label of its regular orbit, and the
-catalogue of every orbit label, which the command line checks a label
-against.
+types of each Levi subalgebra, the label of its regular orbit (one table
+per type, by subset of the finite diagram, which the Coxeter route reads),
+and the catalogue of every orbit label, which the command line checks a
+label against.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
+from sys import intern
 
 from .root_data import LieType, adjacency, affine_marks, cartan_matrix, components, positive_roots
 
@@ -105,14 +107,24 @@ def exceptional_label(t: LieType, J: frozenset[int]) -> str:
 
 
 @lru_cache(maxsize=None)
+def label_table(t: LieType) -> tuple[str, ...]:
+    """`exceptional_label` of every subset of the finite diagram, indexed by
+    its bit mask (node a is bit a - 1): 4, 16, 64, 128 and 256 entries in
+    G2, F4, E6, E7 and E8, derived once per type.  Equal labels share one
+    interned string."""
+    nodes = affine_marks(t).finite_nodes
+    return tuple(
+        intern(exceptional_label(t, frozenset(a for a in nodes if mask >> (a - 1) & 1)))
+        for mask in range(2 ** len(nodes))
+    )
+
+
+@lru_cache(maxsize=None)
 def levi_labels(t: LieType) -> frozenset[str]:
     """The Bala-Carter labels of the Levi subalgebras of an exceptional type:
-    `exceptional_label` of every subset of the finite diagram (4, 12, 17, 32
-    and 41 labels in G2, F4, E6, E7 and E8)."""
-    nodes = affine_marks(t).finite_nodes
-    return frozenset(
-        exceptional_label(t, frozenset(J)) for k in range(len(nodes) + 1) for J in combinations(nodes, k)
-    )
+    the values of `label_table` (4, 12, 17, 32 and 41 labels in G2, F4, E6,
+    E7 and E8)."""
+    return frozenset(label_table(t))
 
 
 # The distinguished orbits of each factor other than its regular one, by the

@@ -210,6 +210,20 @@ COXETER_MAX_RANK = 1000
 # 0.08 s at rank 30, 0.10 s at 40 and 0.11 s at 50, about 0.07 s of it start-up.
 ORACLE_MAX_RANK = 50
 
+# `ds tables` and `ds rigid` sweep every classical rank up to --max-rank and
+# O(rank) slopes at each, so their time grows about as rank^3.  In a cold
+# process on a shared 2-core host (best of 3), the slowest (t_cl_ell_rig and
+# rigid, B and D) took 0.23 s at rank 60, 0.64-0.72 s at 100 and 1.05-1.28 s
+# at 120; t_clCox of C at 1000 took 119 s.
+TABLES_MAX_RANK = 100
+
+
+def _check_max_rank(args) -> None:
+    if args.max_rank > TABLES_MAX_RANK:
+        raise CliError(
+            f"the tables take time about rank^3; --max-rank {args.max_rank} is above the bound {TABLES_MAX_RANK}"
+        )
+
 
 def cmd_coxeter(args) -> int:
     t = _parse_type(args)
@@ -247,6 +261,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_rigid(args) -> int:
+    _check_max_rank(args)
     if args.format == "json":
         from .rigidity import scan_rigid
 
@@ -273,6 +288,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    _check_max_rank(args)
     kw = {}
     if args.name == "t_clq":
         if None in (args.rank, args.slope, args.mults):
@@ -346,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigid", help="rigid classification scan")
     p.add_argument("--family", required=True)
-    p.add_argument("--max-rank", type=int, default=10)
+    p.add_argument("--max-rank", type=int, default=10, help=f"at most {TABLES_MAX_RANK}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_rigid)
 
@@ -360,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="regenerate a table as CSV")
     p.add_argument("--name", required=True, choices=TABLE_NAMES)
     p.add_argument("--family")
-    p.add_argument("--max-rank", type=int, default=6)
+    p.add_argument("--max-rank", type=int, default=6, help=f"at most {TABLES_MAX_RANK}")
     p.add_argument("--rank", type=int)
     p.add_argument("--slope")
     p.add_argument("--mults", help="comma-separated nonzero multiplicities")

@@ -6,9 +6,11 @@ In the classical types the closure order is dominance of partitions, and
 the orbit of J depends only on its tail, its mark-1 nodes and the sizes of
 its A-type runs; `_configuration_candidates` builds one dominance-least
 candidate per configuration, O(rank) of them in O(rank) time each.  G2,
-F4 and E6-E8 (rank <= 8) scan all 2^rank subsets
-(`minimal_allowable_in_finite`), which the tests keep as the classical
-oracle.  The marks come from `affine_marks` alone; the route reads none of
+F4 and E6-E8 (rank <= 8) take the minimal subsets from a table of the mark
+sum and least mark of every subset of the finite diagram
+(`minimal_allowable_in_finite`, which the tests keep as the classical
+oracle) and their labels from `catalogue.label_table`, both built once per
+type.  The marks come from `affine_marks` alone; the route reads none of
 the table code it is checked against.
 """
 
@@ -17,8 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import exceptional_data as xd
-from .catalogue import exceptional_label
 from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
 from .partitions import Partition, is_valid, lambda_evenly, partition
 from .root_data import (
@@ -29,6 +29,7 @@ from .root_data import (
     components,
     coxeter_number,
     defining_dim,
+    node_mask,
     sorted_pairs,
 )
 
@@ -113,26 +114,34 @@ def enumerate_d_allowable(t: LieType, d: int) -> list[AllowableSubset]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _subset_marks(t: LieType) -> tuple[tuple[int, int, int], ...]:
+    """(mask, mark sum, least mark) of every nonempty subset of the finite
+    diagram, by mask (node a is bit a - 1).  Each row extends the row of its
+    mask less the top bit by one node."""
+    marks = affine_marks(t).marks
+    rows = [(0, 0, 0)]
+    for a in range(1, t.rank + 1):
+        rows += [(mask | 1 << (a - 1), s + marks[a], min(low, marks[a]) if mask else marks[a]) for mask, s, low in rows]
+    return tuple(rows[1:])
+
+
 def minimal_allowable_in_finite(t: LieType, d: int) -> list[frozenset[int]]:
-    """Minimal d-allowable subsets contained in the finite diagram.
+    """Minimal d-allowable subsets contained in the finite diagram, in mask
+    order.
 
     For J inside the finite diagram the affine node (mark 1) belongs to the
     complement, so J is allowable iff marksum(J) >= h - d; allowability is
-    then monotone and minimality reduces to single-node removals.
+    then monotone and minimality reduces to single-node removals: removing
+    the least mark leaves the sum below h - d.
     """
-    diag = affine_marks(t)
-    h = coxeter_number(t)
-    nodes = diag.finite_nodes
-    need = h - d
+    need = coxeter_number(t) - d
     if need <= 0:
         return [frozenset()]
-    out = []
-    for mask in range(2 ** len(nodes)):
-        J = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-        s = sum(diag.marks[a] for a in J)
-        if s >= need and all(s - diag.marks[a] < need for a in J):
-            out.append(frozenset(J))
-    return out
+    nodes = affine_marks(t).finite_nodes
+    return [
+        frozenset(a for a in nodes if mask >> (a - 1) & 1) for mask, s, low in _subset_marks(t) if s >= need > s - low
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,8 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     above the one built for its configuration, and the least of these
     O(rank) real candidates, once `coxeter_solve` checks that it lies below
     them all, is the least candidate.  In A all marks are 1: S = h - d on
-    the path 1..n.
+    the path 1..n.  Configurations that give the same partition give one
+    candidate, at the first of them.
     """
     fam, n = t.family, t.rank
     need = coxeter_number(t) - d
@@ -202,7 +212,7 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     shapes = [(c, max(n - c - 1, 0), n - c > 1 and marks[1] == 1) for c in range(n + 1) if fam != "D" or c > 1]
     if fam == "D":
         shapes.append((0, n - 1, 2))
-    out = []
+    out = {}  # partition -> None, in order of first construction
     for c, length, ends in shapes:
         for p in range(ends + 1):  # p ends pinned, the others dropped
             m1 = p + sum(a > n - c for a in ones)
@@ -211,16 +221,18 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
             s = 2 * (S + c) - m1  # >= need by the choice of S
             if s - (1 if m1 else 2) < need and p <= S <= L and (p < 2 or 2 * S > L):
                 runs = lambda_evenly(S, min(S, L - S + 1)) if S else ()
-                out.append(NilpotentOrbit(t, _runs_partition(t, runs, c)))
-    return out
+                out[_runs_partition(t, runs, c)] = None
+    return [NilpotentOrbit(t, p) for p in out]
 
 
 def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
     """Nilpotent orbit of a regular nilpotent element of the Levi with simple
     roots J (J inside the finite diagram)."""
-    J = frozenset(J)
     if t.is_exceptional:
-        return NilpotentOrbit(t, label=exceptional_label(t, J))
+        from .catalogue import label_table
+
+        return NilpotentOrbit(t, label=label_table(t)[node_mask(t, J)])
+    J = frozenset(J)
     p = _classical_levi_partition(t, J)
     if t.family != "A":
         assert is_valid(p, parity_class(t)), (t, J, p)
@@ -229,8 +241,8 @@ def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
 
 def coxeter_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     """Orbits attached to the minimal d-allowable subsets of the finite
-    diagram (`minimal_allowable_in_finite`, 2^rank subsets), duplicates
-    removed, in the order of sorted(J)."""
+    diagram (`minimal_allowable_in_finite`), duplicates removed, in the
+    order of sorted(J)."""
     seen = []
     for J in sorted(minimal_allowable_in_finite(t, d), key=sorted):
         o = orbit_J_reg(t, J)
@@ -257,6 +269,8 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         assert cands == [zero_orbit(t)]
         return cands[0]
     if t.family in ("E6", "E7", "E8"):
+        from . import exceptional_data as xd
+
         key = (t.family, d)
         if key not in xd.EXC_COXETER:
             raise UnsupportedSlopeError(f"no embedded Coxeter data for {key}")

@@ -7,7 +7,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from . import exceptional_data as xd
 from .partitions import (
     ParityClass,
     Partition,
@@ -154,6 +153,8 @@ def zero_orbit(t: LieType) -> NilpotentOrbit:
 def dim_centralizer(o: NilpotentOrbit) -> int:
     t = o.type
     if t.is_exceptional:
+        from . import exceptional_data as xd
+
         key = (t.family, o.label)
         if key not in xd.DIM_C:
             raise ValueError(f"no embedded centralizer dimension for {key}")
@@ -373,6 +374,8 @@ def _below(orbits: frozenset[str], covers: tuple[tuple[str, str], ...]) -> dict[
 @lru_cache(maxsize=None)
 def builtin_hasse(family: str) -> HasseDiagram | None:
     """The embedded closure order of G2 or F4, built once; None otherwise."""
+    from . import exceptional_data as xd
+
     if family == "G2":
         covers = xd.G2_HASSE_COVERS
     elif family == "F4":

@@ -26,7 +26,7 @@ class ParityClass(Enum):
 
 def partition(parts: Iterable[int]) -> Partition:
     """Canonical form: sort descending, drop zeros, reject negatives."""
-    out = tuple(sorted((int(x) for x in parts), reverse=True))
+    out = tuple(sorted(map(int, parts), reverse=True))
     while out and out[-1] == 0:
         out = out[:-1]
     if out and out[-1] < 0:
@@ -173,7 +173,7 @@ def is_very_even(p: Partition) -> bool:
 def is_valid(p: Partition, cls: ParityClass) -> bool:
     """Parity-class membership test, including the total-parity constraint."""
     total_parity, paired = cls.value
-    return sum(p) % 2 == total_parity and all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == paired)
+    return sum(p) % 2 == total_parity and all(p.count(v) % 2 == 0 for v in set(p) if v % 2 == paired)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from . import exceptional_data as xd
 from .orbits import AdjointOrbit, NilpotentOrbit, dim_centralizer, ls_induction
 from .root_data import (
     EXCEPTIONAL_RANK,
@@ -203,6 +202,8 @@ def coxeter_delta_column(t: LieType, d: int) -> Fraction:
     """
     fam, n = t.family, t.rank
     if t.is_exceptional:
+        from . import exceptional_data as xd
+
         key = (fam, d)
         if key not in xd.EXC_COXETER:
             raise UnsupportedSlopeError(f"no Coxeter table entry for {key}")
@@ -267,6 +268,8 @@ def scan_rigid(family: str, max_rank: int):
     each with its threshold orbit.  For exceptional families, returns the
     embedded numerics rows instead."""
     if family in EXCEPTIONAL_RANK:
+        from . import exceptional_data as xd
+
         out = []
         for fam, nu, lbl, exist in xd.POTENTIALLY_RIGID_EXC:
             if fam == family:

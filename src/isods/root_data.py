@@ -408,13 +408,24 @@ def dim_g(t: LieType) -> int:
     return phi_count(t) + t.rank
 
 
+def _finite_node_set(t: LieType, J) -> set[int]:
+    """J as a set, or ValueError if a node lies outside the finite diagram."""
+    J = set(J)
+    bad = J - adjacency(t).keys()
+    if bad:
+        raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
+    return J
+
+
+def node_mask(t: LieType, J) -> int:
+    """Bit mask of a subset J of the finite diagram: node a is bit a - 1."""
+    return sum(1 << (a - 1) for a in _finite_node_set(t, J))
+
+
 def components(t: LieType, J) -> list[frozenset[int]]:
     """Connected components of the sub-diagram on nodes J."""
     adj = adjacency(t)
-    J = set(J)
-    bad = J - adj.keys()
-    if bad:
-        raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
+    J = _finite_node_set(t, J)
     seen: set[int] = set()
     comps = []
     for start in sorted(J):

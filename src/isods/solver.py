@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import exceptional_data as xd
 from .orbits import (
     AdjointOrbit,
     HasseDiagram,
@@ -139,6 +138,8 @@ def o_nu_rows(t: LieType, s: Slope) -> list[_Row]:
                 else:
                     rows.append(_Row("D5", NilpotentOrbit(t, _edge_case_partition(m, ell, (1, 1))), e))
     else:
+        from . import exceptional_data as xd
+
         h = coxeter_number(t)
         if m == h:
             key = (fam, d)

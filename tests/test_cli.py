@@ -239,6 +239,21 @@ def test_coxeter_rank_bound(capsys):
     assert code == 0 and json.loads(out)["o_nu"]["partition"] == [2 * COXETER_MAX_RANK]
 
 
+def test_tables_and_rigid_rank_bound(capsys):
+    from isods.cli import TABLES_MAX_RANK
+
+    above = str(TABLES_MAX_RANK + 1)
+    for argv in (["tables", "--name", "t_clCox", "--family", "C"], ["tables", "--name", "t_cl_ell_rig"],
+                 ["tables", "--name", "t_excCox"], ["rigid", "--family", "D"],
+                 ["rigid", "--family", "B", "--format", "json"]):
+        code = main([*argv, "--max-rank", above])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1, argv
+        assert f"--max-rank {above} is above the bound {TABLES_MAX_RANK}" in captured.err, argv
+    code, out = run_cli(capsys, "tables", "--name", "t_clCox", "--family", "A", "--max-rank", str(TABLES_MAX_RANK))
+    assert code == 0 and out.splitlines()[-1].startswith(f"A,{TABLES_MAX_RANK},")
+
+
 def test_solve_adjoint_file(tmp_path, capsys):
     orbit = {
         "kind": "adjoint",

@@ -7,7 +7,7 @@ import pytest
 
 from isods import coxeter
 from isods.checks import _coxeter_closed_form
-from isods.catalogue import levi_labels, orbit_labels
+from isods.catalogue import exceptional_label, label_table, levi_labels, orbit_labels
 from isods.coxeter import (
     UnsupportedSlopeError,
     _classical_levi_partition,
@@ -68,6 +68,58 @@ def test_minimal_finite_agrees_with_full_enumeration():
             }
             fast = {tuple(sorted(J)) for J in minimal_allowable_in_finite(t, d)}
             assert full == fast, (t, d)
+
+
+def _mask_loop_minimal(t, d):
+    """The per-call scan the subset table replaced: every subset of the
+    finite diagram by mask, kept when its mark sum reaches h - d and every
+    single-node removal falls below it."""
+    diag = affine_marks(t)
+    nodes = diag.finite_nodes
+    need = coxeter_number(t) - d
+    if need <= 0:
+        return [frozenset()]
+    out = []
+    for mask in range(2 ** len(nodes)):
+        J = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
+        s = sum(diag.marks[a] for a in J)
+        if s >= need and all(s - diag.marks[a] < need for a in J):
+            out.append(frozenset(J))
+    return out
+
+
+def test_minimal_finite_equals_the_mask_loop():
+    types = [lie_type(fam) for fam in ("G2", "F4", "E6", "E7", "E8")]
+    types += [lie_type(fam, n) for fam in "ABCD" for n in range({"A": 1, "D": 3}.get(fam, 2), 11)]
+    cells = 0
+    for t in types:
+        for d in range(1, 2 * coxeter_number(t)):
+            assert minimal_allowable_in_finite(t, d) == _mask_loop_minimal(t, d), (t, d)
+            cells += 1
+    assert cells == sum(2 * coxeter_number(t) - 1 for t in types)
+
+
+def test_label_table_is_exceptional_label_by_mask():
+    subsets = 0
+    for fam in ("G2", "F4", "E6", "E7", "E8"):
+        t = lie_type(fam)
+        table = label_table(t)
+        assert len(table) == 2 ** t.rank
+        for mask, label in enumerate(table):
+            J = frozenset(a for a in range(1, t.rank + 1) if mask >> (a - 1) & 1)
+            assert label == exceptional_label(t, J) == orbit_J_reg(t, J).label, (t, J)
+            subsets += 1
+        assert levi_labels(t) == frozenset(table)
+    assert subsets == 468
+
+
+def test_orbit_J_reg_off_the_finite_diagram_is_the_components_error():
+    for t, J in ((lie_type("E6"), {0, 1}), (lie_type("G2"), {3}), (lie_type("B", 4), {0, 1})):
+        with pytest.raises(ValueError) as want:
+            components(t, J)
+        with pytest.raises(ValueError) as got:
+            orbit_J_reg(t, J)
+        assert str(got.value) == str(want.value), t
 
 
 def test_orbit_J_reg_examples():
@@ -322,6 +374,12 @@ def test_configurations_give_the_least_scan_candidate(monkeypatch):
     monkeypatch.setattr(coxeter, "_configuration_candidates", _subset_scan_candidates)
     assert [(t, d, _outcome(t, d)) for t, d, _ in cells] == cells
     assert len(cells) == 1071 and sum(isinstance(o, tuple) for *_, o in cells) == 576
+
+
+def test_configuration_candidates_are_distinct():
+    for t, d in _classical_cells(range(1, 21)):
+        cands = coxeter._configuration_candidates(t, d)
+        assert len(set(cands)) == len(cands), (t, d)
 
 
 def test_configurations_give_the_least_walk_candidate(monkeypatch):

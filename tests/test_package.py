@@ -123,7 +123,7 @@ def test_classical_orbit_verbs_load_no_route_or_table_module(argv):
     code, modules = footprint(*argv)
     assert code == 0
     assert {"cli", "root_data", "solver"} <= modules
-    assert not modules & {"catalogue", "coxeter", "skeleton", "tables", "checks"}, modules
+    assert not modules & {"catalogue", "coxeter", "skeleton", "tables", "checks", "exceptional_data"}, modules
     assert "linalg" not in modules, modules
 
 
@@ -155,6 +155,16 @@ def test_coxeter_loads_no_solver(argv):
     assert not modules & {"solver", "rigidity", "skeleton", "tables", "checks"}, modules
 
 
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "--type=B", "--rank=5", "--d=3"],
+    ["coxeter", "--type=D", "--rank=6", "--d=7", "--show-subsets"],
+])
+def test_classical_coxeter_loads_no_exceptional_module(argv):
+    code, modules = footprint(*argv)
+    assert code == 0 and "coxeter" in modules
+    assert not modules & {"catalogue", "exceptional_data"}, modules
+
+
 def test_oracle_loads_only_the_lattice_models():
     code, modules = footprint("oracle", "--type=B", "--rank=4", "--slope=1/4", "--budget=2")
     assert code == 0
@@ -169,6 +179,8 @@ def test_oracle_loads_only_the_lattice_models():
     ["oracle", "--type=B", "--rank=4", "--slope=1/4", "--budget=-1"],
     ["oracle", "--type=B", "--rank=100", "--slope=1/200"],
     ["tables", "--name=t_clq", "--rank=4", "--slope=0/4", "--mults=2"],
+    ["tables", "--name=t_clCox", "--max-rank=101"],
+    ["rigid", "--family=C", "--max-rank=101"],
 ])
 def test_malformed_input_exits_before_any_engine_module_loads(argv):
     assert footprint(*argv) == (2, {"cli", "root_data"})

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate, product
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from isods.partitions import (
 def test_partition_normalizes():
     assert partition([1, 3, 2, 0]) == (3, 2, 1)
     assert partition([]) == ()
+    assert partition(iter((True, 2.0, 0, 5))) == (5, 2, 1)
     with pytest.raises(ValueError):
         partition([2, -1])
 
@@ -205,6 +207,20 @@ def test_parity_examples():
     assert is_valid((4, 4), ParityClass.D) and is_very_even((4, 4))
     assert not is_valid((4, 3, 2), ParityClass.B)  # two violations
     assert not is_valid((2, 2), ParityClass.B)  # wrong total parity
+
+
+def test_is_valid_equals_the_counter_rule():
+    def reference(p, cls):
+        total_parity, paired = cls.value
+        return sum(p) % 2 == total_parity and all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == paired)
+
+    cases = 0
+    for cls in ParityClass:
+        for n in range(21):
+            for p in partitions_of(n):
+                assert is_valid(p, cls) == reference(p, cls), (p, cls)
+                cases += 1
+    assert cases == 3 * sum(len(partitions_of(n)) for n in range(21))
 
 
 def test_valid_partitions_filters_and_memoises():
