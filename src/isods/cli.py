@@ -143,7 +143,9 @@ def _load_orbit(t: LieType, args):
     raise CliError("an orbit is required (--orbit or --orbit-file)")
 
 
-def _load_hasse(args) -> HasseDiagram | None:
+def _load_hasse(t: LieType, args) -> HasseDiagram | None:
+    """The closure order of a --hasse-file; in G2-E8 each of its labels must
+    be in `catalogue.orbit_labels`."""
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
@@ -156,7 +158,14 @@ def _load_hasse(args) -> HasseDiagram | None:
                 _json(item[key], str, f"{key!r} in a Hasse file")
         if "dimC" in item:
             _json(item["dimC"], int, "'dimC' in a Hasse file")
-    return HasseDiagram.from_json(data)
+    hasse = HasseDiagram.from_json(data)
+    if t.is_exceptional:
+        from .catalogue import orbit_labels
+
+        unknown = sorted(set(hasse.orbits) - orbit_labels(t))
+        if unknown:
+            raise CliError(f"unknown {t.family} orbit labels in the Hasse file: {', '.join(map(repr, unknown))}")
+    return hasse
 
 
 def _emit(obj) -> None:
@@ -167,7 +176,7 @@ def cmd_solve(args) -> int:
     t = _parse_type(args)
     s = parse_slope(args.slope)
     orbit = _load_orbit(t, args)
-    hasse = _load_hasse(args)
+    hasse = _load_hasse(t, args)
     from .solver import ds_solve
 
     ans = ds_solve(t, s, orbit, hasse=hasse)

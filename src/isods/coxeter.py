@@ -6,12 +6,13 @@ In the classical types the closure order is dominance of partitions, and
 the orbit of J depends only on its tail, its mark-1 nodes and the sizes of
 its A-type runs; `_configuration_candidates` builds one dominance-least
 candidate per configuration, O(rank) of them in O(rank) time each.  G2,
-F4 and E6-E8 (rank <= 8) take the minimal subsets from a table of the mark
-sum and least mark of every subset of the finite diagram
-(`minimal_allowable_in_finite`, which the tests keep as the classical
-oracle) and their labels from `catalogue.label_table`, both built once per
-type.  The marks come from `affine_marks` alone; the route reads none of
-the table code it is checked against.
+F4 and E6-E8 (rank <= 8) hold a subset of the finite diagram as a bit mask
+(node a is bit a - 1): `_minimal_masks` filters a table of the mark sum and
+least mark of every subset, and each label is read by mask from
+`catalogue.label_table`, both tables built once per type.
+(`minimal_allowable_in_finite` gives the same masks as node sets, the
+classical oracle of the tests.)  The marks come from `affine_marks` alone;
+the route reads none of the table code it is checked against.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .orbits import NilpotentOrbit, closure_le, parity_class, zero_orbit
-from .partitions import Partition, is_valid, lambda_evenly, partition
+from .orbits import NilpotentOrbit, closure_le, zero_orbit
+from .partitions import Partition, lambda_evenly, partition
 from .root_data import (
     FrozenRecord,
     LieType,
@@ -29,7 +30,6 @@ from .root_data import (
     components,
     coxeter_number,
     defining_dim,
-    node_mask,
     sorted_pairs,
 )
 
@@ -126,9 +126,14 @@ def _subset_marks(t: LieType) -> tuple[tuple[int, int, int], ...]:
     return tuple(rows[1:])
 
 
-def minimal_allowable_in_finite(t: LieType, d: int) -> list[frozenset[int]]:
-    """Minimal d-allowable subsets contained in the finite diagram, in mask
-    order.
+def _nodes(mask: int) -> list[int]:
+    """The nodes of the finite-diagram subset with this mask, increasing."""
+    return [a for a in range(1, mask.bit_length() + 1) if mask >> (a - 1) & 1]
+
+
+def _minimal_masks(t: LieType, d: int) -> list[int]:
+    """Masks of the minimal d-allowable subsets contained in the finite
+    diagram, in mask order.
 
     For J inside the finite diagram the affine node (mark 1) belongs to the
     complement, so J is allowable iff marksum(J) >= h - d; allowability is
@@ -137,11 +142,14 @@ def minimal_allowable_in_finite(t: LieType, d: int) -> list[frozenset[int]]:
     """
     need = coxeter_number(t) - d
     if need <= 0:
-        return [frozenset()]
-    nodes = affine_marks(t).finite_nodes
-    return [
-        frozenset(a for a in nodes if mask >> (a - 1) & 1) for mask, s, low in _subset_marks(t) if s >= need > s - low
-    ]
+        return [0]
+    return [mask for mask, s, low in _subset_marks(t) if s >= need > s - low]
+
+
+def minimal_allowable_in_finite(t: LieType, d: int) -> list[frozenset[int]]:
+    """Minimal d-allowable subsets contained in the finite diagram, in mask
+    order (`_minimal_masks` as node sets)."""
+    return [frozenset(_nodes(mask)) for mask in _minimal_masks(t, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +237,25 @@ def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
     """Nilpotent orbit of a regular nilpotent element of the Levi with simple
     roots J (J inside the finite diagram)."""
     if t.is_exceptional:
-        from .catalogue import label_table
+        from .catalogue import exceptional_label
 
-        return NilpotentOrbit(t, label=label_table(t)[node_mask(t, J)])
-    J = frozenset(J)
-    p = _classical_levi_partition(t, J)
-    if t.family != "A":
-        assert is_valid(p, parity_class(t)), (t, J, p)
-    return NilpotentOrbit(t, p)
+        return NilpotentOrbit(t, label=exceptional_label(t, frozenset(J)))
+    return NilpotentOrbit(t, _classical_levi_partition(t, frozenset(J)))
 
 
 def coxeter_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     """Orbits attached to the minimal d-allowable subsets of the finite
-    diagram (`minimal_allowable_in_finite`), duplicates removed, in the
-    order of sorted(J)."""
-    seen = []
-    for J in sorted(minimal_allowable_in_finite(t, d), key=sorted):
-        o = orbit_J_reg(t, J)
-        if o not in seen:
-            seen.append(o)
-    return seen
+    diagram (`_minimal_masks`), duplicates removed, in the order of
+    sorted(J): in G2-E8 the labels read from `catalogue.label_table` by
+    mask, in A-D the `_classical_levi_partition`s."""
+    masks = sorted(_minimal_masks(t, d), key=_nodes)
+    if t.is_exceptional:
+        from .catalogue import label_table
+
+        labels = label_table(t)
+        return [NilpotentOrbit(t, label=label) for label in dict.fromkeys(labels[mask] for mask in masks)]
+    parts = dict.fromkeys(_classical_levi_partition(t, frozenset(_nodes(mask))) for mask in masks)
+    return [NilpotentOrbit(t, p) for p in parts]
 
 
 def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:

@@ -292,21 +292,12 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
 
 def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
     """Nilpotent orbit attached to an adjoint orbit: componentwise sums in
-    type A; in B/C/D, combine the nonzero blocks, double, add the zero block
-    and take the parity collapse."""
-    t = a.type
+    type A; in B/C/D, each nonzero block counts twice, then the zero block
+    is added and the parity collapse taken."""
+    t, parts = a.type, [b.partition for b in a.blocks]
     if t.family == "A":
-        return NilpotentOrbit(t, sum_parts([b.partition for b in a.blocks] + [a.zero_block]))
-    d = sum_parts([b.partition for b in a.blocks])
-    f = a.zero_block
-    width = max(len(d), len(f))
-    p = partition(
-        tuple(
-            2 * (d[i] if i < len(d) else 0) + (f[i] if i < len(f) else 0)
-            for i in range(width)
-        )
-    )
-    return NilpotentOrbit(t, collapse(p, parity_class(t)))
+        return NilpotentOrbit(t, sum_parts(parts + [a.zero_block]))
+    return NilpotentOrbit(t, collapse(sum_parts(parts * 2 + [a.zero_block]), parity_class(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +308,10 @@ def ls_induction(a: AdjointOrbit) -> NilpotentOrbit:
 class HasseDiagram(FrozenRecord):
     """Closure order on exceptional orbits from covering relations; orbits
     is a sorted tuple of labels and dims the (label, dim C) pairs sorted by
-    label, so the diagram hashes and its repr is free of the hash seed."""
+    label, so the diagram hashes and its repr is free of the hash seed.  The
+    closure of each orbit is computed once, at construction."""
 
-    __slots__ = ("orbits", "covers", "dims")
+    __slots__ = ("orbits", "covers", "dims", "_below")
 
     def __init__(
         self,
@@ -328,20 +320,30 @@ class HasseDiagram(FrozenRecord):
         dims: dict[str, int] | tuple[tuple[str, int], ...] | None = None,
     ):
         self._store((orbits, covers, sorted_pairs(dims or ())))
-        self._closure()  # a cover between unknown labels raises KeyError here
+        # the orbits in the closure of each orbit, itself included; a cover
+        # between unknown labels raises KeyError here
+        below = {o: {o} for o in orbits}
+        changed = True
+        while changed:
+            changed = False
+            for hi, lo in covers:
+                new = below[lo] - below[hi]
+                if new:
+                    below[hi] |= new
+                    changed = True
         dim = dict(self.dims)
-        for hi, lo in self.covers:
+        for hi, lo in covers:
+            if hi in below[lo]:
+                raise ValueError(f"covers form a cycle through {hi} -> {lo}")
             if hi in dim and lo in dim and not dim[hi] < dim[lo]:
                 raise ValueError(f"dim C must increase downward: {hi} -> {lo}")
+        object.__setattr__(self, "_below", below)
 
     def le(self, a: str, b: str) -> bool:
         """a <= b in the closure order."""
         if a not in self.orbits or b not in self.orbits:
             raise KeyError(f"unknown orbit label {a!r} or {b!r}")
-        return a in self._closure()[b]
-
-    def _closure(self) -> dict[str, set[str]]:
-        return _below(frozenset(self.orbits), tuple(self.covers))
+        return a in self._below[b]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "HasseDiagram":
@@ -354,21 +356,6 @@ class HasseDiagram(FrozenRecord):
                 dims[item["label"]] = int(item["dimC"])
                 orbs.add(item["label"])
         return cls(tuple(sorted(orbs)), tuple(covers), dims)
-
-
-@lru_cache(maxsize=None)
-def _below(orbits: frozenset[str], covers: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
-    """The orbits in the closure of each orbit, itself included."""
-    below = {o: {o} for o in orbits}
-    changed = True
-    while changed:
-        changed = False
-        for hi, lo in covers:
-            new = below[lo] - below[hi]
-            if new:
-                below[hi] |= new
-                changed = True
-    return below
 
 
 @lru_cache(maxsize=None)

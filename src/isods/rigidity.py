@@ -48,7 +48,8 @@ def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:
 
 
 def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fraction:
-    return rigidity_report(t, s, orbit).delta
+    """Delta of a nilpotent orbit, or of the induced orbit of an adjoint one."""
+    return delta_of_orbit(t, s, ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit)
 
 
 def rigidity_verdict(

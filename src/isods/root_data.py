@@ -1,10 +1,11 @@
 """Static root-system data: Cartan matrices, positive roots, affine marks,
 exponents, Coxeter numbers, regular and elliptic-regular number predicates.
 
-Of the Weyl-group invariants only the exponents are embedded: the root
-count, the regular numbers and ellipticity derive from them (Springer,
-Invent. Math. 1974; Lehrer-Springer, Canad. J. Math. 1999), and no list of
-regular numbers is embedded.
+Of the Weyl-group invariants only the exponents are given, as closed forms
+in A-D and derived from the root heights in G2-E8: the root count, the
+regular numbers and ellipticity derive from them (Springer, Invent. Math.
+1974; Lehrer-Springer, Canad. J. Math. 1999), and no list of regular
+numbers is embedded.
 
 It also holds what the command line needs before it loads an engine module:
 the two exceptions `cli.main` maps to exit codes and the table names; and
@@ -292,6 +293,9 @@ def highest_root(t: LieType) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def exponents(t: LieType) -> tuple[int, ...]:
+    """The exponents: closed forms in A-D; in G2-E8 the partition dual to the
+    numbers of positive roots of each height (Kostant 1959), the j-th largest
+    exponent being the number of heights with at least j roots."""
     fam, n = t.family, t.rank
     if fam == "A":
         return tuple(range(1, n + 1))
@@ -299,13 +303,9 @@ def exponents(t: LieType) -> tuple[int, ...]:
         return tuple(range(1, 2 * n, 2))
     if fam == "D":
         return tuple(sorted(tuple(range(1, 2 * n - 2, 2)) + (n - 1,)))
-    return {
-        "G2": (1, 5),
-        "F4": (1, 5, 7, 11),
-        "E6": (1, 4, 5, 7, 8, 11),
-        "E7": (1, 5, 7, 9, 11, 13, 17),
-        "E8": (1, 7, 11, 13, 17, 19, 23, 29),
-    }[fam]
+    heights = [sum(root) for root in positive_roots(t)]
+    counts = [heights.count(k) for k in range(1, max(heights) + 1)]
+    return tuple(sum(c >= j for c in counts) for j in range(n, 0, -1))
 
 
 def coxeter_number(t: LieType) -> int:
@@ -408,24 +408,14 @@ def dim_g(t: LieType) -> int:
     return phi_count(t) + t.rank
 
 
-def _finite_node_set(t: LieType, J) -> set[int]:
-    """J as a set, or ValueError if a node lies outside the finite diagram."""
+def components(t: LieType, J) -> list[frozenset[int]]:
+    """Connected components of the sub-diagram on nodes J; a ValueError if a
+    node lies outside the finite diagram."""
+    adj = adjacency(t)
     J = set(J)
-    bad = J - adjacency(t).keys()
+    bad = J - adj.keys()
     if bad:
         raise ValueError(f"nodes {sorted(bad)} are not finite diagram nodes of {t}")
-    return J
-
-
-def node_mask(t: LieType, J) -> int:
-    """Bit mask of a subset J of the finite diagram: node a is bit a - 1."""
-    return sum(1 << (a - 1) for a in _finite_node_set(t, J))
-
-
-def components(t: LieType, J) -> list[frozenset[int]]:
-    """Connected components of the sub-diagram on nodes J."""
-    adj = adjacency(t)
-    J = _finite_node_set(t, J)
     seen: set[int] = set()
     comps = []
     for start in sorted(J):

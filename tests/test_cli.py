@@ -77,6 +77,21 @@ def test_solve_with_hasse_file(tmp_path, capsys):
     assert json.loads(out)["affirmative"] is False
 
 
+@pytest.mark.parametrize("covers,message", [
+    ([("2A2", "A2+2A1"), ("A2+2A1", "2A2")], "invalid input: covers form a cycle through 2A2 -> A2+2A1"),
+    ([("A2+2A1", "2A2"), ("2A2", "2A2")], "invalid input: covers form a cycle through 2A2 -> 2A2"),
+    ([("2A2", "FOO"), ("FOO", "A2+2A1")], "error: unknown E6 orbit labels in the Hasse file: 'FOO'"),
+], ids=["cycle", "self-cover", "unknown-label"])
+def test_hasse_file_that_is_no_closure_order_exits_2(tmp_path, capsys, covers, message):
+    # each of these once answered "affirmative: true, rigid: true" or
+    # "affirmative: false" with exit 0
+    path = tmp_path / "hasse.json"
+    path.write_text(json.dumps([{"from": hi, "to": lo} for hi, lo in covers]))
+    assert main(["solve", "--type", "E6", "--slope", "5/12", "--orbit", "2A2", "--hasse-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "no-such.json")
     cases = (

@@ -286,6 +286,19 @@ def _subset_scan_candidates(t, d):
     return out
 
 
+def test_candidates_from_masks_equal_the_subset_scan():
+    # labels and partitions read by mask, against orbit_J_reg over the
+    # minimal subsets as node sets, order included
+    types = [(lie_type(fam), 2) for fam in ("G2", "F4", "E6", "E7", "E8")]
+    types += [(lie_type(fam, n), 3) for fam in "ABCD" for n in range({"A": 1, "D": 3}.get(fam, 2), 11)]
+    cells = 0
+    for t, k in types:
+        for d in range(1, k * coxeter_number(t)):
+            assert coxeter_candidates(t, d) == _subset_scan_candidates(t, d), (t, d)
+            cells += 1
+    assert cells == 1071 + sum(2 * coxeter_number(t) - 1 for t, k in types if t.is_exceptional)
+
+
 def _chain_shape_walk(t, d):
     """The distinct orbits of the minimal d-allowable subsets of a classical
     finite diagram, in the order of `sorted(J)`, by a walk over chain shapes:
@@ -394,7 +407,7 @@ def test_coxeter_solve_scans_no_subsets_and_builds_no_roots(monkeypatch, fam):
         raise AssertionError("the classical route scanned subsets or built the root system")
 
     for name, module in list(sys.modules.items()):
-        for fn in ("minimal_allowable_in_finite", "positive_roots"):
+        for fn in ("_subset_marks", "minimal_allowable_in_finite", "positive_roots"):
             if name.startswith("isods") and hasattr(module, fn):
                 monkeypatch.setattr(module, fn, refuse)
     t = lie_type(fam, 40)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from isods import linalg, orbits
-from isods.checks import check_centralizer_oracle
+from isods.checks import _random_adjoint, check_centralizer_oracle
 from isods.linalg import sparse_rank
 from isods.orbits import (
     AdjointOrbit,
@@ -21,7 +21,7 @@ from isods.orbits import (
     dim_centralizer_oracle,
     ls_induction,
 )
-from isods.partitions import ParityClass, dominance_le, is_valid, partitions_of
+from isods.partitions import ParityClass, collapse, dominance_le, is_valid, partition, partitions_of, sum_parts
 from isods.root_data import defining_dim, lie_type
 
 
@@ -253,6 +253,30 @@ def test_ls_induction_valid_and_monotone():
                 b2[j] = Block(blocks[j].tag, mults[j], rng.choice(bigger))
                 a2 = AdjointOrbit(t, tuple(b2), a.zero_block)
                 assert dominance_le(ind.partition, ls_induction(a2).partition)
+
+
+def _doubling_loop_induction(a):
+    """The B/C/D induction as a hand-written loop: the componentwise sum of
+    the nonzero blocks, each part doubled and the zero block's part added,
+    then the parity collapse."""
+    t = a.type
+    d = sum_parts([b.partition for b in a.blocks])
+    f = a.zero_block
+    width = max(len(d), len(f))
+    p = partition(tuple(2 * (d[i] if i < len(d) else 0) + (f[i] if i < len(f) else 0) for i in range(width)))
+    return NilpotentOrbit(t, collapse(p, ParityClass[t.family]))
+
+
+def test_ls_induction_equals_the_doubling_loop():
+    rng = random.Random(11)
+    draws = 0
+    for fam in ("B", "C", "D"):
+        for n in range(3 if fam == "D" else 2, 11):
+            for _ in range(30):
+                t, _, a = _random_adjoint(rng, fam, n)
+                assert ls_induction(a) == _doubling_loop_induction(a), a
+                draws += 1
+    assert draws == 30 * (9 + 9 + 8)
 
 
 def test_zero_eigenvalue_belongs_to_the_zero_block():

@@ -218,6 +218,8 @@ D4 = LieType("D", 4)
     (lambda: AdjointOrbit(B4, (BLOCK,), (3,)), "multiplicities sum to 7, expected 9"),
     (lambda: HasseDiagram(("0", "A1"), (("A1", "0"),), {"A1": 14, "0": 8}),
      "dim C must increase downward: A1 -> 0"),
+    (lambda: HasseDiagram(("0", "A1"), (("A1", "0"), ("0", "A1"))), "covers form a cycle through A1 -> 0"),
+    (lambda: HasseDiagram(("0",), (("0", "0"),)), "covers form a cycle through 0 -> 0"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_validation_messages(make_bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

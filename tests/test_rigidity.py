@@ -6,7 +6,7 @@ import pytest
 
 from isods import exceptional_data as xd
 from isods.checks import _random_adjoint, check_delta
-from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, zero_orbit
+from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, ls_induction, zero_orbit
 from isods.rigidity import (
     closed_form_delta,
     coxeter_delta_column,
@@ -290,6 +290,29 @@ def test_delta_of_orbit_is_the_verdict_delta():
             assert delta_of_orbit(t, s, o) == rigidity_verdict(t, s, o, o).delta, (t, s, o)
             rows.add((fam, other))
     assert set(xd.DIM_C) <= rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_delta_is_the_report_delta_with_its_exceptions():
+    # seeded adjoint orbits and their induced orbits at their own slope and
+    # at a slope 1/m for every m up to 2 * rank + 2, regular or not
+    rng = random.Random(13)
+    outcomes = set()
+    for fam in ("A", "B", "C", "D"):
+        for n in range(3, 9):
+            t, s, a = _random_adjoint(rng, fam, n)
+            for sl in [s] + [slope(1, m) for m in range(1, 2 * n + 3)]:
+                for orbit in (a, ls_induction(a)):
+                    want = _outcome(lambda: rigidity_report(t, sl, orbit).delta)
+                    assert _outcome(delta, t, sl, orbit) == want, (t, sl, orbit)
+                    outcomes.add(type(want))
+    assert outcomes == {Fraction, tuple}
 
 
 def test_delta_of_orbit_reads_no_ellipticity(monkeypatch):

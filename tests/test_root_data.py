@@ -77,6 +77,17 @@ def test_exponents_examples():
     assert exponents(lie_type("A", 4)) == (1, 2, 3, 4)
 
 
+def test_exceptional_exponents_from_root_heights():
+    # the exponents as tabulated (Bourbaki, Lie groups, ch. VI, planches)
+    assert {f: exponents(lie_type(f)) for f in ("G2", "F4", "E6", "E7", "E8")} == {
+        "G2": (1, 5),
+        "F4": (1, 5, 7, 11),
+        "E6": (1, 4, 5, 7, 8, 11),
+        "E7": (1, 5, 7, 9, 11, 13, 17),
+        "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+    }
+
+
 def test_exponents_shape():
     for t in ALL_TYPES:
         es = exponents(t)
