@@ -144,11 +144,15 @@ def _load_orbit(t: LieType, args):
 
 
 def _load_hasse(t: LieType, args) -> HasseDiagram | None:
-    """The closure order of a --hasse-file; in G2-E8 each of its labels must
-    be in `catalogue.orbit_labels`."""
+    """The closure order of a --hasse-file, refused outside G2-E8 before the
+    file is read.  Each of its labels must be in `catalogue.orbit_labels`,
+    each file `dimC` must equal the embedded `exceptional_data.DIM_C` where
+    that has the label, and every cover is checked against both."""
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
+    if not t.is_exceptional:
+        raise CliError(f"--hasse-file applies to G2-E8 only, not to {t.family}")
     from .orbits import HasseDiagram
 
     data = _json_list(_read_json(path, "Hasse file"), dict, "a Hasse file")
@@ -159,13 +163,18 @@ def _load_hasse(t: LieType, args) -> HasseDiagram | None:
         if "dimC" in item:
             _json(item["dimC"], int, "'dimC' in a Hasse file")
     hasse = HasseDiagram.from_json(data)
-    if t.is_exceptional:
-        from .catalogue import orbit_labels
+    from . import exceptional_data as xd
+    from .catalogue import orbit_labels
 
-        unknown = sorted(set(hasse.orbits) - orbit_labels(t))
-        if unknown:
-            raise CliError(f"unknown {t.family} orbit labels in the Hasse file: {', '.join(map(repr, unknown))}")
-    return hasse
+    unknown = sorted(set(hasse.orbits) - orbit_labels(t))
+    if unknown:
+        raise CliError(f"unknown {t.family} orbit labels in the Hasse file: {', '.join(map(repr, unknown))}")
+    embedded = {o: xd.DIM_C[(t.family, o)] for o in hasse.orbits if (t.family, o) in xd.DIM_C}
+    clash = [f"{o!r} ({dim}, embedded {embedded[o]})" for o, dim in hasse.dims if embedded.get(o, dim) != dim]
+    if clash:
+        raise CliError(f"dimC in the Hasse file disagrees with the embedded {t.family} values: {', '.join(clash)}")
+    # rebuilt with the embedded dimensions, so that each cover is checked against them too
+    return HasseDiagram(hasse.orbits, hasse.covers, {**dict(hasse.dims), **embedded})
 
 
 def _emit(obj) -> None:

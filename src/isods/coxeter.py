@@ -4,8 +4,9 @@ subsets J of the finite diagram.
 
 In the classical types the closure order is dominance of partitions, and
 the orbit of J depends only on its tail, its mark-1 nodes and the sizes of
-its A-type runs; `_configuration_candidates` builds one dominance-least
-candidate per configuration, O(rank) of them in O(rank) time each.  G2,
+its A-type runs; `_configuration_candidates` builds the partition of one
+dominance-least candidate per configuration, O(rank) of them in O(rank)
+time each, and only the answer becomes a `NilpotentOrbit`.  G2,
 F4 and E6-E8 (rank <= 8) hold a subset of the finite diagram as a bit mask
 (node a is bit a - 1): `_minimal_masks` filters a table of the mark sum and
 least mark of every subset, and each label is read by mask from
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import gcd
 
 from .orbits import NilpotentOrbit, closure_le, zero_orbit
-from .partitions import Partition, lambda_evenly, partition
+from .partitions import Partition, dominance_le, lambda_evenly, partition
 from .root_data import (
     FrozenRecord,
     LieType,
@@ -182,9 +183,9 @@ def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
     return _runs_partition(t, [len(c) for c in comps if not c & ends], sum(len(c) for c in comps if c & ends))
 
 
-def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
-    """The least candidate of each configuration of a minimal d-allowable J
-    in a classical finite diagram.
+def _configuration_candidates(t: LieType, d: int) -> list[Partition]:
+    """The partition of the least candidate of each configuration of a
+    minimal d-allowable J in a classical finite diagram.
 
     In B-D every mark is 1 or 2.  J is its tail, the c nodes n - c + 1..n of
     the component through node n (B, C) or both fork nodes (D), and k A-type
@@ -206,14 +207,16 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
     O(rank) real candidates, once `coxeter_solve` checks that it lies below
     them all, is the least candidate.  In A all marks are 1: S = h - d on
     the path 1..n.  Configurations that give the same partition give one
-    candidate, at the first of them.
+    candidate, at the first of them.  Each candidate is a canonical
+    partition (`_runs_partition`), and no `NilpotentOrbit` is built for it:
+    `coxeter_solve` validates only the one it returns.
     """
     fam, n = t.family, t.rank
     need = coxeter_number(t) - d
     if need <= 0:
-        return [zero_orbit(t)]
+        return [(1,) * defining_dim(t)]
     if fam == "A":
-        return [NilpotentOrbit(t, _runs_partition(t, lambda_evenly(need, min(need, n - need + 1)), 0))]
+        return [_runs_partition(t, lambda_evenly(need, min(need, n - need + 1)), 0)]
     marks = affine_marks(t).marks
     ones = [a for a in range(1, n + 1) if marks[a] == 1]
     # (tail length c, path length, mark-1 path ends)
@@ -230,7 +233,7 @@ def _configuration_candidates(t: LieType, d: int) -> list[NilpotentOrbit]:
             if s - (1 if m1 else 2) < need and p <= S <= L and (p < 2 or 2 * S > L):
                 runs = lambda_evenly(S, min(S, L - S + 1)) if S else ()
                 out[_runs_partition(t, runs, c)] = None
-    return [NilpotentOrbit(t, p) for p in out]
+    return list(out)
 
 
 def orbit_J_reg(t: LieType, J: frozenset[int] | set[int]) -> NilpotentOrbit:
@@ -263,6 +266,8 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
 
     Exceptional types without embedded closure data (E6/E7/E8) fall back to
     the embedded Coxeter table after checking the candidate set is sane.
+    In A-D the candidates are partitions, compared by dominance (the closure
+    order there), and only the least becomes a `NilpotentOrbit`.
     """
     h = coxeter_number(t)
     if d < 1:
@@ -271,10 +276,13 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
     if any(gcd(d, n) != 1 for n in affine_marks(t).marks):
         raise UnsupportedSlopeError(f"d={d} shares a factor with a mark; stabilizers may be non-parabolic")
-    cands = coxeter_candidates(t, d) if t.is_exceptional else _configuration_candidates(t, d)
+    if t.is_exceptional:
+        cands, le = coxeter_candidates(t, d), closure_le
+    else:
+        cands, le = _configuration_candidates(t, d), dominance_le
     if d >= h:
-        assert cands == [zero_orbit(t)]
-        return cands[0]
+        assert cands == [zero_orbit(t) if t.is_exceptional else (1,) * defining_dim(t)]
+        return zero_orbit(t)
     if t.family in ("E6", "E7", "E8"):
         from . import exceptional_data as xd
 
@@ -288,9 +296,9 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
     # One pass moves to each candidate below the current one, so it ends on
     # the least candidate if there is one; a second pass checks that there is.
     least = cands[0]
-    for o in cands[1:]:
-        if closure_le(o, least):
-            least = o
-    if not all(closure_le(least, o) for o in cands):
+    for c in cands[1:]:
+        if le(c, least):
+            least = c
+    if not all(le(least, c) for c in cands):
         raise AssertionError(f"no unique closure-minimal candidate for {t}, d={d}: {cands}")
-    return least
+    return least if t.is_exceptional else NilpotentOrbit(t, least)

@@ -245,9 +245,10 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
     the given Jordan type.  Independent of the closed-form route.
 
     ad(e) maps the (i, j) block of X, rows in Jordan block i and columns in
-    block j, to itself, so its rank is a sum over block pairs.  One piece is
-    taken per distinct pair of block sizes and counted once per pair; its
-    rank is eliminated once per shape and process (`_shift_piece_rank`)."""
+    block j, to itself, so its rank is a sum over block pairs.  The pairs of
+    each shape are counted from the multiplicities c_a of the part sizes a,
+    not listed; each shape's rank is eliminated once per process
+    (`_shift_piece_rank`)."""
     t = o.type
     if t.is_exceptional:
         raise ValueError("matrix oracle is for classical types")
@@ -255,10 +256,12 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
     N = sum(p)
     if N > bound:
         raise ValueError(f"total {N} exceeds oracle bound {bound}")
+    mult = Counter(p).items()
 
     if t.family == "A":
-        # ad(e) on gl_N: X_ij -> f·X_ij - X_ij·e, f and e the shifts of sizes p_i, p_j
-        pieces = Counter((a, b, 0) for a in p for b in p)
+        # ad(e) on gl_N: X_ij -> f·X_ij - X_ij·e, f and e the shifts of sizes
+        # p_i, p_j: c_a·c_b pieces for each ordered pair of sizes (a, b)
+        pieces = [(a, b, 0, ca * cb) for a, ca in mult for b, cb in mult]
         down, dim = False, N * N - 1
     else:
         symplectic = t.family == "C"
@@ -277,12 +280,15 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
             raise ValueError(f"shift of type {p} is not skew-adjoint for its form")
         # g = {B^-1 S}, S antisymmetric (B, D) or symmetric (C), and ad(e) is
         # S -> e^T S + S e: a free p_i×p_j piece S_ij for each pair of blocks
-        # i < j, an (anti)symmetric piece S_ii for each block
+        # i < j, c_a·c_b of sizes a > b and c_a(c_a - 1)/2 of equal sizes a
+        # (none, and no elimination, when c_a = 1), and an (anti)symmetric
+        # piece S_ii for each block, c_a of size a
         sym = 1 if symplectic else -1
-        pieces = Counter((a, b, 0) for i, a in enumerate(p) for b in p[i + 1:])
-        pieces.update((a, a, sym) for a in p)
+        pieces = [(a, b, 0, ca * cb) for a, ca in mult for b, cb in mult if a > b]
+        pieces += [(a, a, 0, ca * (ca - 1) // 2) for a, ca in mult if ca > 1]
+        pieces += [(a, a, sym, ca) for a, ca in mult]
         down, dim = True, N * (N + sym) // 2
-    return dim - sum(n * _shift_piece_rank(a, b, down, s) for (a, b, s), n in pieces.items())
+    return dim - sum(n * _shift_piece_rank(a, b, down, s) for a, b, s, n in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .root_data import (
     phi_count,
     slope_cells,
 )
-from .solver import ds_solve, o_nu
 
 
 class RigidityReport(FrozenRecord):
@@ -79,6 +78,8 @@ def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool | None:
     """Requires an affirmative verdict; true iff the denominator is elliptic,
     the orbit is non-resonant, and Delta vanishes.  None when the denominator
     is elliptic and Delta vanishes but the resonance is undecidable."""
+    from .solver import ds_solve
+
     ans = ds_solve(t, s, orbit)
     if ans.affirmative is not True:
         raise ValueError(f"verdict for ({t}, {s}) is not affirmative: {ans.affirmative}")
@@ -284,6 +285,8 @@ def scan_rigid(family: str, max_rank: int):
                     }
                 )
         return out
+    from .solver import o_nu
+
     out = []
     cells = slope_cells(family, max_rank, lambda t: range(2, coxeter_number(t) + 1), lambda m: range(1, 2 * m))
     for t, m, d, s in cells:

@@ -1,14 +1,14 @@
-"""Deterministic CSV regeneration of the solution and rigidity tables."""
+"""Deterministic CSV regeneration of the solution and rigidity tables.
+
+Each generator imports the engine modules it runs, so a process that prints
+an embedded exceptional table compiles no classical solver."""
 
 from __future__ import annotations
 
 import io
 
 from . import exceptional_data as xd
-from .orbits import dim_centralizer, NilpotentOrbit
-from .rigidity import closed_form_delta, delta_of_orbit, scan_rigid
 from .root_data import TABLE_NAMES, UnsupportedSlopeError, coxeter_number, lie_type, phi_count, slope_cells
-from .solver import o_nu, o_nu_rows, q_candidates
 
 
 def _fmt_partition(p) -> str:
@@ -28,6 +28,9 @@ def _denominators(t):
 
 
 def t_clCox(family: str, max_rank: int) -> str:
+    from .rigidity import delta_of_orbit
+    from .solver import o_nu
+
     rows = []
     for t, _, d, s in slope_cells(family, max_rank, lambda t: (coxeter_number(t),), lambda h: range(1, h)):
         orbit = o_nu(t, s)
@@ -44,6 +47,8 @@ def t_excCox() -> str:
 
 
 def t_completecl(family: str, max_rank: int) -> str:
+    from .solver import o_nu_rows
+
     rows = []
     for t, m, d, s in slope_cells(family, max_rank, _denominators, lambda m: range(1, m)):
         for row in o_nu_rows(t, s):
@@ -52,6 +57,8 @@ def t_completecl(family: str, max_rank: int) -> str:
 
 
 def t_clq(family: str, rank: int, s, mults: tuple[int, ...], zero_mult: int) -> str:
+    from .solver import q_candidates
+
     t = lie_type(family, rank)
     cands = q_candidates(t, s, mults, zero_mult)
     rows = []
@@ -69,6 +76,8 @@ def t_clq(family: str, rank: int, s, mults: tuple[int, ...], zero_mult: int) -> 
 
 
 def t_cl_index_rig(family: str, max_rank: int) -> str:
+    from .rigidity import closed_form_delta
+
     rows = []
     for t, m, d, s in slope_cells(family, max_rank, _denominators, lambda m: range(1, 2 * m)):
         try:
@@ -80,6 +89,8 @@ def t_cl_index_rig(family: str, max_rank: int) -> str:
 
 
 def t_cl_ell_rig(family: str, max_rank: int) -> str:
+    from .rigidity import scan_rigid
+
     rows = []
     for entry in scan_rigid(family, max_rank):
         rows.append(
@@ -102,6 +113,8 @@ def dssoln_f4() -> str:
 
 
 def potigexc_numerics() -> str:
+    from .orbits import NilpotentOrbit, dim_centralizer
+
     rows = []
     for fam, nu, label, exist in xd.POTENTIALLY_RIGID_EXC:
         t = lie_type(fam)

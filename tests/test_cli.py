@@ -92,6 +92,34 @@ def test_hasse_file_that_is_no_closure_order_exits_2(tmp_path, capsys, covers, m
     assert captured.out == "" and captured.err == message + "\n"
 
 
+@pytest.mark.parametrize("items,message", [
+    ([{"from": "A2+2A1", "to": "2A2"}, {"from": "0", "to": "A1"}],
+     "invalid input: dim C must increase downward: 0 -> A1"),
+    ([{"from": "A2+2A1", "to": "2A2"}, {"label": "2A2", "dimC": 31}],
+     "error: dimC in the Hasse file disagrees with the embedded E6 values: '2A2' (31, embedded 30)"),
+], ids=["cover-against-embedded", "dimC-against-embedded"])
+def test_hasse_file_against_the_embedded_dim_c_exits_2(tmp_path, capsys, items, message):
+    # the zero orbit (dim C 78) above A1 (56) once answered with exit 0
+    path = tmp_path / "hasse.json"
+    path.write_text(json.dumps(items))
+    assert main(["solve", "--type", "E6", "--slope", "5/12", "--orbit", "2A2", "--hasse-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_classical_hasse_file_is_refused_before_it_is_read(tmp_path, capsys):
+    # a classical solve once read and validated the file, then ignored it
+    argv = ["solve", "--type", "B", "--rank", "3", "--slope", "1/6", "--orbit", "[7]"]
+    present = tmp_path / "hasse.json"
+    present.write_text(json.dumps([{"from": "A2+2A1", "to": "2A2"}]))
+    for path in (tmp_path / "no-such.json", present):
+        assert main([*argv, "--hasse-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --hasse-file applies to G2-E8 only, not to B\n"
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "no-such.json")
     cases = (

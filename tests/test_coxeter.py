@@ -19,8 +19,9 @@ from isods.coxeter import (
     minimal_allowable_in_finite,
     orbit_J_reg,
 )
-from isods.orbits import NilpotentOrbit, closure_le, zero_orbit
-from isods.root_data import affine_marks, components, coxeter_number, lie_type
+from isods.orbits import closure_le
+from isods.partitions import ParityClass, is_valid, partition
+from isods.root_data import affine_marks, components, coxeter_number, defining_dim, lie_type
 
 
 def test_g2_allowable_example():
@@ -299,10 +300,17 @@ def test_candidates_from_masks_equal_the_subset_scan():
     assert cells == 1071 + sum(2 * coxeter_number(t) - 1 for t, k in types if t.is_exceptional)
 
 
+def _subset_scan_partitions(t, d):
+    """`_subset_scan_candidates` as partitions, the shape of
+    `_configuration_candidates`."""
+    return [o.partition for o in _subset_scan_candidates(t, d)]
+
+
 def _chain_shape_walk(t, d):
-    """The distinct orbits of the minimal d-allowable subsets of a classical
-    finite diagram, in the order of `sorted(J)`, by a walk over chain shapes:
-    the reference for `coxeter_solve` at ranks past the subset scan.
+    """The distinct partitions of the orbits of the minimal d-allowable
+    subsets of a classical finite diagram, in the order of `sorted(J)`, by a
+    walk over chain shapes: the reference for `coxeter_solve` at ranks past
+    the subset scan.
 
     The walk adds nodes in increasing order, so its preorder is the
     lexicographic order of sorted(J).  A state is (last node, open run
@@ -316,7 +324,7 @@ def _chain_shape_walk(t, d):
     marks = affine_marks(t).marks
     need = coxeter_number(t) - d
     if need <= 0:
-        return [zero_orbit(t)]
+        return [(1,) * defining_dim(t)]
     # reach[k]: the mark sum of the nodes after k
     reach = [sum(marks[a] for a in range(k + 1, n + 1)) for k in range(n + 1)]
     out = {}
@@ -331,9 +339,7 @@ def _chain_shape_walk(t, d):
         last, run, closed, tail, s, low = state
         if s >= need:
             if s - low < need:
-                p = _runs_partition(t, closed + (run,) if run else closed, tail)
-                if p not in out:
-                    out[p] = NilpotentOrbit(t, p)
+                out[_runs_partition(t, closed + (run,) if run else closed, tail)] = None
             continue
         if s + reach[last] < need:
             continue
@@ -352,7 +358,7 @@ def _chain_shape_walk(t, d):
             m = marks[k]
             children.append((k, k_run, k_closed, k_tail, s + m, m if m < low else low))
         stack.extend(reversed(children))
-    return list(out.values())
+    return list(out)
 
 
 def test_chain_shape_walk_equals_subset_scan():
@@ -361,7 +367,7 @@ def test_chain_shape_walk_equals_subset_scan():
         for n in range(1 if fam == "A" else (3 if fam == "D" else 2), 11):
             t = lie_type(fam, n)
             for d in range(1, 3 * coxeter_number(t)):
-                assert _chain_shape_walk(t, d) == _subset_scan_candidates(t, d), (t, d)
+                assert _chain_shape_walk(t, d) == _subset_scan_partitions(t, d), (t, d)
                 cells += 1
     assert cells == 1071
 
@@ -384,7 +390,7 @@ def _classical_cells(ranks):
 def test_configurations_give_the_least_scan_candidate(monkeypatch):
     cells = [(t, d, _outcome(t, d)) for t, d in _classical_cells(range(1, 11))]
     # the same solve with the candidate list of the subset scan
-    monkeypatch.setattr(coxeter, "_configuration_candidates", _subset_scan_candidates)
+    monkeypatch.setattr(coxeter, "_configuration_candidates", _subset_scan_partitions)
     assert [(t, d, _outcome(t, d)) for t, d, _ in cells] == cells
     assert len(cells) == 1071 and sum(isinstance(o, tuple) for *_, o in cells) == 576
 
@@ -393,6 +399,23 @@ def test_configuration_candidates_are_distinct():
     for t, d in _classical_cells(range(1, 21)):
         cands = coxeter._configuration_candidates(t, d)
         assert len(set(cands)) == len(cands), (t, d)
+
+
+def test_configuration_candidates_are_valid_partitions():
+    # coxeter_solve builds a NilpotentOrbit only for the candidate it
+    # returns, so the orbit checks of the others are made here
+    cells = 0
+    for fam in "ABCD":
+        for n in range({"A": 1, "D": 3}.get(fam, 2), 14):
+            t = lie_type(fam, n)
+            for d in range(1, 2 * coxeter_number(t)):
+                cands = coxeter._configuration_candidates(t, d)
+                assert cands and len(set(cands)) == len(cands), (t, d)
+                for p in cands:
+                    assert type(p) is tuple and p == partition(p) and sum(p) == defining_dim(t), (t, d, p)
+                    assert fam == "A" or is_valid(p, ParityClass[fam]), (t, d, p)
+                cells += 1
+    assert cells == 1188
 
 
 def test_configurations_give_the_least_walk_candidate(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -166,6 +167,30 @@ def test_blockwise_oracle_matches_unsplit_kernel():
             dim_centralizer_oracle(SimpleNamespace(type=lie_type(fam, n), partition=p))
     with pytest.raises(ValueError, match="exceeds oracle bound"):
         dim_centralizer_oracle(NilpotentOrbit(lie_type("A", 10), (11,)), bound=10)
+
+
+def _block_pair_oracle(o):
+    """The matrix-kernel oracle as it once counted pieces: one entry per
+    ordered pair of Jordan blocks in A, per pair i < j and per block in
+    B/C/D, with the same per-shape ranks."""
+    p, N = o.partition, sum(o.partition)
+    if o.type.family == "A":
+        pieces = Counter((a, b, 0) for a in p for b in p)
+        down, dim = False, N * N - 1
+    else:
+        sym = 1 if o.type.family == "C" else -1
+        pieces = Counter((a, b, 0) for i, a in enumerate(p) for b in p[i + 1:])
+        pieces.update((a, a, sym) for a in p)
+        down, dim = True, N * (N + sym) // 2
+    return dim - sum(n * orbits._shift_piece_rank(a, b, down, s) for (a, b, s), n in pieces.items())
+
+
+def test_multiplicity_counts_match_the_block_pair_enumeration():
+    cases = 0
+    for o in _oracle_types(20):
+        assert dim_centralizer_oracle(o, bound=20) == _block_pair_oracle(o), (o.type, o.partition)
+        cases += 1
+    assert cases == 4141
 
 
 def test_cached_piece_ranks_match_uncached():

@@ -122,9 +122,26 @@ def footprint(*argv: str) -> tuple[int, set[str]]:
 def test_classical_orbit_verbs_load_no_route_or_table_module(argv):
     code, modules = footprint(*argv)
     assert code == 0
-    assert {"cli", "root_data", "solver"} <= modules
+    assert {"cli", "root_data", "rigidity" if argv[0] == "delta" else "solver"} <= modules
     assert not modules & {"catalogue", "coxeter", "skeleton", "tables", "checks", "exceptional_data"}, modules
     assert "linalg" not in modules, modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--type=D", "--rank=4", "--slope=1/6", "--orbit=[3,3,1,1]"],
+    ["delta", "--type=E7", "--slope=7/18", "--orbit=A1"],
+])
+def test_delta_loads_no_solver(argv):
+    # Delta reads dim C of the orbit it is given; only the verdict and the
+    # rigid scan call the solver
+    code, modules = footprint(*argv)
+    assert code == 0 and "rigidity" in modules
+    assert "solver" not in modules, modules
+
+
+@pytest.mark.parametrize("name", ["t_excCox", "DSsolnF4"])
+def test_embedded_tables_load_no_classical_engine(name):
+    assert footprint("tables", f"--name={name}") == (0, {"cli", "root_data", "tables", "exceptional_data"})
 
 
 def test_e7_label_loads_no_linalg():
