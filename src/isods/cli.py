@@ -147,13 +147,14 @@ def _load_hasse(t: LieType, args) -> HasseDiagram | None:
     """The closure order of a --hasse-file, refused outside G2-E8 before the
     file is read.  Each of its labels must be in `catalogue.orbit_labels`,
     each file `dimC` must equal the embedded `exceptional_data.DIM_C` where
-    that has the label, and every cover is checked against both."""
+    that has the label, and every cover is checked against both.  In G2 and
+    F4 the result is the union of the file and `orbits.builtin_hasse`."""
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
     if not t.is_exceptional:
         raise CliError(f"--hasse-file applies to G2-E8 only, not to {t.family}")
-    from .orbits import HasseDiagram
+    from .orbits import HasseDiagram, builtin_hasse
 
     data = _json_list(_read_json(path, "Hasse file"), dict, "a Hasse file")
     for item in data:
@@ -173,8 +174,15 @@ def _load_hasse(t: LieType, args) -> HasseDiagram | None:
     clash = [f"{o!r} ({dim}, embedded {embedded[o]})" for o, dim in hasse.dims if embedded.get(o, dim) != dim]
     if clash:
         raise CliError(f"dimC in the Hasse file disagrees with the embedded {t.family} values: {', '.join(clash)}")
-    # rebuilt with the embedded dimensions, so that each cover is checked against them too
-    return HasseDiagram(hasse.orbits, hasse.covers, {**dict(hasse.dims), **embedded})
+    # rebuilt with the embedded dimensions, so that each cover is checked
+    # against them too; in G2 and F4 the file adds to the embedded order, and
+    # a cover that contradicts it closes a cycle or fails a dimension
+    orbs, covers, dims = hasse.orbits, hasse.covers, {**dict(hasse.dims), **embedded}
+    builtin = builtin_hasse(t.family)
+    if builtin is not None:
+        orbs, covers = tuple(sorted({*orbs, *builtin.orbits})), covers + builtin.covers
+        dims.update(builtin.dims)
+    return HasseDiagram(orbs, covers, dims)
 
 
 def _emit(obj) -> None:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import count
+from operator import mul
 
 from .partitions import (
     ParityClass,
@@ -16,7 +18,6 @@ from .partitions import (
     is_very_even,
     partition,
     sum_parts,
-    transpose,
 )
 from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim, sorted_pairs
 
@@ -151,6 +152,16 @@ def zero_orbit(t: LieType) -> NilpotentOrbit:
 
 
 def dim_centralizer(o: NilpotentOrbit) -> int:
+    """dim C of a nilpotent orbit: the embedded value in G2-E8; in A-D the
+    formulas of Collingwood-McGovern, Nilpotent Orbits, 6.1, from the sum
+    sq of the squared column lengths of p and its number of odd parts.
+
+    sq is read from the rows of p in one pass: sq = sum_i (2i+1)·p_i,
+    0-indexed (Macdonald, Symmetric Functions and Hall Polynomials, I
+    (1.6)).  Column j of the diagram holds the rows a with p_a > j, so
+    sum_j (p^T_j)^2 counts the triples (a, b, j) with j < min(p_a, p_b),
+    that is sum_{a,b} min(p_a, p_b).  The rows decrease, so min(p_a, p_b)
+    = p_max(a,b), and 2i+1 ordered pairs (a, b) have max(a, b) = i."""
     t = o.type
     if t.is_exceptional:
         from . import exceptional_data as xd
@@ -160,8 +171,7 @@ def dim_centralizer(o: NilpotentOrbit) -> int:
             raise ValueError(f"no embedded centralizer dimension for {key}")
         return xd.DIM_C[key]
     p = o.partition
-    tp = transpose(p)
-    sq = sum(x * x for x in tp)
+    sq = sum(map(mul, count(1, 2), p))
     odd = sum(1 for x in p if x % 2)
     if t.family == "A":
         return sq - 1

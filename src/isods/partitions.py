@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -217,13 +217,7 @@ def collapse(p: Partition, cls: ParityClass) -> Partition:
 
 def sum_parts(ps: Iterable[Partition]) -> Partition:
     """Componentwise sum of part sequences, padding with zeros."""
-    ps = list(ps)
-    if not ps:
-        return ()
-    width = max((len(p) for p in ps), default=0)
-    return partition(
-        tuple(sum(p[i] if i < len(p) else 0 for p in ps) for i in range(width))
-    )
+    return partition(map(sum, zip_longest(*ps, fillvalue=0)))
 
 
 def union_parts(p: Partition, extra: Iterable[int]) -> Partition:

@@ -93,31 +93,40 @@ def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool | None:
 
 def non_resonant(a: AdjointOrbit) -> bool:
     """No two adjoint eigenvalues differ by a nonzero integer.  Symbolic tags
-    are treated as generic; a symbolic/rational mix is undecidable."""
+    are treated as generic; a symbolic/rational mix is undecidable.
+
+    One pass over the classes mod 1: x = n/d in lowest terms has the class
+    (n mod d, d), so x - y is an integer iff x and y share a class, x + y
+    iff class(x) = class(-y), and 2x iff class(x) = class(-x), that is
+    d <= 2.  Within a class two values are equal iff their numerators are,
+    so each class keeps the numerator of its first tag: a later tag of the
+    class with another numerator lies a nonzero integer away.
+    - A: the differences x - y of the eigenvalues, the tags and 0 when the
+      zero block is nonempty; resonant iff two distinct ones share a class.
+    - B/C/D: x - y and x + y over the pairs of tags, a tag paired with
+      itself included, so 2x too; x (B, or a nonempty zero block) and 2x
+      (C) add nothing, as x is an integer only when 2x is.  Resonant iff
+      some 2x lies in Z minus 0, two distinct tags share a class, or x + y
+      does for an earlier tag y, which then has the class of -x.  A pair
+      y = -x gives x + y = 0 and is not resonant through it."""
     rat = [b.tag for b in a.blocks if isinstance(b.tag, (int, Fraction))]
-    sym = [b.tag for b in a.blocks if not isinstance(b.tag, (int, Fraction))]
-    if rat and sym:
-        raise ValueError("mixed symbolic and rational eigenvalue tags are undecidable")
-    if sym:
+    if len(rat) < len(a.blocks):
+        if rat:
+            raise ValueError("mixed symbolic and rational eigenvalue tags are undecidable")
         return True
     fam = a.type.family
-
-    def bad(x: int | Fraction) -> bool:
-        return x != 0 and x.denominator == 1
-
-    if fam == "A":
-        eigs = rat + ([0] if a.zero_block else [])
-        return not any(bad(x - y) for x in eigs for y in eigs)
-    # roots evaluate to +-a_i +- a_j, and +-a_i (B), +-2 a_i (C)
-    for i, x in enumerate(rat):
-        for y in rat[i:]:
-            if bad(x - y) or bad(x + y):
+    if fam == "A" and a.zero_block:
+        rat.append(0)
+    first: dict[tuple[int, int], int] = {}
+    for x in rat:
+        n, d = x.numerator, x.denominator
+        if fam != "A":
+            if d <= 2 and n:
                 return False
-        if a.zero_block and bad(x):
-            return False
-        if fam == "B" and bad(x):
-            return False
-        if fam == "C" and bad(2 * x):
+            y = first.get((-n % d, d))
+            if y is not None and y != -n:
+                return False
+        if first.setdefault((n % d, d), n) != n:
             return False
     return True
 

@@ -107,6 +107,26 @@ def test_hasse_file_against_the_embedded_dim_c_exits_2(tmp_path, capsys, items, 
     assert captured.out == "" and captured.err == message + "\n"
 
 
+@pytest.mark.parametrize("argv,partial,contrary", [
+    (["solve", "--type", "F4", "--slope", "5/6", "--orbit", "C3(a1)"], ("A2", "A1"), ("A1", "A2")),
+    (["solve", "--type", "G2", "--slope", "5/6", "--orbit", "~A1"], ("G2(a1)", "~A1"), ("A1", "~A1")),
+], ids=["F4", "G2"])
+def test_g2_f4_hasse_file_adds_to_the_embedded_order(tmp_path, capsys, argv, partial, contrary):
+    # a partial file once replaced the embedded order, and these exited 2
+    # ("unknown orbit label 'A1' or 'C3(a1)'")
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    path = tmp_path / "hasse.json"
+    path.write_text(json.dumps([{"from": partial[0], "to": partial[1]}]))
+    assert main([*argv, "--hasse-file", str(path)]) == 0
+    assert capsys.readouterr() == want
+    path.write_text(json.dumps([{"from": contrary[0], "to": contrary[1]}]))
+    assert main([*argv, "--hasse-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: covers form a cycle through {contrary[0]} -> {contrary[1]}\n"
+
+
 def test_classical_hasse_file_is_refused_before_it_is_read(tmp_path, capsys):
     # a classical solve once read and validated the file, then ignored it
     argv = ["solve", "--type", "B", "--rank", "3", "--slope", "1/6", "--orbit", "[7]"]

@@ -1,9 +1,11 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isods import linalg, orbits
 from isods.checks import _random_adjoint, check_centralizer_oracle
@@ -22,7 +24,16 @@ from isods.orbits import (
     dim_centralizer_oracle,
     ls_induction,
 )
-from isods.partitions import ParityClass, collapse, dominance_le, is_valid, partition, partitions_of, sum_parts
+from isods.partitions import (
+    ParityClass,
+    collapse,
+    dominance_le,
+    is_valid,
+    partition,
+    partitions_of,
+    sum_parts,
+    transpose,
+)
 from isods.root_data import defining_dim, lie_type
 
 
@@ -47,6 +58,59 @@ def test_dim_centralizer_examples():
     assert dim_centralizer(NilpotentOrbit(lie_type("F4"), label="A1")) == 36
     with pytest.raises(ValueError):
         dim_centralizer(NilpotentOrbit(lie_type("F4"), label="Z9"))
+
+
+def _dim_centralizer_by_columns(fam, p):
+    """dim C from the squared column lengths of p, Collingwood-McGovern 6.1."""
+    sq = sum(x * x for x in transpose(p))
+    odd = sum(1 for x in p if x % 2)
+    return {"A": sq - 1, "C": (sq + odd) // 2}.get(fam, (sq - odd) // 2)
+
+
+def _classical_types(p):
+    """(family, type) for each classical type where p is a valid orbit."""
+    total = sum(p)
+    out = [("A", lie_type("A", total - 1))] if total > 1 else []
+    for fam, n in (("B", (total - 1) // 2), ("C", total // 2), ("D", total // 2)):
+        if n >= (3 if fam == "D" else 2) and defining_dim(lie_type(fam, n)) == total and is_valid(p, ParityClass[fam]):
+            out.append((fam, lie_type(fam, n)))
+    return out
+
+
+def test_dim_centralizer_matches_the_column_reference():
+    seen = set()
+    for total in range(2, 21):
+        for p in partitions_of(total):
+            for fam, t in _classical_types(p):
+                assert dim_centralizer(NilpotentOrbit(t, p)) == _dim_centralizer_by_columns(fam, p), (t, p)
+                seen.add(fam)
+    assert seen == {"A", "B", "C", "D"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 60), max_size=12), st.lists(st.integers(1, 4), max_size=80))
+       .filter(lambda xs: 6 <= sum(xs) <= 299))
+def test_dim_centralizer_matches_the_column_reference_at_random(parts):
+    p = partition(parts)
+    for fam in ("B", "C", "D"):
+        # a part 1 more fixes the parity of the total, the collapse that of the parts
+        total_odd = fam == "B"
+        q = collapse(p if sum(p) % 2 == total_odd else partition(p + (1,)), ParityClass[fam])
+        n = sum(q) // 2
+        t = lie_type(fam, n)
+        assert dim_centralizer(NilpotentOrbit(t, q)) == _dim_centralizer_by_columns(fam, q), (t, q)
+    t = lie_type("A", sum(p) - 1)
+    assert dim_centralizer(NilpotentOrbit(t, p)) == _dim_centralizer_by_columns("A", p), p
+
+
+def test_dim_centralizer_of_a_long_hook_is_fast():
+    # the column route took 0.9 s on this hook, quadratic in the rank
+    o = NilpotentOrbit(lie_type("B", 8000), (8001,) + (1,) * 8000)
+    start = time.perf_counter()
+    dim = dim_centralizer(o)
+    assert time.perf_counter() - start < 0.5
+    # the hook (2k+1, 1^2k) of B_2k: sq = (2k+1)^2 + 2k, one odd part per row
+    assert dim == ((8001 ** 2 + 8000) - 8001) // 2
 
 
 def test_oracle_examples():

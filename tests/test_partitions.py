@@ -4,6 +4,7 @@ from itertools import accumulate, product
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isods.partitions import (
     ParityClass,
@@ -278,3 +279,20 @@ def test_sum_parts_examples():
     assert sum_parts([(3,)]) == (3,)
     assert sum_parts([(2, 2), (2, 2), (1,)]) == (5, 4)
     assert sum_parts([]) == ()
+
+
+def _sum_parts_by_column(ps):
+    """The per-column body sum_parts had before its single zip pass."""
+    ps = list(ps)
+    if not ps:
+        return ()
+    width = max((len(p) for p in ps), default=0)
+    return partition(tuple(sum(p[i] if i < len(p) else 0 for p in ps) for i in range(width)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=12), max_size=8))
+def test_sum_parts_matches_the_per_column_reference(ps):
+    ps = [tuple(p) for p in ps]
+    assert sum_parts(ps) == _sum_parts_by_column(ps)
+    assert sum_parts(iter(ps)) == _sum_parts_by_column(ps)

@@ -1,5 +1,8 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from isods import exceptional_data as xd
 from isods.checks import _random_adjoint, check_delta
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, ls_induction, zero_orbit
+from isods.partitions import ParityClass, partitions_of, valid_partitions
 from isods.rigidity import (
     closed_form_delta,
     coxeter_delta_column,
@@ -353,24 +357,67 @@ def _fraction_non_resonant(a):
     return True
 
 
+def _reference_tags(rng, fam):
+    """Up to 12 tags with denominators dividing 12, integral ones written as
+    int half the time.  Free draws plant some tags as -y or y + j for an
+    earlier tag y and an integer j.  Spreads put the tags in distinct classes
+    r/12 mod 1, in B/C/D with 0 < r < 6 and at times the exact negative too,
+    which is non-resonant until one tag is moved by 1."""
+    tags = []
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(0, 12)):
+            r = rng.random()
+            if tags and r < 0.2:
+                tags.append(-rng.choice(tags))
+            elif tags and r < 0.4:
+                tags.append(rng.choice(tags) + rng.choice([-2, -1, 1, 2]))
+            else:
+                tags.append(Fraction(rng.randint(-25, 25), rng.choice([1, 2, 3, 4, 6, 12])))
+    else:
+        for r in rng.sample(range(12) if fam == "A" else range(1, 6), rng.randint(1, 12 if fam == "A" else 5)):
+            x = Fraction(r, 12) + rng.randint(-2, 2)
+            tags += [x, -x] if fam != "A" and rng.random() < 0.6 else [x]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(tags))
+            tags[i] += rng.choice([-1, 1])
+    return [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in tags]
+
+
 def test_non_resonant_matches_the_fraction_reference():
     rng = random.Random(9)
     seen = set()
+    pm_pairs = Counter()  # verdicts of B/C/D orbits holding a pair x, -x with 2x not integral
     for fam in ("A", "B", "C", "D"):
-        for _ in range(300):
-            t, _, a = _random_adjoint(rng, fam, rng.randint(3, 8))
-            tags = []
-            for _ in a.blocks:
-                x = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4]))
-                tags.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
+        for _ in range(1500):
+            # a block of multiplicity 1 per tag and a zero block of the rest
+            tags = _reference_tags(rng, fam)
+            n = rng.randint(max(3, len(tags) - (fam == "A")), 11 if fam == "A" else 12)
+            zero = n + (fam == "A") - len(tags)
+            tails = partitions_of(zero) if fam == "A" else valid_partitions(2 * zero + (fam == "B"), ParityClass[fam])
             try:
-                a = AdjointOrbit(t, tuple(Block(g, b.mult, b.partition) for g, b in zip(tags, a.blocks)), a.zero_block)
+                a = AdjointOrbit(lie_type(fam, n), tuple(Block(g, 1, (1,)) for g in tags), rng.choice(tails))
             except ValueError:  # a repeated tag, or a tag 0 outside type A
                 continue
             got = non_resonant(a)
             assert got == _fraction_non_resonant(a), a.to_json()
-            seen.add(got)
-    assert seen == {True, False}
+            seen.add((fam, got, len(tags) > 8, any(isinstance(x, int) for x in tags)))
+            if fam != "A" and any(-x in tags and (2 * x).denominator > 1 for x in tags):
+                pm_pairs[got] += 1
+    # an integral tag is resonant in B/C/D (2x), and in A beside a nonzero zero block
+    assert {(fam, got, long) for fam, got, long, _ in seen} == set(product("ABCD", (True, False), (True, False)))
+    assert {(fam, got) for fam, got, _, has_int in seen if has_int} == {("A", True), *product("ABCD", (False,))}
+    assert pm_pairs[True] and pm_pairs[False], pm_pairs
+
+
+@pytest.mark.parametrize("fn", [ds_solve, rigidity_report], ids=["ds_solve", "rigidity_report"])
+def test_many_rational_blocks_answer_fast(fn):
+    # resonance took about 2 s here with a Fraction difference per pair of tags
+    t = lie_type("A", 999)
+    a = AdjointOrbit(t, tuple(Block(Fraction(i, 10007), 1, (1,)) for i in range(1, 1001)), ())
+    start = time.perf_counter()
+    ans = fn(t, slope(1, 1000), a)
+    assert time.perf_counter() - start < 0.5
+    assert ans.rigid is True  # Delta 0 and every tag non-resonant
 
 
 def test_non_resonant_examples():
