@@ -75,19 +75,6 @@ def _json_list(value, cls: type, what: str) -> list:
     return [_json(x, cls, f"an entry of {what}") for x in _json(value, list, what)]
 
 
-def _parse_orbit(t: LieType, text: str) -> NilpotentOrbit:
-    text = text.strip()
-    if text.startswith("["):
-        parts = _json_list(json.loads(text), int, "an orbit partition")
-        from .orbits import NilpotentOrbit
-        from .partitions import partition
-
-        return NilpotentOrbit(t, partition(parts))
-    if t.is_exceptional:
-        return _labelled_orbit(t, text)
-    raise CliError(f"classical orbits are given as JSON partitions, got {text!r}")
-
-
 def _orbit_from_json(t: LieType, data):
     from .orbits import AdjointOrbit, Block, NilpotentOrbit
     from .partitions import partition
@@ -133,27 +120,39 @@ def _read_json(path: str, what: str):
 
 
 def _load_orbit(t: LieType, args):
+    """--orbit-file, or an --orbit that is a JSON object, a JSON partition or
+    a G2-E8 label, as the object that `_orbit_from_json` reads."""
     if getattr(args, "orbit_file", None):
-        return _orbit_from_json(t, _read_json(args.orbit_file, "orbit file"))
-    if getattr(args, "orbit", None):
+        data = _read_json(args.orbit_file, "orbit file")
+    elif getattr(args, "orbit", None):
         text = args.orbit.strip()
         if text.startswith("{"):
-            return _orbit_from_json(t, json.loads(text))
-        return _parse_orbit(t, text)
-    raise CliError("an orbit is required (--orbit or --orbit-file)")
+            data = json.loads(text)
+        elif text.startswith("["):
+            data = {"partition": _json_list(json.loads(text), int, "an orbit partition")}
+        elif t.is_exceptional:
+            data = {"label": text}
+        else:
+            raise CliError(f"classical orbits are given as JSON partitions, got {text!r}")
+    else:
+        raise CliError("an orbit is required (--orbit or --orbit-file)")
+    return _orbit_from_json(t, data)
 
 
 def _load_hasse(t: LieType, args) -> HasseDiagram | None:
     """The closure order of a --hasse-file, refused outside G2-E8 before the
-    file is read.  Each of its labels must be in `catalogue.orbit_labels`,
-    each file `dimC` must equal the embedded `exceptional_data.DIM_C` where
-    that has the label, and every cover is checked against both.  In G2 and
-    F4 the result is the union of the file and `orbits.builtin_hasse`."""
+    file is read.  The checks run in this order, and a file with several
+    faults reports the first: JSON shape; labels in `catalogue.orbit_labels`;
+    each file `dimC` against the embedded `exceptional_data.DIM_C`; cycles
+    and dimension order over one diagram of the file's covers, the file's
+    and the embedded dimensions and, in G2 and F4, `orbits.builtin_hasse`."""
     path = getattr(args, "hasse_file", None)
     if not path:
         return None
     if not t.is_exceptional:
         raise CliError(f"--hasse-file applies to G2-E8 only, not to {t.family}")
+    from . import exceptional_data as xd
+    from .catalogue import orbit_labels
     from .orbits import HasseDiagram, builtin_hasse
 
     data = _json_list(_read_json(path, "Hasse file"), dict, "a Hasse file")
@@ -163,26 +162,22 @@ def _load_hasse(t: LieType, args) -> HasseDiagram | None:
                 _json(item[key], str, f"{key!r} in a Hasse file")
         if "dimC" in item:
             _json(item["dimC"], int, "'dimC' in a Hasse file")
-    hasse = HasseDiagram.from_json(data)
-    from . import exceptional_data as xd
-    from .catalogue import orbit_labels
-
-    unknown = sorted(set(hasse.orbits) - orbit_labels(t))
+    covers = [(item["from"], item["to"]) for item in data if "from" in item]
+    dims = {item["label"]: item["dimC"] for item in data if "label" in item and "from" not in item}
+    orbs = {*dims, *(o for cover in covers for o in cover)}
+    unknown = sorted(orbs - orbit_labels(t))
     if unknown:
         raise CliError(f"unknown {t.family} orbit labels in the Hasse file: {', '.join(map(repr, unknown))}")
-    embedded = {o: xd.DIM_C[(t.family, o)] for o in hasse.orbits if (t.family, o) in xd.DIM_C}
-    clash = [f"{o!r} ({dim}, embedded {embedded[o]})" for o, dim in hasse.dims if embedded.get(o, dim) != dim]
+    # in G2 and F4 the file adds to the embedded order, and each cover is
+    # checked against the embedded dimensions too: a cover that contradicts
+    # either closes a cycle or fails a dimension
+    builtin = builtin_hasse(t.family) or HasseDiagram((), ())
+    orbs.update(builtin.orbits)
+    embedded = {o: xd.DIM_C[(t.family, o)] for o in orbs if (t.family, o) in xd.DIM_C}
+    clash = [f"{o!r} ({dim}, embedded {embedded[o]})" for o, dim in sorted(dims.items()) if embedded.get(o, dim) != dim]
     if clash:
         raise CliError(f"dimC in the Hasse file disagrees with the embedded {t.family} values: {', '.join(clash)}")
-    # rebuilt with the embedded dimensions, so that each cover is checked
-    # against them too; in G2 and F4 the file adds to the embedded order, and
-    # a cover that contradicts it closes a cycle or fails a dimension
-    orbs, covers, dims = hasse.orbits, hasse.covers, {**dict(hasse.dims), **embedded}
-    builtin = builtin_hasse(t.family)
-    if builtin is not None:
-        orbs, covers = tuple(sorted({*orbs, *builtin.orbits})), covers + builtin.covers
-        dims.update(builtin.dims)
-    return HasseDiagram(orbs, covers, dims)
+    return HasseDiagram(tuple(sorted(orbs)), (*covers, *builtin.covers), {**dims, **embedded})
 
 
 def _emit(obj) -> None:
@@ -357,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", required=True, help="A/B/C/D/G2/F4/E6/E7/E8")
         p.add_argument("--rank", type=int, help="rank (classical families)")
 
+    def add_query(p):
+        add_type(p)
+        p.add_argument("--slope", required=True)
+        p.add_argument("--orbit")
+        p.add_argument("--orbit-file")
+
     p = sub.add_parser("solve", help="existence verdict for an orbit and slope")
-    add_type(p)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--orbit")
-    p.add_argument("--orbit-file")
+    add_query(p)
     p.add_argument("--hasse-file")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("solve-q", help="verdict via the fixed-eigenvalue candidates")
-    add_type(p)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--orbit")
-    p.add_argument("--orbit-file")
+    add_query(p)
     p.set_defaults(fn=cmd_solve_q)
 
     p = sub.add_parser("coxeter", help="threshold orbit at slope d/h via allowable subsets")
@@ -380,10 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coxeter)
 
     p = sub.add_parser("delta", help="index of rigidity for an orbit")
-    add_type(p)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--orbit")
-    p.add_argument("--orbit-file")
+    add_query(p)
     p.set_defaults(fn=cmd_delta)
 
     p = sub.add_parser("rigid", help="rigid classification scan")

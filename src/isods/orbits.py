@@ -361,18 +361,6 @@ class HasseDiagram(FrozenRecord):
             raise KeyError(f"unknown orbit label {a!r} or {b!r}")
         return a in self._below[b]
 
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "HasseDiagram":
-        covers, dims, orbs = [], {}, set()
-        for item in data:
-            if "from" in item:
-                covers.append((item["from"], item["to"]))
-                orbs |= {item["from"], item["to"]}
-            elif "label" in item:
-                dims[item["label"]] = int(item["dimC"])
-                orbs.add(item["label"])
-        return cls(tuple(sorted(orbs)), tuple(covers), dims)
-
 
 @lru_cache(maxsize=None)
 def builtin_hasse(family: str) -> HasseDiagram | None:

@@ -92,36 +92,40 @@ def is_cohomologically_rigid(t: LieType, s: Slope, orbit) -> bool | None:
 
 
 def non_resonant(a: AdjointOrbit) -> bool:
-    """No two adjoint eigenvalues differ by a nonzero integer.  Symbolic tags
-    are treated as generic; a symbolic/rational mix is undecidable.
+    """No root takes a nonzero integer value on the semisimple part s of the
+    residue: alpha(s) is not in Z minus 0 for every root alpha, the usual
+    statement for a regular singular point, as ad(s) has the eigenvalues
+    alpha(s) and 0.  (The source paper's own wording of the condition is not
+    reproduced in this repository.)  Symbolic tags are treated as generic; a
+    symbolic/rational mix is undecidable.
+
+    In coordinates, s repeats each tag mult times and has m_s zeros (the
+    eigenvalue 0 in A).  The root values are x_i - x_j in A, and +-x_i +- x_j
+    for i != j in B/C/D, with +-x_i in B and +-2x_i in C.  So for one tag x
+    they are x - y and x + y against the other tags y; x when the zero block
+    is nonempty (always in B); and 2x in C, or for a block of multiplicity at
+    least 2 (x_i + x_j with x_i = x_j = x).  x is an integer only when 2x is.
 
     One pass over the classes mod 1: x = n/d in lowest terms has the class
     (n mod d, d), so x - y is an integer iff x and y share a class, x + y
     iff class(x) = class(-y), and 2x iff class(x) = class(-x), that is
     d <= 2.  Within a class two values are equal iff their numerators are,
     so each class keeps the numerator of its first tag: a later tag of the
-    class with another numerator lies a nonzero integer away.
-    - A: the differences x - y of the eigenvalues, the tags and 0 when the
-      zero block is nonempty; resonant iff two distinct ones share a class.
-    - B/C/D: x - y and x + y over the pairs of tags, a tag paired with
-      itself included, so 2x too; x (B, or a nonempty zero block) and 2x
-      (C) add nothing, as x is an integer only when 2x is.  Resonant iff
-      some 2x lies in Z minus 0, two distinct tags share a class, or x + y
-      does for an earlier tag y, which then has the class of -x.  A pair
-      y = -x gives x + y = 0 and is not resonant through it."""
-    rat = [b.tag for b in a.blocks if isinstance(b.tag, (int, Fraction))]
+    class with another numerator lies a nonzero integer away.  In A the
+    eigenvalue 0 of a nonempty zero block joins the tags.  In B/C/D a tag is
+    resonant through x + y when an earlier tag y has the class of -x; a pair
+    y = -x gives x + y = 0 and is not resonant through it."""
+    rat = [b for b in a.blocks if isinstance(b.tag, (int, Fraction))]
     if len(rat) < len(a.blocks):
         if rat:
             raise ValueError("mixed symbolic and rational eigenvalue tags are undecidable")
         return True
     fam = a.type.family
-    if fam == "A" and a.zero_block:
-        rat.append(0)
-    first: dict[tuple[int, int], int] = {}
-    for x in rat:
-        n, d = x.numerator, x.denominator
+    first: dict[tuple[int, int], int] = {(0, 1): 0} if fam == "A" and a.zero_block else {}
+    for b in rat:
+        n, d = b.tag.numerator, b.tag.denominator
         if fam != "A":
-            if d <= 2 and n:
+            if n and d <= 2 and (fam == "C" or b.mult > 1 or d == 1 and a.zero_block):
                 return False
             y = first.get((-n % d, d))
             if y is not None and y != -n:

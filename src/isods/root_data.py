@@ -135,9 +135,6 @@ class LieType(FrozenRecord):
     def is_exceptional(self) -> bool:
         return self.family in EXCEPTIONAL_RANK
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "rank": self.rank}
-
     def __str__(self):
         return f"{self.family}{self.rank}" if not self.is_exceptional else self.family
 

@@ -166,17 +166,6 @@ def o_nu(t: LieType, s: Slope) -> NilpotentOrbit:
     return o_nu_rows(t, s)[0].orbit
 
 
-def o_nu_path(t: LieType, s: Slope) -> tuple[NilpotentOrbit, str]:
-    row = o_nu_rows(t, s)[0]
-    prefix = "corollary" if row.row_id == "nu_ge_1" else "table"
-    table = {
-        "nu_ge_1": "nu_ge_1",
-        "t_excCox": "t_excCox",
-        "DSsolnF4": "DSsolnF4",
-    }.get(row.row_id, f"t_completecl:{row.row_id}")
-    return row.orbit, f"{prefix}:{table}"
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -191,7 +180,10 @@ def ds_solve(
     """Existence of a connection with regular residue in the given orbit and
     isoclinic slope s: affirmative iff the threshold orbit lies below the
     orbit's induced nilpotent orbit."""
-    threshold, path = o_nu_path(t, s)
+    row = o_nu_rows(t, s)[0]
+    threshold, path = row.orbit, "corollary:nu_ge_1"
+    if row.row_id != "nu_ge_1":  # the classical rows are those of t_completecl
+        path = f"table:{row.row_id}" if t.is_exceptional else f"table:t_completecl:{row.row_id}"
     if orbit.type != t:
         raise ValueError("orbit type mismatch")
     o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
@@ -358,29 +350,20 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
             f"multiplicities {list(mults)} and zero multiplicity {zero_mult} sum to"
             f" {sum(mults) + zero_mult}, expected {cap} for {t}"
         )
-    rows = o_nu_rows(t, s)
-    row = rows[0]
+    row = o_nu_rows(t, s)[0]
     o_part = row.orbit.partition
+    # e = 0 exactly on the row nu_ge_1, whose threshold is (1^N)
     e = row.parts_bound
-    if fam == "A":
-        # the zero eigenvalue behaves like any other linear factor
-        slots = list(mults) + ([zero_mult] if zero_mult else [])
-        base = [lambda_evenly(M, e) if e else (1,) * M for M in slots]
-        tail_total = 0
-        base_tail: Partition = ()
-    else:
-        slots = list(mults)
-        eps = 1 if fam == "B" else 0
-        tail_total = 2 * zero_mult + eps
-        if s.d >= s.m:
-            base = [(1,) * M for M in slots]
-            base_tail = partition((1,) * tail_total)
-        else:
-            base = [lambda_evenly(M, e) for M in slots]
-            if row.row_id in ("B2", "B3", "D3") and tail_total:
-                base_tail = union_parts(lambda_evenly(tail_total - 1, e), (1,))
-            else:  # B1, C1, D1, D2, D4, D5, and D3 without a zero eigenvalue
-                base_tail = lambda_evenly(tail_total, e)
+    # in type A the zero eigenvalue behaves like any other linear factor
+    slots = list(mults) + ([zero_mult] if fam == "A" and zero_mult else [])
+    tail_total = 0 if fam == "A" else 2 * zero_mult + (fam == "B")
+    base = [lambda_evenly(M, e) if e else (1,) * M for M in slots]
+    if not e:
+        base_tail: Partition = (1,) * tail_total
+    elif row.row_id in ("B2", "B3", "D3") and tail_total:
+        base_tail = union_parts(lambda_evenly(tail_total - 1, e), (1,))
+    else:  # A1, A2, B1, C1, D1, D2, D4, D5, and D3 without a zero eigenvalue
+        base_tail = lambda_evenly(tail_total, e)
 
     # Search anchors.  A minimal candidate deviates from one of these in at
     # most one position: the all-base tuple; the tuple with two ones appended
@@ -391,7 +374,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     # that works clears its own bounds, so each replacement lies at or below
     # it, and the first is the anchor itself, in its place, or prunes it.
     anchors: list[tuple[tuple[Partition, ...], Partition]] = [(tuple(base), base_tail)]
-    if s.d < s.m:
+    if e:
         if row.row_id in ("D4", "D5") and tail_total >= 2:
             alt = union_parts(lambda_evenly(tail_total - 2, e), (1, 1))
             anchors.append((tuple(base), alt))
@@ -432,8 +415,6 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
 def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:
     """Componentwise closure comparison of candidates, permuting factors with
     equal multiplicities."""
-    if sum(c1.tail) != sum(c2.tail):
-        return False
     if not dominance_le(c1.tail, c2.tail):
         return False
     for idxs in mult_groups:

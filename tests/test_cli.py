@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isods
-from isods.cli import main
+from isods.cli import build_parser, main
 from isods.catalogue import orbit_labels
 from isods.coxeter import orbit_J_reg
+from isods.partitions import ParityClass, valid_partitions
 from isods.root_data import affine_marks, lie_type
 from isods.tables import TABLE_NAMES
 
@@ -793,3 +796,94 @@ def test_console_script_subprocess():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["affirmative"] is True and data["rigid"] is True
+
+
+def _orbit_forms(text, key, tmp):
+    """The argv tails that give an orbit as a bare --orbit text, as an --orbit
+    JSON object {key: text}, and as an --orbit-file holding that object."""
+    obj = f'{{"{key}": {text if key == "partition" else json.dumps(text)}}}'
+    path = os.path.join(tmp, "orbit.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(obj)
+    return [[f"--orbit={text}"], [f"--orbit={obj}"], ["--orbit-file", path]]
+
+
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of main on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_orbit_forms_answer_alike(tmp_path):
+    # a partition or label given bare, as a JSON object or in an orbit file
+    # reaches the same reader, so stdout and the exit code agree
+    rng = random.Random(31)
+    cases = [(fam, n, json.dumps(list(p)), "partition")
+             for fam, n, size in (("B", 3, 7), ("C", 3, 6), ("D", 4, 8))
+             for p in rng.sample(valid_partitions(size, ParityClass[fam]), 4)]
+    cases += [("E6", None, label, "label") for label in rng.sample(sorted(orbit_labels(lie_type("E6"))), 6)]
+    for fam, n, text, key in cases:
+        for verb, sl in (("solve", {"B": "1/6", "C": "1/6", "D": "1/4", "E6": "5/12"}[fam]), ("delta", "1/2")):
+            head = [verb, f"--type={fam}", f"--slope={sl}"] + ([f"--rank={n}"] if n else [])
+            runs = {_run_captured([*head, *form])[:2] for form in _orbit_forms(text, key, str(tmp_path))}
+            assert len(runs) == 1, (head, text, runs)
+    # malformed entries exit 2 with one line on stderr in every form
+    for text in ("[7.5]", "[true, 6]", "[1e400]", "[3,1"):
+        for form in _orbit_forms(text, "partition", str(tmp_path)):
+            code, out, err = _run_captured([*_SOLVE_B3, *form])
+            assert (code, out, err.count("\n")) == (2, "", 1), (form, err)
+
+
+def test_hasse_file_with_two_faults_reports_the_first(tmp_path):
+    # an unknown label inside a cycle: labels are checked before cycles
+    path = tmp_path / "hasse.json"
+    path.write_text(json.dumps([{"from": "2A2", "to": "FOO"}, {"from": "FOO", "to": "2A2"}]))
+    assert _run_captured([*_SOLVE_E6, "--orbit=2A2", f"--hasse-file={path}"]) == (
+        2, "", "error: unknown E6 orbit labels in the Hasse file: 'FOO'\n")
+
+
+_HELP = ("('-h', '--help')", "help", False, "==SUPPRESS==", None, None, "show this help message and exit")
+_TYPE = [("('--type',)", "type", True, None, None, None, "A/B/C/D/G2/F4/E6/E7/E8"),
+         ("('--rank',)", "rank", False, None, "int", None, "rank (classical families)")]
+_QUERY = _TYPE + [("('--slope',)", "slope", True, None, None, None, None),
+                  ("('--orbit',)", "orbit", False, None, None, None, None),
+                  ("('--orbit-file',)", "orbit_file", False, None, None, None, None)]
+# (option strings, dest, required, default, type, choices, help) of each verb
+_PARSER = {
+    "solve": [_HELP, *_QUERY, ("('--hasse-file',)", "hasse_file", False, None, None, None, None)],
+    "solve-q": [_HELP, *_QUERY],
+    "coxeter": [_HELP, *_TYPE, ("('--d',)", "d", True, None, "int", None, None),
+                ("('--show-subsets',)", "show_subsets", False, False, None, None,
+                 "also list the allowable subsets (rank <= 12)")],
+    "delta": [_HELP, *_QUERY],
+    "rigid": [_HELP, ("('--family',)", "family", True, None, None, None, None),
+              ("('--max-rank',)", "max_rank", False, 10, "int", None, "at most 100"),
+              ("('--format',)", "format", False, "csv", None, ("csv", "json"), None)],
+    "oracle": [_HELP, *_TYPE, ("('--slope',)", "slope", True, None, None, None, None),
+               ("('--budget',)", "budget", False, 10000, "int", None, "at least 0; does not change the answer"),
+               ("('--seed',)", "seed", False, 0, "int", None, "does not change the answer")],
+    "tables": [_HELP, ("('--name',)", "name", True, None, None, (
+                   "t_clCox", "t_excCox", "t_completecl", "t_clq", "t_cl_index_rig", "t_cl_ell_rig", "DSsolnF4",
+                   "potigexc-numerics"), None),
+               ("('--family',)", "family", False, None, None, None, None),
+               ("('--max-rank',)", "max_rank", False, 6, "int", None, "at most 100"),
+               ("('--rank',)", "rank", False, None, "int", None, None),
+               ("('--slope',)", "slope", False, None, None, None, None),
+               ("('--mults',)", "mults", False, None, None, None, "comma-separated nonzero multiplicities"),
+               ("('--zero-mult',)", "zero_mult", False, 0, "int", None, None)],
+    "check": [_HELP, ("('--max-rank',)", "max_rank", False, 5, "int", None, None)],
+}
+
+
+def test_parser_options_are_pinned(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_PARSER)
+    for verb, parser in sub.choices.items():
+        got = [(repr(tuple(a.option_strings)), a.dest, a.required, a.default, getattr(a.type, "__name__", a.type),
+                a.choices, a.help) for a in parser._actions]
+        assert got == _PARSER[verb], verb
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith(f"usage: ds {verb}"), verb

@@ -411,15 +411,7 @@ def test_closure_exceptional():
 
 def test_user_supplied_hasse():
     E6 = lie_type("E6")
-    h = HasseDiagram.from_json(
-        [
-            {"from": "A2", "to": "A1"},
-            {"from": "A1", "to": "0"},
-            {"label": "A2", "dimC": 30},
-            {"label": "A1", "dimC": 56},
-            {"label": "0", "dimC": 78},
-        ]
-    )
+    h = HasseDiagram(("0", "A1", "A2"), (("A2", "A1"), ("A1", "0")), {"A2": 30, "A1": 56, "0": 78})
     assert closure_le(NilpotentOrbit(E6, label="A1"), NilpotentOrbit(E6, label="A2"), hasse=h)
 
 

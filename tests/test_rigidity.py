@@ -333,28 +333,19 @@ def test_delta_of_orbit_reads_no_ellipticity(monkeypatch):
         delta_of_orbit(B2, slope(1, 3), NilpotentOrbit(B2, (2, 2, 1)))
 
 
-def _fraction_non_resonant(a):
-    rat = [b.tag for b in a.blocks if isinstance(b.tag, (int, Fraction))]
-    vals = [Fraction(v) for v in rat]
+def _root_non_resonant(a):
+    """Non-resonance read root by root.  The coordinates of s are each tag
+    repeated mult times and m_s zeros (the eigenvalue 0 in A), and no root
+    value is a nonzero integer: x_i - x_j in A; +-x_i +- x_j for i != j in
+    B/C/D, with x_i in B and 2x_i in C."""
     fam = a.type.family
-
-    def bad(x):
-        return x != 0 and x.denominator == 1
-
-    if fam == "A":
-        eigs = vals + ([Fraction(0)] if a.zero_block else [])
-        return not any(bad(x - y) for x in eigs for y in eigs)
-    for i, x in enumerate(vals):
-        for y in vals[i:]:
-            if bad(x - y) or bad(x + y):
-                return False
-        if a.zero_block and bad(x):
-            return False
-        if fam == "B" and bad(x):
-            return False
-        if fam == "C" and bad(2 * x):
-            return False
-    return True
+    xs = [Fraction(b.tag) for b in a.blocks for _ in range(b.mult)]
+    xs += [Fraction(0)] * (sum(a.zero_block) // (1 if fam == "A" else 2))
+    values = [x - y for i, x in enumerate(xs) for y in xs[i + 1:]]
+    if fam != "A":
+        values += [x + y for i, x in enumerate(xs) for y in xs[i + 1:]]
+        values += xs if fam == "B" else [2 * x for x in xs] if fam == "C" else []
+    return not any(v and v.denominator == 1 for v in values)
 
 
 def _reference_tags(rng, fam):
@@ -389,23 +380,31 @@ def test_non_resonant_matches_the_fraction_reference():
     pm_pairs = Counter()  # verdicts of B/C/D orbits holding a pair x, -x with 2x not integral
     for fam in ("A", "B", "C", "D"):
         for _ in range(1500):
-            # a block of multiplicity 1 per tag and a zero block of the rest
+            # a block of multiplicity 1 to 3 per tag and a zero block of the rest
             tags = _reference_tags(rng, fam)
-            n = rng.randint(max(3, len(tags) - (fam == "A")), 11 if fam == "A" else 12)
-            zero = n + (fam == "A") - len(tags)
+            mults = [rng.randint(1, 3) for _ in tags]
+            least = max(3, sum(mults) - (fam == "A"))
+            n = rng.randint(least, max(least, 11 if fam == "A" else 12))
+            zero = n + (fam == "A") - sum(mults)
             tails = partitions_of(zero) if fam == "A" else valid_partitions(2 * zero + (fam == "B"), ParityClass[fam])
+            blocks = tuple(Block(g, k, rng.choice(partitions_of(k))) for g, k in zip(tags, mults))
             try:
-                a = AdjointOrbit(lie_type(fam, n), tuple(Block(g, 1, (1,)) for g in tags), rng.choice(tails))
+                a = AdjointOrbit(lie_type(fam, n), blocks, rng.choice(tails))
             except ValueError:  # a repeated tag, or a tag 0 outside type A
                 continue
             got = non_resonant(a)
-            assert got == _fraction_non_resonant(a), a.to_json()
-            seen.add((fam, got, len(tags) > 8, any(isinstance(x, int) for x in tags)))
+            assert got == _root_non_resonant(a), a.to_json()
+            ints = [b for b in blocks if Fraction(b.tag).denominator == 1]
+            # in D, x and 2x are root values only beside a nonempty zero block or at multiplicity >= 2
+            forced = bool(ints) and (fam != "D" or bool(a.zero_block) or any(b.mult > 1 for b in ints))
+            seen.add((fam, got, len(tags) > 8, forced))
             if fam != "A" and any(-x in tags and (2 * x).denominator > 1 for x in tags):
                 pm_pairs[got] += 1
-    # an integral tag is resonant in B/C/D (2x), and in A beside a nonzero zero block
+    # an integral tag x is resonant in B (x) and C (2x); in D at multiplicity
+    # >= 2 (2x) or beside a nonempty zero block (x); in A beside a nonempty
+    # zero block
     assert {(fam, got, long) for fam, got, long, _ in seen} == set(product("ABCD", (True, False), (True, False)))
-    assert {(fam, got) for fam, got, _, has_int in seen if has_int} == {("A", True), *product("ABCD", (False,))}
+    assert {(fam, got) for fam, got, _, forced in seen if forced} == {("A", True), *product("ABCD", (False,))}
     assert pm_pairs[True] and pm_pairs[False], pm_pairs
 
 
@@ -436,6 +435,18 @@ def test_non_resonant_examples():
     # nilpotent: all eigenvalues zero
     B2 = lie_type("B", 2)
     assert non_resonant(AdjointOrbit(B2, (), (5,))) is True
+    # 2x is a root value in C, and in B/D only for a block of multiplicity
+    # >= 2; x is one in B, and in C/D beside a nonempty zero block
+    half, third = Block(Fraction(3, 2), 1, (1,)), Block(Fraction(1, 3), 1, (1,))
+    assert non_resonant(AdjointOrbit(B2, (half, third), (1,))) is True
+    assert non_resonant(AdjointOrbit(B2, (Block(Fraction(3, 2), 2, (2,)),), (1,))) is False
+    assert non_resonant(AdjointOrbit(C2, (half, third), ())) is False
+    D3 = lie_type("D", 3)
+    one = Block(1, 1, (1,))
+    assert non_resonant(AdjointOrbit(D3, (one, third, Block(Fraction(1, 5), 1, (1,))), ())) is True
+    assert non_resonant(AdjointOrbit(D3, (one, third), (1, 1))) is False
+    assert non_resonant(AdjointOrbit(D3, (Block(1, 2, (1, 1)), third), ())) is False
+    assert non_resonant(AdjointOrbit(lie_type("B", 3), (one, third, half), (1,))) is False
 
 
 def test_scan_rigid_row_examples():
