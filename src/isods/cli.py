@@ -162,6 +162,10 @@ def _load_hasse(t: LieType, args) -> HasseDiagram | None:
                 _json(item[key], str, f"{key!r} in a Hasse file")
         if "dimC" in item:
             _json(item["dimC"], int, "'dimC' in a Hasse file")
+        if "from" in item and "to" not in item:
+            raise CliError("an item with 'from' in the Hasse file has no 'to'")
+        if "label" in item and "from" not in item and "dimC" not in item:
+            raise CliError("an item with 'label' in the Hasse file has no 'dimC'")
     covers = [(item["from"], item["to"]) for item in data if "from" in item]
     dims = {item["label"]: item["dimC"] for item in data if "label" in item and "from" not in item}
     orbs = {*dims, *(o for cover in covers for o in cover)}

@@ -56,7 +56,13 @@ def _zero(n: int) -> Matrix:
 def model_blocks(t: LieType, m: int, d: int) -> GradedModel:
     """defining_dim(t) // m blocks of C[[t^(1/m)]]/(t), t^(d/m) scaled by
     b + 1 on block b: the single-point skeleton of type A at m = n + 1 (one
-    block, t^(d/n) on C[[t^(1/n)]]/(t)) and of type C at an elliptic m."""
+    block, t^(d/n) on C[[t^(1/n)]]/(t)) and of type C at an elliptic m.
+
+    On one block t^(d/m) shifts the m basis vectors by d, so its Jordan type
+    is lambda_evenly(m, d), and the model's is ell = defining_dim(t) // m
+    copies of it, lambda_evenly(ell * m, ell * d): the A1 or C1 row of the
+    threshold table (the zero orbit when d > m).  So the block model
+    restates the table; it is not a route independent of it."""
     ell = defining_dim(t) // m
     op = _zero(ell * m)
     for b in range(ell):

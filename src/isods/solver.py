@@ -23,7 +23,6 @@ from .partitions import (
     is_very_even,
     lambda_evenly,
     least_clearing,
-    partition,
     prefix_sums,
     union_parts,
 )
@@ -35,6 +34,7 @@ from .root_data import (
     UnsupportedComparisonError,
     UnsupportedSlopeError,
     coxeter_number,
+    defining_dim,
     is_regular,
 )
 
@@ -77,66 +77,53 @@ class DSAnswer(Record):
 
 
 class _Row(FrozenRecord):
-    # parts_bound: the superscript count e used by the row (0 when n/a)
-    __slots__ = ("row_id", "orbit", "parts_bound")
+    # parts_bound: the superscript count e used by the row (0 when n/a); ones: the parts 1 it adds
+    __slots__ = ("row_id", "orbit", "parts_bound", "ones")
 
 
-def _edge_case_partition(m: int, ell: int, tail: tuple[int, ...]) -> Partition:
-    """(m+1, m, ..., m, m-1) with ell-2 middle copies, plus the given tail."""
-    return partition((m + 1,) + (m,) * (ell - 2) + (m - 1,) + tail)
+# Block counts c = a*n + b and row ids of the classical rows.  Where m divides c,
+# e = c*d/m and ones = defining_dim - c, the row is, by its ids in order: in B and D
+# with e odd, E(c+1, e) + 1^(ones-1) (none if ones = 0); in B and D with d = 1 and
+# m even, the edge partition + 1^ones; else E(c, e) + 1^ones (A and C: this id only).
+_BLOCK_COUNTS = {
+    "A": ((1, 1, ("A1",)), (1, 0, ("A2",))),
+    "B": ((2, 0, ("B1", "B3", "B2")),),
+    "C": ((2, 0, ("C1",)),),
+    "D": ((2, 0, (None, "D2", "D1")), (2, -2, ("D3", "D5", "D4"))),
+}
+
+
+def _edge_case_partition(m: int, ell: int) -> Partition:
+    """(m+1, m, ..., m, m-1) with ell-2 middle copies."""
+    return (m + 1,) + (m,) * (ell - 2) + (m - 1,)
 
 
 def o_nu_rows(t: LieType, s: Slope) -> list[_Row]:
-    """All applicable threshold-table rows for (t, s)."""
+    """All applicable threshold-table rows for (t, s), the classical ones by
+    the rule of _BLOCK_COUNTS."""
     d, m = s.d, s.m
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} is not a regular number for {t}")
     if d >= m:
-        return [_Row("nu_ge_1", zero_orbit(t), 0)]
+        return [_Row("nu_ge_1", zero_orbit(t), 0, 0)]
     fam, n = t.family, t.rank
     rows: list[_Row] = []
-    if fam == "A":
-        N = n + 1
-        if N % m == 0:
-            e = N * d // m
-            rows.append(_Row("A1", NilpotentOrbit(t, lambda_evenly(N, e)), e))
-        if (N - 1) % m == 0:
-            e = (N - 1) * d // m
-            rows.append(_Row("A2", NilpotentOrbit(t, union_parts(lambda_evenly(N - 1, e), (1,))), e))
-    elif fam == "B":
-        e = 2 * n * d // m
-        ell = 2 * n // m
-        if e % 2 == 1:
-            rows.append(_Row("B1", NilpotentOrbit(t, lambda_evenly(2 * n + 1, e)), e))
-        elif d > 1 or m % 2 == 1:
-            rows.append(_Row("B2", NilpotentOrbit(t, union_parts(lambda_evenly(2 * n, e), (1,))), e))
-        else:
-            rows.append(_Row("B3", NilpotentOrbit(t, _edge_case_partition(m, ell, (1,))), e))
-    elif fam == "C":
-        e = 2 * n * d // m
-        rows.append(_Row("C1", NilpotentOrbit(t, lambda_evenly(2 * n, e)), e))
-    elif fam == "D":
-        if n % m == 0:
-            e = 2 * n * d // m
-            ell = 2 * n // m
-            if d > 1 or m % 2 == 1:
-                rows.append(_Row("D1", NilpotentOrbit(t, lambda_evenly(2 * n, e)), e))
+    if fam in _BLOCK_COUNTS:
+        orth = fam in ("B", "D")
+        for a, b, ids in _BLOCK_COUNTS[fam]:
+            c = a * n + b
+            if c % m:
+                continue
+            e, ones = c * d // m, defining_dim(t) - c
+            if orth and e % 2:
+                if not ones:
+                    continue
+                row_id, spread, ones = ids[0], lambda_evenly(c + 1, e), ones - 1
+            elif orth and d == 1 and m % 2 == 0:
+                row_id, spread = ids[1], _edge_case_partition(m, c // m)
             else:
-                rows.append(_Row("D2", NilpotentOrbit(t, _edge_case_partition(m, ell, ())), e))
-        if (2 * n - 2) % m == 0:
-            e = (2 * n - 2) * d // m
-            ell = (2 * n - 2) // m
-            if e % 2 == 1:
-                rows.append(
-                    _Row("D3", NilpotentOrbit(t, union_parts(lambda_evenly(2 * n - 1, e), (1,))), e)
-                )
-            if (n - 1) % m == 0:
-                if d > 1 or m % 2 == 1:
-                    rows.append(
-                        _Row("D4", NilpotentOrbit(t, union_parts(lambda_evenly(2 * n - 2, e), (1, 1))), e)
-                    )
-                else:
-                    rows.append(_Row("D5", NilpotentOrbit(t, _edge_case_partition(m, ell, (1, 1))), e))
+                row_id, spread = ids[-1], lambda_evenly(c, e)
+            rows.append(_Row(row_id, NilpotentOrbit(t, spread + (1,) * ones), e, ones))
     else:
         from . import exceptional_data as xd
 
@@ -144,9 +131,9 @@ def o_nu_rows(t: LieType, s: Slope) -> list[_Row]:
         if m == h:
             key = (fam, d)
             if key in xd.EXC_COXETER:
-                rows.append(_Row("t_excCox", NilpotentOrbit(t, label=xd.EXC_COXETER[key][0]), 0))
+                rows.append(_Row("t_excCox", NilpotentOrbit(t, label=xd.EXC_COXETER[key][0]), 0, 0))
         elif fam == "F4" and s.nu in xd.F4_SMALL:
-            rows.append(_Row("DSsolnF4", NilpotentOrbit(t, label=xd.F4_SMALL[s.nu][0]), 0))
+            rows.append(_Row("DSsolnF4", NilpotentOrbit(t, label=xd.F4_SMALL[s.nu][0]), 0, 0))
         if not rows:
             raise UnsupportedSlopeError(
                 f"no embedded table covers {t} at slope {s} (exceptional non-Coxeter data"
@@ -360,9 +347,9 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     base = [lambda_evenly(M, e) if e else (1,) * M for M in slots]
     if not e:
         base_tail: Partition = (1,) * tail_total
-    elif row.row_id in ("B2", "B3", "D3") and tail_total:
+    elif row.ones == 1 and tail_total:  # B2, B3, and D3 with a zero eigenvalue
         base_tail = union_parts(lambda_evenly(tail_total - 1, e), (1,))
-    else:  # A1, A2, B1, C1, D1, D2, D4, D5, and D3 without a zero eigenvalue
+    else:  # ones 0 or 2, or no zero sector to split (type A, D3 without a zero eigenvalue)
         base_tail = lambda_evenly(tail_total, e)
 
     # Search anchors.  A minimal candidate deviates from one of these in at
@@ -370,12 +357,12 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     # to the zero sector (the alternate tail of the rows that split the zero
     # multiplicities); and for each factor the tuple with a one placed there.
     # Only an anchor's least clearing replacements, one slot or the tail at a
-    # time, are pushed; each works, so extra anchors are harmless.  An anchor
+    # time, are added; each works, so extra anchors are harmless.  An anchor
     # that works clears its own bounds, so each replacement lies at or below
     # it, and the first is the anchor itself, in its place, or prunes it.
     anchors: list[tuple[tuple[Partition, ...], Partition]] = [(tuple(base), base_tail)]
     if e:
-        if row.row_id in ("D4", "D5") and tail_total >= 2:
+        if row.ones == 2 and tail_total >= 2:
             alt = union_parts(lambda_evenly(tail_total - 2, e), (1, 1))
             anchors.append((tuple(base), alt))
         for k, M in enumerate(slots):
@@ -387,15 +374,7 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     c = 1 if fam == "A" else 2
     p_o = prefix_sums(o_part, width)
 
-    cands: list[QCandidate] = []
-    seen: set[QCandidate] = set()
-
-    def push(linear, tail):
-        cand = QCandidate(tuple(linear), tail)
-        if cand not in seen:
-            seen.add(cand)
-            cands.append(cand)
-
+    found: dict[QCandidate, None] = {}  # distinct candidates, in the order found
     for anchor_lin, anchor_tail in dict.fromkeys(anchors):
         slot_bounds, tail_bound = _anchor_bounds(c, p_o, anchor_lin, anchor_tail)
         for j, bound in enumerate(slot_bounds):
@@ -403,13 +382,13 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
             if mu is not None:
                 lin = list(anchor_lin)
                 lin[j] = mu
-                push(lin, anchor_tail)
+                found[QCandidate(tuple(lin), anchor_tail)] = None
         if fam != "A":
             tl = least_clearing(tail_total, tail_bound)
             if tl is not None:
                 assert is_valid(tl, parity_class(t)), (t, s, mults, zero_mult, tl)
-                push(anchor_lin, tl)
-    return QCandidates(_prune_candidates(cands), row.orbit)
+                found[QCandidate(anchor_lin, tl)] = None
+    return QCandidates(_prune_candidates(list(found), _mult_groups(slots)), row.orbit)
 
 
 def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:
@@ -446,10 +425,10 @@ def _matchable(left: list[Partition], right: list[Partition]) -> bool:
     return all(augment(i, [False] * n) for i in range(n))
 
 
-def _prune_candidates(cands: list[QCandidate]) -> list[QCandidate]:
-    """The candidates (distinct, as push in q_candidates keeps them) that no
-    other candidate lies strictly below."""
-    groups = _mult_groups([sum(c) for c in cands[0].linear]) if cands else []
+def _prune_candidates(cands: list[QCandidate], groups) -> list[QCandidate]:
+    """The candidates (distinct, as q_candidates keeps them) that no other
+    candidate lies strictly below, factors in one of the groups of equal
+    multiplicity compared up to permutation."""
     return [
         c for c in cands
         if not any(o is not c and _cand_le(o, c, groups) and not _cand_le(c, o, groups) for o in cands)
@@ -469,21 +448,13 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
     Independent of the induction route used by ds_solve."""
     if a.type != t:
         raise ValueError("orbit type mismatch")
-    mults = tuple(b.mult for b in a.blocks)
-    zero_mult = (
-        sum(a.zero_block)
-        if t.family == "A"
-        else (sum(a.zero_block) - (1 if t.family == "B" else 0)) // 2
-    )
-    cands = q_candidates(t, s, mults, zero_mult)
-    groups = _mult_groups(mults if t.family != "A" else tuple(mults) + ((zero_mult,) if zero_mult else ()))
-    if t.family == "A":
-        input_line = [b.partition for b in a.blocks] + ([a.zero_block] if zero_mult else [])
-        input_tail: Partition = ()
-    else:
-        input_line = [b.partition for b in a.blocks]
-        input_tail = a.zero_block
-    inp = QCandidate(tuple(input_line), input_tail)
+    z = a.zero_block
+    linear = tuple(b.partition for b in a.blocks)
+    # in type A the zero block is one more slot, as in q_candidates; outside
+    # A it is the tail, and the B tail's extra 1 falls out of the floor division
+    inp = QCandidate(linear + ((z,) if z else ()), ()) if t.family == "A" else QCandidate(linear, z)
+    cands = q_candidates(t, s, tuple(b.mult for b in a.blocks), sum(z) if t.family == "A" else sum(z) // 2)
+    groups = _mult_groups([sum(p) for p in inp.linear])
     verdict = any(_cand_le(c, inp, groups) for c in cands)
     return DSAnswer(
         verdict,

@@ -844,6 +844,17 @@ def test_hasse_file_with_two_faults_reports_the_first(tmp_path):
         2, "", "error: unknown E6 orbit labels in the Hasse file: 'FOO'\n")
 
 
+@pytest.mark.parametrize("item,key", [({"from": "A1"}, "to"), ({"label": "A1"}, "dimC")], ids=["to", "dimC"])
+def test_hasse_file_item_without_its_second_key_exits_2(tmp_path, item, key):
+    # these once exited 2 with the bare KeyError text, which named neither
+    # the key nor the file
+    path = tmp_path / "hasse.json"
+    path.write_text(json.dumps([item]))
+    code, out, err = _run_captured([*_SOLVE_E6, "--orbit=2A2", f"--hasse-file={path}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err and "Hasse file" in err, err
+
+
 _HELP = ("('-h', '--help')", "help", False, "==SUPPRESS==", None, None, "show this help message and exit")
 _TYPE = [("('--type',)", "type", True, None, None, None, "A/B/C/D/G2/F4/E6/E7/E8"),
          ("('--rank',)", "rank", False, None, "int", None, "rank (classical families)")]

@@ -39,7 +39,7 @@ CASES = [
     (HasseDiagram, {"orbits": ("0", "A1"), "covers": (("A1", "0"),), "dims": (("0", 14), ("A1", 8))}),
     (DSAnswer, {"affirmative": True, "o_nu": O333, "o_nil": O333, "delta": Fraction(2), "rigid": False,
                 "path": "table:B2", "notes": ("a note",)}),
-    (_Row, {"row_id": "B2", "orbit": O333, "parts_bound": 3}),
+    (_Row, {"row_id": "B2", "orbit": O333, "parts_bound": 3, "ones": 1}),
     (QCandidate, {"linear": ((2,), (1,)), "tail": (3, 1, 1)}),
     (RigidityReport, {"delta": Fraction(2), "nu_phi": Fraction(12), "dim_c": 14, "dim_tw": 0, "rigid": False,
                       "m_elliptic": True, "orbit_nonresonant": None}),

@@ -10,7 +10,8 @@ from isods.checks import check_skeleton
 from isods.cli import main
 from isods.coxeter import UnsupportedSlopeError
 from isods.linalg import sparse_rank
-from isods.root_data import is_elliptic_regular, lie_type, slope, slope_cells
+from isods.partitions import lambda_evenly, partition
+from isods.root_data import is_elliptic_regular, is_regular, lie_type, slope, slope_cells
 from isods.skeleton import (
     QuadraticSpace,
     _orthogonal_space,
@@ -22,6 +23,7 @@ from isods.skeleton import (
     model_blocks,
     model_orthogonal,
 )
+from isods.solver import o_nu
 
 
 def test_type_a_model():
@@ -34,6 +36,24 @@ def test_type_a_model():
 def test_type_c_model():
     assert jordan_type(model_blocks(lie_type("C", 3), 2, 1)) == (2, 2, 2)
     assert jordan_type(model_blocks(lie_type("C", 4), 8, 3)) == (3, 3, 2)
+
+
+def test_block_model_is_the_table_row():
+    # every cell where minimal_jordan_type_report answers from model_blocks:
+    # A1-A12 at m = n + 1 and C2-C12 at each elliptic m, with d < 2m prime to m
+    cells = [(lie_type("A", n), n + 1) for n in range(1, 13)]
+    for t in (lie_type("C", n) for n in range(2, 13)):
+        cells += [(t, m) for m in range(1, 2 * t.rank + 1) if is_regular(t, m) and is_elliptic_regular(t, m)]
+    count = 0
+    for t, m in cells:
+        ell = (t.rank + 1 if t.family == "A" else 2 * t.rank) // m
+        for d in (d for d in range(1, 2 * m) if gcd(d, m) == 1):
+            count += 1
+            want = partition(lambda_evenly(m, d) * ell)
+            assert jordan_type(model_blocks(t, m, d)) == want, (t, m, d)
+            assert minimal_jordan_type_report(t, slope(d, m)) == (want, True), (t, m, d)
+            assert o_nu(t, slope(d, m)).partition == want, (t, m, d)
+    assert count == 324
 
 
 def test_minimal_jordan_type_examples():

@@ -14,13 +14,16 @@ from isods.partitions import (
     dominance_le,
     is_valid,
     is_very_even,
+    lambda_evenly,
     least_clearing,
+    partition,
     partitions_of,
     prefix_sums,
     sum_parts,
+    union_parts,
     valid_partitions,
 )
-from isods.root_data import is_regular, lie_type, slope, slope_cells
+from isods.root_data import defining_dim, is_regular, lie_type, slope, slope_cells
 from isods.solver import (
     _anchor_bounds,
     ds_solve,
@@ -83,6 +86,100 @@ def test_row_overlap_spot_instance():
     rows = o_nu_rows(lie_type("D", 4), slope(1, 2))
     assert len(rows) >= 2
     assert {r.orbit.partition for r in rows} == {(3, 2, 2, 1)}
+
+
+def _ladder_rows(t, s):
+    """(row_id, partition, parts_bound) of each classical t_completecl row
+    for (t, s), written out row by row: the reference for o_nu_rows."""
+    d, m = s.d, s.m
+    if not is_regular(t, m):
+        raise UnsupportedSlopeError(f"{m} is not a regular number for {t}")
+    if d >= m:
+        return [("nu_ge_1", (1,) * defining_dim(t), 0)]
+    fam, n = t.family, t.rank
+
+    def edge(ell, tail):
+        return partition((m + 1,) + (m,) * (ell - 2) + (m - 1,) + tail)
+
+    rows = []
+    if fam == "A":
+        N = n + 1
+        if N % m == 0:
+            e = N * d // m
+            rows.append(("A1", lambda_evenly(N, e), e))
+        if (N - 1) % m == 0:
+            e = (N - 1) * d // m
+            rows.append(("A2", union_parts(lambda_evenly(N - 1, e), (1,)), e))
+    elif fam == "B":
+        e = 2 * n * d // m
+        ell = 2 * n // m
+        if e % 2 == 1:
+            rows.append(("B1", lambda_evenly(2 * n + 1, e), e))
+        elif d > 1 or m % 2 == 1:
+            rows.append(("B2", union_parts(lambda_evenly(2 * n, e), (1,)), e))
+        else:
+            rows.append(("B3", edge(ell, (1,)), e))
+    elif fam == "C":
+        e = 2 * n * d // m
+        rows.append(("C1", lambda_evenly(2 * n, e), e))
+    else:
+        if n % m == 0:
+            e = 2 * n * d // m
+            ell = 2 * n // m
+            if d > 1 or m % 2 == 1:
+                rows.append(("D1", lambda_evenly(2 * n, e), e))
+            else:
+                rows.append(("D2", edge(ell, ()), e))
+        if (2 * n - 2) % m == 0:
+            e = (2 * n - 2) * d // m
+            ell = (2 * n - 2) // m
+            if e % 2 == 1:
+                rows.append(("D3", union_parts(lambda_evenly(2 * n - 1, e), (1,)), e))
+            if (n - 1) % m == 0:
+                if d > 1 or m % 2 == 1:
+                    rows.append(("D4", union_parts(lambda_evenly(2 * n - 2, e), (1, 1)), e))
+                else:
+                    rows.append(("D5", edge(ell, (1, 1)), e))
+    return rows
+
+
+# the parts 1 each ladder row adds to its spread or edge partition
+_LADDER_ONES = {"A2": 1, "B2": 1, "B3": 1, "D3": 1, "D4": 2, "D5": 2}
+
+
+def test_o_nu_rows_match_the_hand_written_ladder():
+    cells = 0
+    for fam in "ABCD":
+        for n in range(1, 17):
+            try:
+                t = lie_type(fam, n)
+            except ValueError:
+                continue
+            for m in range(1, 2 * n + 4):
+                for d in (d for d in range(1, 3 * m + 2) if gcd(d, m) == 1):
+                    cells += 1
+                    s = slope(d, m)
+                    try:
+                        want = _ladder_rows(t, s)
+                    except UnsupportedSlopeError as exc:
+                        with pytest.raises(UnsupportedSlopeError) as got:
+                            o_nu_rows(t, s)
+                        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                        continue
+                    rows = o_nu_rows(t, s)
+                    assert [(r.row_id, r.orbit.partition, r.parts_bound) for r in rows] == want, (t, s)
+                    for r in rows:
+                        assert r.ones == _LADDER_ONES.get(r.row_id, 0), (t, s, r.row_id)
+                        p, e = r.orbit.partition, r.parts_bound
+                        core = p[: len(p) - r.ones]
+                        if r.row_id == "nu_ge_1":
+                            shape = (1,) * len(p)
+                        elif r.row_id in ("B3", "D2", "D5"):
+                            shape = (m + 1,) + (m,) * (e - 2) + (m - 1,)
+                        else:
+                            shape = lambda_evenly(sum(core), e)
+                        assert p == core + (1,) * r.ones and core == shape, (t, s, r.row_id)
+    assert cells == 31018
 
 
 def test_ds_solve_examples():
