@@ -75,6 +75,13 @@ def _json_list(value, cls: type, what: str) -> list:
     return [_json(x, cls, f"an entry of {what}") for x in _json(value, list, what)]
 
 
+def _key(data: dict, key: str, owner: str):
+    """data[key], else invalid input naming the key and its owner."""
+    if key not in data:
+        raise CliError(f"{owner} has no {key!r}")
+    return data[key]
+
+
 def _orbit_from_json(t: LieType, data):
     from .orbits import AdjointOrbit, Block, NilpotentOrbit
     from .partitions import partition
@@ -86,14 +93,14 @@ def _orbit_from_json(t: LieType, data):
             return _labelled_orbit(t, _json(data["label"], str, "label"))
         return NilpotentOrbit(
             t,
-            partition(_json_list(data["partition"], int, "partition")),
+            partition(_json_list(_key(data, "partition", "the orbit"), int, "partition")),
             very_even_label=data.get("very_even_label"),
         )
     if kind == "adjoint":
         blocks = tuple(
-            Block(_tag(b["eig"]), _json(b["mult"], int, "mult"),
-                  partition(_json_list(b["partition"], int, "partition")))
-            for b in _json_list(data["blocks"], dict, "blocks")
+            Block(_tag(_key(b, "eig", "a block")), _json(_key(b, "mult", "a block"), int, "mult"),
+                  partition(_json_list(_key(b, "partition", "a block"), int, "partition")))
+            for b in _json_list(_key(data, "blocks", "the orbit"), dict, "blocks")
         )
         return AdjointOrbit(t, blocks, partition(_json_list(data.get("zero_block", []), int, "zero_block")))
     raise CliError(f"unknown orbit kind {kind!r}")
@@ -321,10 +328,14 @@ def cmd_tables(args) -> int:
         mults = args.mults.split(",") if args.mults else []  # "" lists no multiplicity
         if "" in mults:
             raise CliError(f"--mults {args.mults!r} has an empty entry")
+        try:
+            mults = tuple(map(int, mults))
+        except ValueError:
+            raise CliError(f"--mults {args.mults!r} has an entry that is not an integer") from None
         kw = {
             "rank": args.rank,
             "slope": parse_slope(args.slope),
-            "mults": tuple(map(int, mults)),
+            "mults": mults,
             "zero_mult": args.zero_mult,
         }
     from .tables import generate

@@ -6,10 +6,11 @@ empty partition is ``()``.  Everything here is pure and exact.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate
+from operator import neg
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -27,11 +28,9 @@ class ParityClass(Enum):
 def partition(parts: Iterable[int]) -> Partition:
     """Canonical form: sort descending, drop zeros, reject negatives."""
     out = tuple(sorted(map(int, parts), reverse=True))
-    while out and out[-1] == 0:
-        out = out[:-1]
     if out and out[-1] < 0:
         raise ValueError(f"partition parts must be nonnegative, got {out}")
-    return out
+    return out[: out.index(0)] if out and out[-1] == 0 else out
 
 
 def transpose(p: Partition) -> Partition:
@@ -185,39 +184,51 @@ def valid_partitions(n: int, cls: ParityClass) -> tuple[Partition, ...]:
 def collapse(p: Partition, cls: ParityClass) -> Partition:
     """Dominance maximum among parity-valid partitions dominated by p.
 
-    Greedy unit moves: take the largest bad-parity value with odd
-    multiplicity, shrink its last occurrence and regrow as early as the
-    weakly decreasing shape allows.  Verified against exhaustive search.
+    The greedy unit move (Collingwood-McGovern, section 6.3) takes the
+    largest bad-parity value v of odd multiplicity, lowers its last part to
+    v - 1 and grows the first part below v - 1 by one, the earliest that
+    keeps the parts decreasing (a trailing 0 becomes a part 1).  One scan
+    over the runs of equal parts, from the largest down, makes exactly the
+    greedy's moves in its order: a move at v leaves v with even multiplicity
+    and changes only parts below v, each to at most v - 1, so the values
+    above v stay valid and the greedy's next v is smaller.  The scan resumes
+    at the lowered part, which starts the run of v - 1, so it visits each
+    value once.  No part 1 is lowered: in C, once the larger odd values are
+    paired, the even total pairs the 1s.  Verified against exhaustive search.
     """
     total_parity, bad_residue = cls.value
     if sum(p) % 2 != total_parity:
         raise ValueError(f"{cls.name}-collapse needs {'odd' if total_parity else 'even'} total")
 
-    parts = list(p)
-    while True:
-        counts = Counter(parts)
-        viols = [v for v, c in counts.items() if v % 2 == bad_residue and c % 2 == 1]
-        if not viols:
-            break
-        v = max(viols)
-        i = max(ix for ix, x in enumerate(parts) if x == v)
-        parts[i] -= 1
-        j = i + 1
-        while j < len(parts):
-            if parts[j] + 1 <= parts[j - 1]:
-                parts[j] += 1
-                break
-            j += 1
-        else:
-            parts.append(1)
-    out = partition(parts)
+    parts = list(partition(p))
+    i = 0
+    while i < len(parts):
+        v = parts[i]
+        end = bisect_right(parts, -v, i, key=neg)  # past the run of v
+        if v % 2 == bad_residue and (end - i) % 2:
+            parts[end - 1] = v - 1
+            below = bisect_right(parts, 1 - v, end, key=neg)  # first part below v - 1
+            if below < len(parts):
+                parts[below] += 1
+            else:
+                parts.append(1)
+            end -= 1
+        i = end
+    out = tuple(parts)
     assert is_valid(out, cls), (p, cls, out)
     return out
 
 
 def sum_parts(ps: Iterable[Partition]) -> Partition:
-    """Componentwise sum of part sequences, padding with zeros."""
-    return partition(map(sum, zip_longest(*ps, fillvalue=0)))
+    """Componentwise sum of part sequences, padding with zeros: each one is
+    added into the longest read so far, so the cost is linear in the parts."""
+    out: list[int] = []
+    for p in ps:
+        if len(p) > len(out):
+            out, p = list(p), out
+        for i, x in enumerate(p):
+            out[i] += x
+    return partition(out)
 
 
 def union_parts(p: Partition, extra: Iterable[int]) -> Partition:

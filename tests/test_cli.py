@@ -855,6 +855,24 @@ def test_hasse_file_item_without_its_second_key_exits_2(tmp_path, item, key):
     assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err and "Hasse file" in err, err
 
 
+@pytest.mark.parametrize("orbit,key,owner", [
+    ({"kind": "adjoint"}, "blocks", "the orbit"),
+    ({"kind": "adjoint", "blocks": [{"mult": 1, "partition": [1]}]}, "eig", "a block"),
+    ({"kind": "adjoint", "blocks": [{"eig": "a", "partition": [1]}]}, "mult", "a block"),
+    ({"kind": "adjoint", "blocks": [{"eig": "a", "mult": 1}]}, "partition", "a block"),
+    ({"kind": "nilpotent"}, "partition", "the orbit"),
+], ids=["blocks", "eig", "mult", "block-partition", "partition"])
+def test_orbit_without_a_key_names_the_key_and_its_owner(orbit, key, owner):
+    # these once exited 2 with the bare KeyError text, e.g. "invalid input: 'eig'"
+    code, out, err = _run_captured([*_SOLVE_B3, f"--orbit={json.dumps(orbit)}"])
+    assert (code, out, err) == (2, "", f"error: {owner} has no '{key}'\n")
+
+
+def test_mults_entry_that_is_not_an_integer_exits_2():
+    argv = ["tables", "--name", "t_clq", "--family", "B", "--rank", "3", "--slope", "1/2", "--mults", "1,x"]
+    assert _run_captured(argv) == (2, "", "error: --mults '1,x' has an entry that is not an integer\n")
+
+
 _HELP = ("('-h', '--help')", "help", False, "==SUPPRESS==", None, None, "show this help message and exit")
 _TYPE = [("('--type',)", "type", True, None, None, None, "A/B/C/D/G2/F4/E6/E7/E8"),
          ("('--rank',)", "rank", False, None, "int", None, "rank (classical families)")]

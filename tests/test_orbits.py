@@ -368,6 +368,16 @@ def test_ls_induction_equals_the_doubling_loop():
     assert draws == 30 * (9 + 9 + 8)
 
 
+def test_ls_induction_of_many_blocks_and_a_long_zero_block_is_fast():
+    # padding every block to the zero block's length took 0.5-0.8 s here
+    t = lie_type("B", 40400)
+    a = AdjointOrbit(t, tuple(Block(Fraction(i, 10007), 1, (1,)) for i in range(1, 401)), (1,) * 80001)
+    start = time.perf_counter()
+    o = ls_induction(a)
+    assert time.perf_counter() - start < 0.2
+    assert o.partition == (801,) + (1,) * 80000
+
+
 def test_zero_eigenvalue_belongs_to_the_zero_block():
     zero = Fraction(0)
     for t, block, z in (
