@@ -143,7 +143,7 @@ class AdjointOrbit(FrozenRecord):
 def zero_orbit(t: LieType) -> NilpotentOrbit:
     if t.is_exceptional:
         return NilpotentOrbit(t, label="0")
-    return NilpotentOrbit(t, partition((1,) * defining_dim(t)))
+    return NilpotentOrbit(t, (1,) * defining_dim(t))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import neg
+from operator import ge, neg
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -92,12 +92,22 @@ def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:
        After the pops the join at v is concave.  By induction and 2, every
        concave path above c_0..c_k lies above this one, so at k = W it is P
        (its parts are nonnegative: it lies below the prefix sums of (n) and
-       ends at n)."""
+       ends at n).
+
+    Early exit: a partition of n has at most n parts, so P has at most
+    w = min(W, n) of them, and lambda_evenly(n, w) is the least partition
+    of n with at most w parts.  When its prefix sums clear the bound, it is
+    P, and the pass is skipped."""
     if max(bound, default=0) > n or (not bound and n):
         return None
     # A partition of n has P_k = n for every k >= n, so past position n the
     # bound asks only what the check above did.
     width = min(len(bound), n)
+    if not width:
+        return ()
+    spread = lambda_evenly(n, width)
+    if all(map(ge, accumulate(spread), bound)):
+        return spread
     c = [0, *(max(b, 0) for b in bound[:width])]
     c[width] = n
     hull = [0]
@@ -170,9 +180,26 @@ def is_very_even(p: Partition) -> bool:
 
 
 def is_valid(p: Partition, cls: ParityClass) -> bool:
-    """Parity-class membership test, including the total-parity constraint."""
+    """Parity-class membership test, including the total-parity constraint.
+
+    In a weakly decreasing p each value fills one run of equal parts, so one
+    scan counts the runs; equal values apart imply a rise between them, and
+    at a rise the parts are counted value by value."""
     total_parity, paired = cls.value
-    return sum(p) % 2 == total_parity and all(p.count(v) % 2 == 0 for v in set(p) if v % 2 == paired)
+    if sum(p) % 2 != total_parity:
+        return False
+    valid, prev, odd = True, None, False  # odd: the run of prev has odd length
+    for x in p:
+        if x == prev:
+            odd = not odd
+            continue
+        if prev is not None:
+            if x > prev:
+                return all(p.count(v) % 2 == 0 for v in set(p) if v % 2 == paired)
+            if odd and prev % 2 == paired:
+                valid = False
+        prev, odd = x, True
+    return valid and not (odd and prev % 2 == paired)
 
 
 @lru_cache(maxsize=None)

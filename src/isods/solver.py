@@ -6,6 +6,7 @@ verdict for a fixed characteristic polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .orbits import (
     AdjointOrbit,
@@ -206,6 +207,10 @@ class QCandidate(FrozenRecord):
     __slots__ = ("linear", "tail")
 
 
+# a candidate before it becomes a QCandidate: (linear, tail)
+Candidate = tuple[tuple[Partition, ...], Partition]
+
+
 class QCandidates(list):
     """The candidates of q_candidates, a plain list to every reader, that
     also carries the threshold orbit it read, so ds_solve_q reads the
@@ -230,13 +235,11 @@ def _anchor_bounds(
     p_lin = [prefix_sums(p, width) for p in linear]
     p_tail = prefix_sums(tail, width)
     lin_sum = [sum(col) for col in zip(*p_lin)] if p_lin else [0] * width
-    # c * P_mu >= P_o - P_tail - c * (sum of the other factors), rounded up
-    slot_bounds = [
-        [-((c * (ls - pj) + pt - o) // c) for o, pt, ls, pj in zip(p_o, p_tail, lin_sum, pl)]
-        for pl in p_lin
-    ]
     tail_bound = [o - c * ls for o, ls in zip(p_o, lin_sum)]
-    return slot_bounds, tail_bound
+    # c * P_mu >= P_o - P_tail - c * (sum of the other factors), rounded up:
+    # the bound common to every slot, plus the slot's own prefix sums
+    common = [-((pt - tb) // c) for pt, tb in zip(p_tail, tail_bound)]
+    return [list(map(add, common, pl)) for pl in p_lin], tail_bound
 
 
 def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -> QCandidates:
@@ -360,45 +363,51 @@ def q_candidates(t: LieType, s: Slope, mults: tuple[int, ...], zero_mult: int) -
     # time, are added; each works, so extra anchors are harmless.  An anchor
     # that works clears its own bounds, so each replacement lies at or below
     # it, and the first is the anchor itself, in its place, or prunes it.
-    anchors: list[tuple[tuple[Partition, ...], Partition]] = [(tuple(base), base_tail)]
+    # A slot's bound never reads that slot, and the tail bound never reads
+    # the tail, so a placed anchor's replacement of its placed slot, and the
+    # alternate anchor's replacement of its tail, repeat the base anchor's:
+    # each anchor maps to the position it skips (len(slots) for the tail).
+    anchors = {(tuple(base), base_tail): None}
     if e:
         if row.ones == 2 and tail_total >= 2:
             alt = union_parts(lambda_evenly(tail_total - 2, e), (1, 1))
-            anchors.append((tuple(base), alt))
+            anchors.setdefault((tuple(base), alt), len(slots))
         for k, M in enumerate(slots):
             placed = list(base)
             placed[k] = union_parts(lambda_evenly(M - 1, e), (1,))
-            anchors.append((tuple(placed), base_tail))
+            anchors.setdefault((tuple(placed), base_tail), k)
 
     width = len(o_part)
     c = 1 if fam == "A" else 2
     p_o = prefix_sums(o_part, width)
 
-    found: dict[QCandidate, None] = {}  # distinct candidates, in the order found
-    for anchor_lin, anchor_tail in dict.fromkeys(anchors):
+    found: dict[Candidate, None] = {}  # distinct candidates, in the order found
+    for (anchor_lin, anchor_tail), skip in anchors.items():
         slot_bounds, tail_bound = _anchor_bounds(c, p_o, anchor_lin, anchor_tail)
         for j, bound in enumerate(slot_bounds):
+            if j == skip:
+                continue
             mu = least_clearing(slots[j], bound)
             if mu is not None:
-                lin = list(anchor_lin)
-                lin[j] = mu
-                found[QCandidate(tuple(lin), anchor_tail)] = None
-        if fam != "A":
+                found[(*anchor_lin[:j], mu, *anchor_lin[j + 1:]), anchor_tail] = None
+        if fam != "A" and skip != len(slots):
             tl = least_clearing(tail_total, tail_bound)
             if tl is not None:
                 assert is_valid(tl, parity_class(t)), (t, s, mults, zero_mult, tl)
-                found[QCandidate(anchor_lin, tl)] = None
-    return QCandidates(_prune_candidates(list(found), _mult_groups(slots)), row.orbit)
+                found[anchor_lin, tl] = None
+    kept = _prune_candidates(list(found), _mult_groups(slots)) if len(found) > 1 else found
+    return QCandidates([QCandidate(lin, tail) for lin, tail in kept], row.orbit)
 
 
-def _cand_le(c1: QCandidate, c2: QCandidate, mult_groups) -> bool:
-    """Componentwise closure comparison of candidates, permuting factors with
-    equal multiplicities."""
-    if not dominance_le(c1.tail, c2.tail):
+def _cand_le(c1: Candidate, c2: Candidate, mult_groups) -> bool:
+    """Componentwise closure comparison of (linear, tail) pairs, permuting
+    factors with equal multiplicities."""
+    (lin1, tail1), (lin2, tail2) = c1, c2
+    if not dominance_le(tail1, tail2):
         return False
     for idxs in mult_groups:
-        left = [c1.linear[i] for i in idxs]
-        right = [c2.linear[i] for i in idxs]
+        left = [lin1[i] for i in idxs]
+        right = [lin2[i] for i in idxs]
         if not _matchable(left, right):
             return False
     return True
@@ -425,7 +434,7 @@ def _matchable(left: list[Partition], right: list[Partition]) -> bool:
     return all(augment(i, [False] * n) for i in range(n))
 
 
-def _prune_candidates(cands: list[QCandidate], groups) -> list[QCandidate]:
+def _prune_candidates(cands: list[Candidate], groups) -> list[Candidate]:
     """The candidates (distinct, as q_candidates keeps them) that no other
     candidate lies strictly below, factors in one of the groups of equal
     multiplicity compared up to permutation."""
@@ -452,10 +461,10 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
     linear = tuple(b.partition for b in a.blocks)
     # in type A the zero block is one more slot, as in q_candidates; outside
     # A it is the tail, and the B tail's extra 1 falls out of the floor division
-    inp = QCandidate(linear + ((z,) if z else ()), ()) if t.family == "A" else QCandidate(linear, z)
+    inp = (linear + ((z,) if z else ()), ()) if t.family == "A" else (linear, z)
     cands = q_candidates(t, s, tuple(b.mult for b in a.blocks), sum(z) if t.family == "A" else sum(z) // 2)
-    groups = _mult_groups([sum(p) for p in inp.linear])
-    verdict = any(_cand_le(c, inp, groups) for c in cands)
+    groups = _mult_groups([sum(p) for p in inp[0]])
+    verdict = any(_cand_le((c.linear, c.tail), inp, groups) for c in cands)
     return DSAnswer(
         verdict,
         cands.threshold,

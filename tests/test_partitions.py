@@ -163,6 +163,28 @@ def test_least_clearing_none_contract():
     assert least_clearing(7, [-1, 5, 5, 7]) == (3, 2, 1, 1)
 
 
+def test_least_clearing_answers_the_even_spread_first():
+    # on the exhaustive domain, every cell with an answer: where the even
+    # spread E(n, min(W, n)) clears the bound it is the answer, and where it
+    # does not the answer differs from it
+    spread_cells = other_cells = 0
+    for n in range(8):
+        for width in range(6):
+            for bound in product(range(-1, n + 2), repeat=width):
+                least = least_clearing(n, bound)
+                if least is None:
+                    continue
+                w = min(width, n)
+                spread = lambda_evenly(n, w) if w else ()
+                if all(p >= b for p, b in zip(accumulate(spread), bound)):
+                    assert least == spread, (n, bound)
+                    spread_cells += 1
+                else:
+                    assert least != spread, (n, bound)
+                    other_cells += 1
+    assert (spread_cells, other_cells) == (32081, 106428)
+
+
 def test_lambda_tilde_examples():
     assert lambda_tilde(6, 2) == (4, 2)
     assert lambda_tilde(4, 2) == (3, 1)
@@ -211,18 +233,37 @@ def test_parity_examples():
     assert not is_valid((2, 2), ParityClass.B)  # wrong total parity
 
 
-def test_is_valid_equals_the_counter_rule():
-    def reference(p, cls):
-        total_parity, paired = cls.value
-        return sum(p) % 2 == total_parity and all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == paired)
+def _counter_rule(p, cls):
+    total_parity, paired = cls.value
+    return sum(p) % 2 == total_parity and all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == paired)
 
+
+def test_is_valid_equals_the_counter_rule():
     cases = 0
     for cls in ParityClass:
-        for n in range(21):
+        for n in range(26):
             for p in partitions_of(n):
-                assert is_valid(p, cls) == reference(p, cls), (p, cls)
+                assert is_valid(p, cls) == _counter_rule(p, cls), (p, cls)
                 cases += 1
-    assert cases == 3 * sum(len(partitions_of(n)) for n in range(21))
+    assert cases == 3 * sum(len(partitions_of(n)) for n in range(26))
+
+
+def test_is_valid_equals_the_counter_rule_on_any_tuple():
+    # rises, zeros and negative entries fall back to a count per value
+    rng = random.Random(20261020)
+    for _ in range(200000):
+        p = tuple(rng.randint(-2, 5) for _ in range(rng.randint(0, 8)))
+        cls = rng.choice(list(ParityClass))
+        assert is_valid(p, cls) == _counter_rule(p, cls), (p, cls)
+
+
+def test_is_valid_is_linear_in_the_parts():
+    # a count per distinct value took 1.2 s here
+    big = tuple(sorted([2 * i + 1 for i in range(500)] * 2 + [2] * 250500, reverse=True))
+    start = time.perf_counter()
+    assert is_valid(big, ParityClass.C)
+    assert not is_valid(big[:-2] + (2, 1, 1), ParityClass.D)  # an odd run of 2s, found at its end
+    assert time.perf_counter() - start < 0.2
 
 
 def test_valid_partitions_filters_and_memoises():

@@ -25,7 +25,10 @@ from isods.partitions import (
 )
 from isods.root_data import defining_dim, is_regular, lie_type, slope, slope_cells
 from isods.solver import (
+    QCandidate,
     _anchor_bounds,
+    _cand_le,
+    _mult_groups,
     ds_solve,
     ds_solve_q,
     o_nu,
@@ -469,6 +472,107 @@ def test_closed_forms_list_no_partitions(monkeypatch):
     assert ds_solve_q(t, s, adjoint).affirmative is ds_solve(t, s, adjoint).affirmative is True
     assert coxeter_solve(t, 3).partition == (3, 3, 3)
     assert minimal_jordan_type(t, slope(1, 4)) == o_nu(t, slope(1, 4)).partition
+
+
+def _all_pairs_q_candidates(t, s, mults, zero_mult):
+    """q_candidates as it was before its anchors skipped the replacements
+    the base anchor makes: every distinct anchor replaces every slot and the
+    tail, each slot bound comes from its own sum of the other factors, and
+    every candidate is a QCandidate before the pairwise pruning."""
+    fam = t.family
+    if t.is_exceptional:
+        raise ValueError("fixed-characteristic-polynomial route is classical only")
+    if any(M < 1 for M in mults):
+        raise ValueError(f"multiplicities must be positive, got {list(mults)}")
+    if zero_mult < 0:
+        raise ValueError(f"zero multiplicity must be >= 0, got {zero_mult}")
+    cap = t.rank + 1 if fam == "A" else t.rank
+    if sum(mults) + zero_mult != cap:
+        raise ValueError(
+            f"multiplicities {list(mults)} and zero multiplicity {zero_mult} sum to"
+            f" {sum(mults) + zero_mult}, expected {cap} for {t}"
+        )
+    row = o_nu_rows(t, s)[0]
+    e = row.parts_bound
+    slots = list(mults) + ([zero_mult] if fam == "A" and zero_mult else [])
+    tail_total = 0 if fam == "A" else 2 * zero_mult + (fam == "B")
+    base = [lambda_evenly(M, e) if e else (1,) * M for M in slots]
+    if not e:
+        base_tail = (1,) * tail_total
+    elif row.ones == 1 and tail_total:
+        base_tail = union_parts(lambda_evenly(tail_total - 1, e), (1,))
+    else:
+        base_tail = lambda_evenly(tail_total, e)
+    anchors = [(tuple(base), base_tail)]
+    if e:
+        if row.ones == 2 and tail_total >= 2:
+            anchors.append((tuple(base), union_parts(lambda_evenly(tail_total - 2, e), (1, 1))))
+        for k, M in enumerate(slots):
+            placed = list(base)
+            placed[k] = union_parts(lambda_evenly(M - 1, e), (1,))
+            anchors.append((tuple(placed), base_tail))
+    width = len(row.orbit.partition)
+    c = 1 if fam == "A" else 2
+    p_o = prefix_sums(row.orbit.partition, width)
+    found = {}
+    for anchor_lin, anchor_tail in dict.fromkeys(anchors):
+        p_lin = [prefix_sums(p, width) for p in anchor_lin]
+        p_tail = prefix_sums(anchor_tail, width)
+        lin_sum = [sum(col) for col in zip(*p_lin)] if p_lin else [0] * width
+        for j, pl in enumerate(p_lin):
+            bound = [-((c * (ls - pj) + pt - o) // c) for o, pt, ls, pj in zip(p_o, p_tail, lin_sum, pl)]
+            mu = least_clearing(slots[j], bound)
+            if mu is not None:
+                lin = list(anchor_lin)
+                lin[j] = mu
+                found[QCandidate(tuple(lin), anchor_tail)] = None
+        if fam != "A":
+            tl = least_clearing(tail_total, [o - c * ls for o, ls in zip(p_o, lin_sum)])
+            if tl is not None:
+                found[QCandidate(anchor_lin, tl)] = None
+    groups = _mult_groups(slots)
+
+    def le(c1, c2):
+        return _cand_le((c1.linear, c1.tail), (c2.linear, c2.tail), groups)
+
+    cands = list(found)
+    return [x for x in cands if not any(o is not x and le(o, x) and not le(x, o) for o in cands)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, UnsupportedSlopeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_q_candidates_equal_the_all_pairs_anchor_loop():
+    """Skipping a placed anchor's own slot and the alternate anchor's tail,
+    the common slot bound and the tuples kept until pruning give the same
+    candidates in the same order, and the same refusals: A-D at ranks up to
+    6, every d/m with m <= 2n + 2 and d <= 2m, every zero multiplicity, and
+    every multiplicity list of up to 3 slots in both orders."""
+    calls = answered = 0
+    for fam, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for n in range(low, 7):
+            t = lie_type(fam, n)
+            cap = n + 1 if fam == "A" else n
+            for m in range(1, 2 * n + 3):
+                for d in range(1, 2 * m + 1):
+                    if gcd(d, m) != 1:
+                        continue
+                    s = slope(d, m)
+                    for zero_mult in range(cap + 1):
+                        for p in partitions_of(cap - zero_mult):
+                            if len(p) > 3:
+                                continue
+                            for mults in dict.fromkeys((p, p[::-1])):
+                                got = _outcome(q_candidates, t, s, mults, zero_mult)
+                                want = _outcome(_all_pairs_q_candidates, t, s, mults, zero_mult)
+                                assert got == want, (t, s, mults, zero_mult)
+                                calls += 1
+                                answered += isinstance(got, list)
+    assert (calls, answered) == (35068, 7552)
 
 
 def test_q_candidates_lists_no_partition_pool(monkeypatch):
