@@ -348,10 +348,21 @@ def cmd_tables(args) -> int:
 # rank bound of at least 3.
 CHECK_MIN_RANK = 3
 
+# ds check draws its random orbits from every valid tail of size up to
+# 2*rank+1 and every partition of each block, so its time and memory grow
+# with the partition count p(2*rank+1).  In a cold process on a shared 2-core
+# host (best of 3), it took 0.55 s at rank 15, 1.2 s (57 MB) at 20, 1.8 s
+# (125 MB) at 22 and 3.0 s (235 MB) at 25.
+CHECK_MAX_RANK = 20
+
 
 def cmd_check(args) -> int:
     if args.max_rank < CHECK_MIN_RANK:
         raise CliError(f"--max-rank {args.max_rank} is below {CHECK_MIN_RANK}, the least rank ds check runs at")
+    if args.max_rank > CHECK_MAX_RANK:
+        raise CliError(
+            f"ds check lists the partitions of 2*rank+1; --max-rank {args.max_rank} is above the bound {CHECK_MAX_RANK}"
+        )
     from .checks import run_all
 
     report = run_all(max_rank=args.max_rank)

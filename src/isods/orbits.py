@@ -382,7 +382,12 @@ def closure_le_detail(
     o1: NilpotentOrbit, o2: NilpotentOrbit, hasse: HasseDiagram | None = None
 ) -> tuple[bool, bool]:
     """(o1 <= o2, ambiguous): ambiguous flags a very-even type-D comparison
-    decided by dominance only because a label was unspecified."""
+    decided by dominance only because a label was unspecified.
+
+    In D the closure order is dominance, except that the two orbits of one
+    very even partition are incomparable (Collingwood-McGovern, Thm 6.2.5),
+    so only a comparison of one very even partition with itself reads the
+    labels."""
     if o1.type != o2.type:
         raise ValueError("closure comparison needs equal types")
     t = o1.type
@@ -401,12 +406,9 @@ def closure_le_detail(
             )
         return h.le(a, b), False
     p, q = o1.partition, o2.partition
-    if t.family == "D" and o1.is_very_even and o2.is_very_even:
-        if p == q:
-            if o1.very_even_label and o2.very_even_label:
-                return o1.very_even_label == o2.very_even_label, False
-            return True, True
-        return dominance_le(p, q), bool(o1.very_even_label and o2.very_even_label)
+    if p == q and o1.is_very_even:
+        a, b = o1.very_even_label, o2.very_even_label
+        return (a == b, False) if a and b else (True, True)
     return dominance_le(p, q), False
 
 

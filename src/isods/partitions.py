@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import ge, neg
 from typing import Iterable, Sequence
 
@@ -51,11 +51,12 @@ def dominance_le(p: Partition, q: Partition) -> bool:
     """True iff every prefix sum of p is <= the one of q (equal totals)."""
     if sum(p) != sum(q):
         raise ValueError(f"dominance needs equal totals: {p} vs {q}")
-    sp = sq = 0
-    for i in range(max(len(p), len(q))):
-        sp += p[i] if i < len(p) else 0
-        sq += q[i] if i < len(q) else 0
-        if sp > sq:
+    # diff runs through Q_i - P_i; past its last part a sequence adds zeros,
+    # so its prefix sums stay at the total.
+    diff = 0
+    for a, b in zip_longest(p, q, fillvalue=0):
+        diff += b - a
+        if diff < 0:
             return False
     return True
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isods
-from isods.cli import build_parser, main
+from isods.cli import CHECK_MAX_RANK, build_parser, main
 from isods.catalogue import orbit_labels
 from isods.coxeter import orbit_J_reg
 from isods.partitions import ParityClass, valid_partitions
@@ -267,6 +268,7 @@ def test_q_route_tail_size_budget(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == generate("t_clq", family, None, rank=rank, slope=sl, mults=(),
                                             zero_mult=zero_mult), argv
+        assert out.splitlines()[1].startswith(f"{family or 'B'},{rank},{sl},"), argv
     t = lie_type("B", 32)
     code, out = run_cli(capsys, "solve-q", "--type", "B", "--rank", "32", "--slope", "1/4", "--orbit",
                         _adjoint_json([], [1] * 65))
@@ -750,16 +752,23 @@ def test_check_command(capsys):
     assert set(report.values()) == {"ok"} and "coxeter_classical" in report
 
 
-@pytest.mark.parametrize("max_rank", (-3, 0, 2, 3, 4))
+@pytest.mark.parametrize("max_rank", (-3, 0, 2, 3, 4, CHECK_MAX_RANK, CHECK_MAX_RANK + 1, 10**9))
 def test_check_exit_codes_at_small_max_rank(capsys, max_rank):
     # below rank 3 the D draws of the q-equivalence check once ended in
-    # "invalid input: empty range for randrange()"
+    # "invalid input: empty range for randrange()"; above the upper bound
+    # its partition listing grows past seconds and hundreds of MB
+    t0 = time.perf_counter()
     code = main(["check", f"--max-rank={max_rank}"])
     captured = capsys.readouterr()
     assert code in (0, 2)
     if max_rank < 3:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: --max-rank {max_rank} is below 3, the least rank ds check runs at\n"
+    elif max_rank > CHECK_MAX_RANK:
+        assert code == 2 and captured.out == "" and time.perf_counter() - t0 < 1
+        assert captured.err == (
+            f"error: ds check lists the partitions of 2*rank+1; --max-rank {max_rank} is above the bound {CHECK_MAX_RANK}\n"
+        )
     else:
         assert set(json.loads(captured.out).values()) == {"ok"}
 

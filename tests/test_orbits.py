@@ -434,6 +434,23 @@ def test_very_even_rule():
     unlabeled = NilpotentOrbit(D4, (4, 4))
     ok, ambiguous = closure_le_detail(unlabeled, one)
     assert ok and ambiguous
+    # Every pair of very even orbits of D4, D6 and D8, each labelled I, II or
+    # not at all: distinct partitions compare by dominance whatever their
+    # labels, and one partition by its labels, ambiguously if one is missing
+    # (Collingwood-McGovern, Thm 6.2.5).
+    for n in (4, 6, 8):
+        t = lie_type("D", n)
+        very_even = [p for p in partitions_of(2 * n) if is_valid(p, ParityClass.D) and all(x % 2 == 0 for x in p)]
+        assert len(very_even) >= 2
+        orbs = [NilpotentOrbit(t, p, very_even_label=lab) for p in very_even for lab in ("I", "II", None)]
+        for o1 in orbs:
+            for o2 in orbs:
+                a, b = o1.very_even_label, o2.very_even_label
+                if o1.partition != o2.partition:
+                    want = (dominance_le(o1.partition, o2.partition), False)
+                else:
+                    want = (a == b, False) if a and b else (True, True)
+                assert closure_le_detail(o1, o2) == want, (o1, o2)
 
 
 def test_f4_hasse_closure_is_transitive_closure_of_covers():

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from itertools import accumulate, product
@@ -67,6 +68,40 @@ def test_dominance_partial_order():
         p, q, r = (rng.choice(ps) for _ in range(3))
         if dominance_le(p, q) and dominance_le(q, r):
             assert dominance_le(p, r)
+
+
+def _index_walk_le(p: Sequence[int], q: Sequence[int]) -> bool:
+    """Reference: the former dominance_le, one index walk over both."""
+    if sum(p) != sum(q):
+        raise ValueError(f"dominance needs equal totals: {p} vs {q}")
+    sp = sq = 0
+    for i in range(max(len(p), len(q))):
+        sp += p[i] if i < len(p) else 0
+        sq += q[i] if i < len(q) else 0
+        if sp > sq:
+            return False
+    return True
+
+
+def test_dominance_equals_the_index_walk():
+    pairs = 0
+    for n in range(11):
+        ps = partitions_of(n)
+        for p, q in product(ps, ps):
+            assert dominance_le(p, q) == _index_walk_le(p, q), (p, q)
+            pairs += 1
+    assert pairs == 3583
+    # any integer tuples of one total, with zeros and negative entries
+    rng = random.Random(20261020)
+    for _ in range(50000):
+        p = tuple(rng.randint(-3, 5) for _ in range(rng.randint(0, 7)))
+        q = tuple(rng.randint(-3, 5) for _ in range(rng.randint(0, 6)))
+        q += (sum(p) - sum(q),)
+        assert dominance_le(p, q) == _index_walk_le(p, q), (p, q)
+        assert dominance_le(q, p) == _index_walk_le(q, p), (q, p)
+    for p, q in (((2, 1), (2, 2)), ((), (1,)), ((1, -1), (1,))):
+        with pytest.raises(ValueError, match=f"dominance needs equal totals: {re.escape(str(p))} vs"):
+            dominance_le(p, q)
 
 
 def test_lambda_evenly_examples():
