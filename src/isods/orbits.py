@@ -140,7 +140,10 @@ class AdjointOrbit(FrozenRecord):
         }
 
 
+@lru_cache(maxsize=None)
 def zero_orbit(t: LieType) -> NilpotentOrbit:
+    """The zero orbit, partition (1^N) or label "0": built and validated once
+    per type, like `affine_marks`, and shared, as it is read-only."""
     if t.is_exceptional:
         return NilpotentOrbit(t, label="0")
     return NilpotentOrbit(t, (1,) * defining_dim(t))

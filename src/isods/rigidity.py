@@ -63,7 +63,7 @@ def rigidity_verdict(
         nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
     except ValueError:
         nonres = None
-    ell = is_elliptic_regular(t, s.m)
+    ell = dim_tw == 0  # m is regular, or _twice_m_delta has raised
     return RigidityReport(
         Fraction(twice_m_delta, 2 * s.m), Fraction(d_phi, s.m), (d_phi - twice_m_delta) // s.m + dim_tw, dim_tw,
         nonres if ell and twice_m_delta == 0 else False, ell, nonres,
@@ -306,6 +306,6 @@ def scan_rigid(family: str, max_rank: int):
         if not is_elliptic_regular(t, m):
             continue
         orbit = o_nu(t, s)
-        if delta_of_orbit(t, s, orbit) == 0:
+        if _twice_m_delta(t, s, orbit) == 0:
             out.append({"rank": t.rank, "m": m, "d": d, "orbit": list(orbit.partition)})
     return out

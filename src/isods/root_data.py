@@ -12,6 +12,10 @@ the two exceptions `cli.main` maps to exit codes and the table names; and
 the two bases of the package's value classes, `Record` and `FrozenRecord`,
 which bind and store the fields each class declares in its `__slots__`, and
 `sorted_pairs`, the form in which a frozen value holds a mapping.
+
+Each per-type value is built once: `lie_type` and `slope_cells` hand out
+one shared `LieType` per (family, rank), so the `lru_cache` lookups keyed on
+a type below find their entry by identity, without calling `__eq__`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ class Record:
     """Mutable value class, unhashable and equal by its field tuple.  Its
     fields are the names in its `__slots__` that do not start with `_`, after
     those of its bases; `__init__` binds them by position or by name, and a
-    subclass with its own `__init__` passes them to `_store` in that order."""
+    subclass with its own `__init__` passes them to `_store` in that order.
+    `_store` writes each field through the `__set__` of its slot descriptor,
+    which `__init_subclass__` collects once per class in `_setters`, so no
+    field is looked up by name per object."""
 
     __slots__ = ()
     __hash__ = None
@@ -50,6 +57,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values, **named):
         fields = self._fields
@@ -64,8 +72,8 @@ class Record:
         self._store(values)
 
     def _store(self, values: tuple) -> None:
-        for name, value in zip(self._fields, values):
-            setattr(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     @property
     def _key(self) -> tuple:
@@ -83,15 +91,15 @@ class Record:
 
 class FrozenRecord(Record):
     """Read-only value class: `_store` writes each field and the field tuple
-    `_key` through `object.__setattr__`, and it hashes as `_key`."""
+    `_key` through their slot descriptors, past the refusing `__setattr__`,
+    and it hashes as `_key`."""
 
     __slots__ = ("_key",)
 
     def _store(self, values: tuple) -> None:
-        init = object.__setattr__
-        for name, value in zip(self._fields, values):
-            init(self, name, value)
-        init(self, "_key", values)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+        _set_key(self, values)
 
     def __hash__(self):
         return hash(self._key)
@@ -104,6 +112,9 @@ class FrozenRecord(Record):
 
     def __reduce__(self):
         return self.__class__, self._key
+
+
+_set_key = FrozenRecord._key.__set__
 
 
 def sorted_pairs(items) -> tuple:
@@ -139,17 +150,27 @@ class LieType(FrozenRecord):
         return f"{self.family}{self.rank}" if not self.is_exceptional else self.family
 
 
+_SHARED_TYPES: dict[tuple[str, int], LieType] = {}
+
+
 def lie_type(family: str, rank: int | None = None) -> LieType:
-    """Build a LieType from e.g. ('B', 4), ('F4', None) or the string 'B4'."""
+    """The LieType of e.g. ('B', 4), ('F4', None) or the string 'B4': one
+    shared immutable instance per (family, rank), validated when first built,
+    so that the caches keyed on a type hit by identity.  `LieType(...)` still
+    builds a fresh object, equal to the shared one."""
     family = family.strip()
     if rank is None:
         if family in EXCEPTIONAL_RANK:
-            return LieType(family, EXCEPTIONAL_RANK[family])
-        head = family[:1]
-        if head in ("A", "B", "C", "D") and family[1:].isdigit():
-            return LieType(head, int(family[1:]))
-        raise ValueError(f"cannot parse Lie type {family!r}")
-    return LieType(family, int(rank))
+            rank = EXCEPTIONAL_RANK[family]
+        elif family[:1] in ("A", "B", "C", "D") and family[1:].isdigit():
+            family, rank = family[:1], int(family[1:])
+        else:
+            raise ValueError(f"cannot parse Lie type {family!r}")
+    key = (family, int(rank))
+    t = _SHARED_TYPES.get(key)
+    if t is None:
+        t = _SHARED_TYPES[key] = LieType(*key)
+    return t
 
 
 class Slope(FrozenRecord):
@@ -306,7 +327,8 @@ def exponents(t: LieType) -> tuple[int, ...]:
 
 
 def coxeter_number(t: LieType) -> int:
-    return max(exponents(t)) + 1
+    """The largest exponent plus one; `exponents` lists them ascending."""
+    return exponents(t)[-1] + 1
 
 
 @lru_cache(maxsize=None)
@@ -364,12 +386,12 @@ def slope_cells(family: str, max_rank: int, m_range, d_range, min_rank: int | No
         raise ValueError(f"slope cells are tabulated for the families A-D, not {family!r}")
     lo = (3 if family == "D" else 2) if min_rank is None else min_rank
     for n in range(lo, max_rank + 1):
-        t = LieType(family, n)
+        t = lie_type(family, n)
         for m in m_range(t):
             if is_regular(t, m):
                 for d in d_range(m):
                     if gcd(d, m) == 1:
-                        yield t, m, d, slope(d, m)
+                        yield t, m, d, Slope(d, m)
 
 
 class AffineDiagram(FrozenRecord):

@@ -23,6 +23,7 @@ from isods.orbits import (
     dim_centralizer,
     dim_centralizer_oracle,
     ls_induction,
+    zero_orbit,
 )
 from isods.partitions import (
     ParityClass,
@@ -34,7 +35,7 @@ from isods.partitions import (
     sum_parts,
     transpose,
 )
-from isods.root_data import defining_dim, lie_type
+from isods.root_data import LieType, defining_dim, lie_type
 
 
 def test_orbit_validation():
@@ -48,6 +49,15 @@ def test_orbit_validation():
     NilpotentOrbit(lie_type("D", 4), (4, 4), very_even_label="II")
     with pytest.raises(ValueError):
         NilpotentOrbit(lie_type("F4"))  # no label
+
+
+def test_zero_orbit_is_built_once_per_type():
+    types = [lie_type(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 13)]
+    for t in types + [lie_type(f) for f in ("G2", "F4", "E6", "E7", "E8")]:
+        z = zero_orbit(t)
+        assert zero_orbit(t) is z and zero_orbit(LieType(t.family, t.rank)) is z
+        fresh = NilpotentOrbit(t, label="0") if t.is_exceptional else NilpotentOrbit(t, (1,) * defining_dim(t))
+        assert z == fresh and z is not fresh
 
 
 def test_dim_centralizer_examples():

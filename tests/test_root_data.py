@@ -5,6 +5,7 @@ import pytest
 
 from isods.coxeter import orbit_J_reg
 from isods.root_data import (
+    LieType,
     affine_marks,
     cartan_matrix,
     coxeter_number,
@@ -37,6 +38,18 @@ def test_lie_type_validation():
         lie_type("F4", 5)
     assert lie_type("B4").family == "B" and lie_type("B4").rank == 4
     assert str(lie_type("E7")) == "E7"
+
+
+def test_lie_type_hands_out_one_shared_instance_per_type():
+    b4 = lie_type("B", 4)
+    assert b4 is lie_type("B4") is lie_type(" B4 ") is lie_type("B", "4")
+    assert lie_type("E8") is lie_type("E8", 8) and lie_type("E8") is not lie_type("E7")
+    # the constructor still builds a fresh object, equal to the shared one
+    fresh = LieType("B", 4)
+    assert fresh is not LieType("B", 4) and fresh is not b4 and fresh == b4 and hash(fresh) == hash(b4)
+    cells = list(slope_cells("B", 6, lambda t: range(1, 2 * t.rank + 1), lambda m: range(1, 2 * m), min_rank=4))
+    assert cells and all(t is lie_type("B", t.rank) for t, _, _, _ in cells)
+    assert {t.rank for t, _, _, _ in cells} == {4, 5, 6}
 
 
 def test_slope_reduction():
@@ -94,6 +107,15 @@ def test_exponents_shape():
         assert len(es) == t.rank
         assert max(es) + 1 == coxeter_number(t)
         assert sum(es) == phi_count(t) // 2
+
+
+def test_exponents_ascend_so_the_last_is_the_largest():
+    # coxeter_number reads the last exponent
+    types = [lie_type(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 41)]
+    for t in types + [lie_type(f) for f in ("G2", "F4", "E6", "E7", "E8")]:
+        es = exponents(t)
+        assert list(es) == sorted(es), t
+        assert coxeter_number(t) == max(es) + 1, t
 
 
 def test_coxeter_numbers():

@@ -197,6 +197,34 @@ def test_ds_solve_examples():
     assert ds_solve(C3, slope(1, 6), a).affirmative is True
 
 
+def test_a_repeated_query_at_nu_ge_1_builds_only_the_induced_orbit(monkeypatch):
+    # the threshold at nu >= 1 is the zero orbit of the type, built once
+    built = []
+    init = NilpotentOrbit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    C3, B4, E8 = lie_type("C", 3), lie_type("B", 4), lie_type("E8")
+    cells = [
+        (C3, slope(7, 6), NilpotentOrbit(C3, (2, 2, 1, 1)), AdjointOrbit(C3, (Block("a", 2, (2,)),), (1, 1))),
+        (B4, slope(9, 8), NilpotentOrbit(B4, (3, 3, 3)), AdjointOrbit(B4, (Block("a", 3, (2, 1)),), (3,))),
+        (E8, slope(31, 30), NilpotentOrbit(E8, label="A1"), None),
+    ]
+    for t, s, nil, adj in cells:
+        ds_solve(t, s, nil)
+        monkeypatch.setattr(NilpotentOrbit, "__init__", counting_init)
+        assert ds_solve(t, s, nil).affirmative is True and built == [], (t, built)
+        if adj is not None:
+            ans = ds_solve(t, s, adj)
+            assert len(built) == 1, (t, built)
+            monkeypatch.undo()
+            assert ans.affirmative is True and ans.o_nil == ls_induction(adj) and built[0][1] == ans.o_nil.partition
+        monkeypatch.undo()
+        built.clear()
+
+
 def test_ds_solve_monotone_in_cone_order():
     rng = random.Random(9)
     for fam in ("B", "C", "D"):
