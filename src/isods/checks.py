@@ -6,6 +6,7 @@ its first failure (None when every cell passed)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .coxeter import UnsupportedSlopeError, coxeter_solve
 from .orbits import AdjointOrbit, Block, NilpotentOrbit, dim_centralizer, dim_centralizer_oracle
@@ -146,9 +147,15 @@ def check_row_overlap(max_rank: int = 12) -> tuple[int, str | None]:
     return cases, None
 
 
+# denominators 1 to 4: the resonance test meets integers, halves and shared classes
+_RATIONAL_TAGS = sorted({Fraction(a, d) for a in range(1, 17) for d in range(1, 5)})
+
+
 def _random_adjoint(rng: random.Random, fam: str, n: int):
     """A seeded draw of (type, slope, adjoint orbit) at rank n: a regular m,
-    a slope d/m with d <= 2m, the multiplicities and the partitions."""
+    a slope d/m with d <= 2m, the multiplicities, the partitions and, from a
+    generator seeded by that shape, the tags: in about half of the draws
+    nonzero rationals of distinct absolute values, else symbols."""
     t = lie_type(fam, n)
     cap = n + 1 if fam == "A" else n
     m = rng.choice([m for m in range(1, 2 * cap + 1) if is_regular(t, m)])
@@ -164,11 +171,12 @@ def _random_adjoint(rng: random.Random, fam: str, n: int):
     eps = 1 if fam == "B" else 0
     tail_total = zero_mult if fam == "A" else 2 * zero_mult + eps
     tails = partitions_of(tail_total) if fam == "A" else valid_partitions(tail_total, ParityClass[fam])
-    blocks = tuple(
-        Block(f"a{i}", mults[i], rng.choice(list(partitions_of(mults[i]))))
-        for i in range(len(mults))
-    )
-    return t, s, AdjointOrbit(t, blocks, rng.choice(tails))
+    parts = [rng.choice(list(partitions_of(M))) for M in mults]
+    tagger = random.Random(f"{t} {s} {parts}")  # apart from rng: the shapes do not depend on the tags
+    tags = [f"a{i}" for i in range(len(mults))]
+    if tagger.random() < 0.5:
+        tags = [tagger.choice((-1, 1)) * x for x in tagger.sample(_RATIONAL_TAGS, len(mults))]
+    return t, s, AdjointOrbit(t, tuple(map(Block, tags, mults, parts)), rng.choice(tails))
 
 
 def _zero_heavy_adjoint(rng: random.Random, fam: str, n: int):

@@ -32,6 +32,7 @@ from .root_data import (
     coxeter_number,
     defining_dim,
     sorted_pairs,
+    submodule,
 )
 
 
@@ -284,8 +285,7 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         assert cands == [zero_orbit(t) if t.is_exceptional else (1,) * defining_dim(t)]
         return zero_orbit(t)
     if t.family in ("E6", "E7", "E8"):
-        from . import exceptional_data as xd
-
+        xd = submodule("exceptional_data")
         key = (t.family, d)
         if key not in xd.EXC_COXETER:
             raise UnsupportedSlopeError(f"no embedded Coxeter data for {key}")

@@ -14,12 +14,13 @@ from .partitions import (
     Partition,
     collapse,
     dominance_le,
+    is_canonical,
     is_valid,
     is_very_even,
     partition,
     sum_parts,
 )
-from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim, sorted_pairs
+from .root_data import FrozenRecord, LieType, UnsupportedComparisonError, defining_dim, sorted_pairs, submodule
 
 _canonical = partition  # NilpotentOrbit's field of that name shadows it in __init__
 
@@ -52,7 +53,7 @@ class NilpotentOrbit(FrozenRecord):
             return
         if p is None:
             raise ValueError("classical orbits carry a partition")
-        if p != _canonical(p):
+        if not is_canonical(p) and p != _canonical(p):
             raise ValueError(f"partition not canonical: {p}")
         if sum(p) != defining_dim(t):
             raise ValueError(f"partition of {sum(p)} does not fit {t}")
@@ -167,8 +168,7 @@ def dim_centralizer(o: NilpotentOrbit) -> int:
     = p_max(a,b), and 2i+1 ordered pairs (a, b) have max(a, b) = i."""
     t = o.type
     if t.is_exceptional:
-        from . import exceptional_data as xd
-
+        xd = submodule("exceptional_data")
         key = (t.family, o.label)
         if key not in xd.DIM_C:
             raise ValueError(f"no embedded centralizer dimension for {key}")
@@ -368,8 +368,7 @@ class HasseDiagram(FrozenRecord):
 @lru_cache(maxsize=None)
 def builtin_hasse(family: str) -> HasseDiagram | None:
     """The embedded closure order of G2 or F4, built once; None otherwise."""
-    from . import exceptional_data as xd
-
+    xd = submodule("exceptional_data")
     if family == "G2":
         covers = xd.G2_HASSE_COVERS
     elif family == "F4":
@@ -391,7 +390,7 @@ def closure_le_detail(
     very even partition are incomparable (Collingwood-McGovern, Thm 6.2.5),
     so only a comparison of one very even partition with itself reads the
     labels."""
-    if o1.type != o2.type:
+    if o1.type is not o2.type and o1.type != o2.type:
         raise ValueError("closure comparison needs equal types")
     t = o1.type
     if t.is_exceptional:

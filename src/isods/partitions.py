@@ -33,6 +33,13 @@ def partition(parts: Iterable[int]) -> Partition:
     return out[: out.index(0)] if out and out[-1] == 0 else out
 
 
+def is_canonical(p) -> bool:
+    """Whether p is canonical as it stands, read without sorting: a tuple of
+    ints (bools and floats fail), weakly decreasing down to a positive part.
+    False refuses nothing: `partition` decides the rest, () included."""
+    return type(p) is tuple and {*map(type, p)} == {int} and p[-1] > 0 and all(map(ge, p, p[1:]))
+
+
 def transpose(p: Partition) -> Partition:
     """Conjugate partition (column counts of the Young diagram)."""
     if not p:

@@ -20,6 +20,7 @@ from .root_data import (
     is_regular,
     phi_count,
     slope_cells,
+    submodule,
 )
 
 
@@ -32,18 +33,28 @@ class RigidityReport(FrozenRecord):
     __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
 
 
-def _twice_m_delta(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> int:
-    """The integer 2m * Delta = d|Phi| - m(dim C - dim t^w) of a nilpotent
-    orbit; an UnsupportedSlopeError when m is not regular."""
-    if not is_regular(t, s.m):
-        raise UnsupportedSlopeError(f"{s.m} is not regular for {t}")
-    return s.d * phi_count(t) - s.m * (dim_centralizer(o_nil) - dim_cartan_fixed(t, s.m))
+def _verdict_terms(t: LieType, s: Slope, orbit, o_nil: NilpotentOrbit) -> tuple:
+    """(2m * Delta, d|Phi|, dim t^w, non-resonance, rigid) of an orbit with
+    induced nilpotent orbit o_nil, each term read once: the one place that
+    forms 2m * Delta = d|Phi| - m(dim C - dim t^w).  An UnsupportedSlopeError
+    when m is not regular; a regular m is elliptic iff dim t^w = 0.  A
+    nilpotent orbit is non-resonant; None marks an undecidable resonance."""
+    m = s.m
+    if not is_regular(t, m):
+        raise UnsupportedSlopeError(f"{m} is not regular for {t}")
+    d_phi, dim_tw = s.d * phi_count(t), dim_cartan_fixed(t, m)
+    twice_m_delta = d_phi - m * (dim_centralizer(o_nil) - dim_tw)
+    try:
+        nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
+    except ValueError:
+        nonres = None
+    return twice_m_delta, d_phi, dim_tw, nonres, nonres if dim_tw == 0 and twice_m_delta == 0 else False
 
 
 def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:
     """Delta = (nu*|Phi| - dim C + dim t^w) / 2 for a nilpotent orbit; adjoint
     orbits share the value of their induced nilpotent orbit."""
-    return Fraction(_twice_m_delta(t, s, o_nil), 2 * s.m)
+    return Fraction(_verdict_terms(t, s, o_nil, o_nil)[0], 2 * s.m)
 
 
 def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fraction:
@@ -54,19 +65,11 @@ def delta(t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit) -> Fractio
 def rigidity_verdict(
     t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit, o_nil: NilpotentOrbit
 ) -> RigidityReport:
-    """The report for an orbit whose induced nilpotent orbit o_nil is already
-    known, each term of Delta computed once: dim C is read back from 2m *
-    Delta.  A nilpotent orbit is non-resonant."""
-    twice_m_delta = _twice_m_delta(t, s, o_nil)
-    d_phi, dim_tw = s.d * phi_count(t), dim_cartan_fixed(t, s.m)
-    try:
-        nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
-    except ValueError:
-        nonres = None
-    ell = dim_tw == 0  # m is regular, or _twice_m_delta has raised
+    """The report of _verdict_terms, dim C read back from 2m * Delta."""
+    twice_m_delta, d_phi, dim_tw, nonres, rigid = _verdict_terms(t, s, orbit, o_nil)
     return RigidityReport(
         Fraction(twice_m_delta, 2 * s.m), Fraction(d_phi, s.m), (d_phi - twice_m_delta) // s.m + dim_tw, dim_tw,
-        nonres if ell and twice_m_delta == 0 else False, ell, nonres,
+        rigid, dim_tw == 0, nonres,
     )
 
 
@@ -217,8 +220,7 @@ def coxeter_delta_column(t: LieType, d: int) -> Fraction:
     """
     fam, n = t.family, t.rank
     if t.is_exceptional:
-        from . import exceptional_data as xd
-
+        xd = submodule("exceptional_data")
         key = (fam, d)
         if key not in xd.EXC_COXETER:
             raise UnsupportedSlopeError(f"no Coxeter table entry for {key}")
@@ -283,8 +285,7 @@ def scan_rigid(family: str, max_rank: int):
     each with its threshold orbit.  For exceptional families, returns the
     embedded numerics rows instead."""
     if family in EXCEPTIONAL_RANK:
-        from . import exceptional_data as xd
-
+        xd = submodule("exceptional_data")
         out = []
         for fam, nu, lbl, exist in xd.POTENTIALLY_RIGID_EXC:
             if fam == family:
@@ -306,6 +307,6 @@ def scan_rigid(family: str, max_rank: int):
         if not is_elliptic_regular(t, m):
             continue
         orbit = o_nu(t, s)
-        if _twice_m_delta(t, s, orbit) == 0:
+        if _verdict_terms(t, s, orbit, orbit)[0] == 0:
             out.append({"rank": t.rank, "m": m, "d": d, "orbit": list(orbit.partition)})
     return out

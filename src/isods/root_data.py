@@ -10,8 +10,9 @@ numbers is embedded.
 It also holds what the command line needs before it loads an engine module:
 the two exceptions `cli.main` maps to exit codes and the table names; and
 the two bases of the package's value classes, `Record` and `FrozenRecord`,
-which bind and store the fields each class declares in its `__slots__`, and
-`sorted_pairs`, the form in which a frozen value holds a mapping.
+which bind and store the fields each class declares in its `__slots__`;
+`sorted_pairs`, the form of a mapping in a frozen value; and `submodule`,
+which loads a module of the package on first use.
 
 Each per-type value is built once: `lie_type` and `slope_cells` hand out
 one shared `LieType` per (family, rank), so the `lru_cache` lookups keyed on
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from importlib import import_module
 from math import gcd
 
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
@@ -123,6 +125,12 @@ def sorted_pairs(items) -> tuple:
     mapping.  A tuple already in that form comes back as it is."""
     pairs = tuple(sorted(dict(items).items()))
     return items if pairs == items else pairs
+
+
+@lru_cache(maxsize=None)
+def submodule(name: str):
+    """The package's module `name`, imported once: no import machinery runs on later calls."""
+    return import_module(f"{__package__}.{name}")
 
 
 class LieType(FrozenRecord):

@@ -37,6 +37,7 @@ from .root_data import (
     coxeter_number,
     defining_dim,
     is_regular,
+    submodule,
 )
 
 
@@ -126,8 +127,7 @@ def o_nu_rows(t: LieType, s: Slope) -> list[_Row]:
                 row_id, spread = ids[-1], lambda_evenly(c, e)
             rows.append(_Row(row_id, NilpotentOrbit(t, spread + (1,) * ones), e, ones))
     else:
-        from . import exceptional_data as xd
-
+        xd = submodule("exceptional_data")
         h = coxeter_number(t)
         if m == h:
             key = (fam, d)
@@ -167,12 +167,14 @@ def ds_solve(
 ) -> DSAnswer:
     """Existence of a connection with regular residue in the given orbit and
     isoclinic slope s: affirmative iff the threshold orbit lies below the
-    orbit's induced nilpotent orbit."""
+    orbit's induced nilpotent orbit.  An affirmative verdict carries Delta
+    and the rigid flag, read from rigidity._verdict_terms; no RigidityReport
+    is built."""
     row = o_nu_rows(t, s)[0]
     threshold, path = row.orbit, "corollary:nu_ge_1"
     if row.row_id != "nu_ge_1":  # the classical rows are those of t_completecl
         path = f"table:{row.row_id}" if t.is_exceptional else f"table:t_completecl:{row.row_id}"
-    if orbit.type != t:
+    if orbit.type is not t and orbit.type != t:
         raise ValueError("orbit type mismatch")
     o_nil = ls_induction(orbit) if isinstance(orbit, AdjointOrbit) else orbit
     try:
@@ -184,14 +186,12 @@ def ds_solve(
     # "n/a" when Delta is undefined or only an undecidable resonance decides it
     delta, rigid = None, "n/a"
     if verdict is True:
-        from .rigidity import rigidity_verdict
-
         try:
-            rep = rigidity_verdict(t, s, orbit, o_nil)
+            twice_m_delta, _, _, _, rigid = submodule("rigidity")._verdict_terms(t, s, orbit, o_nil)
         except (ValueError, KeyError):
             pass
         else:
-            delta, rigid = rep.delta, ("n/a" if rep.rigid is None else rep.rigid)
+            delta, rigid = Fraction(twice_m_delta, 2 * s.m), "n/a" if rigid is None else rigid
     return DSAnswer(verdict, threshold, o_nil, delta, rigid, path, notes)
 
 
@@ -455,7 +455,7 @@ def ds_solve_q(t: LieType, s: Slope, a: AdjointOrbit) -> DSAnswer:
     """Verdict from the explicit candidate orbits for the eigenvalue structure
     of `a`: affirmative iff some candidate is componentwise below the input.
     Independent of the induction route used by ds_solve."""
-    if a.type != t:
+    if a.type is not t and a.type != t:
         raise ValueError("orbit type mismatch")
     z = a.zero_block
     linear = tuple(b.partition for b in a.blocks)

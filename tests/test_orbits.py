@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from isods.partitions import (
     ParityClass,
     collapse,
     dominance_le,
+    is_canonical,
     is_valid,
     partition,
     partitions_of,
@@ -49,6 +51,42 @@ def test_orbit_validation():
     NilpotentOrbit(lie_type("D", 4), (4, 4), very_even_label="II")
     with pytest.raises(ValueError):
         NilpotentOrbit(lie_type("F4"))  # no label
+
+
+def _reference_orbit_check(t, p):
+    """The partition checks of a classical NilpotentOrbit as they read before
+    canonical tuples were accepted without sorting: the canonical form, the
+    total, then the parity."""
+    if p != partition(p):
+        raise ValueError(f"partition not canonical: {p}")
+    if sum(p) != defining_dim(t):
+        raise ValueError(f"partition of {sum(p)} does not fit {t}")
+    if t.family != "A" and not is_valid(p, ParityClass[t.family]):
+        raise ValueError(f"{p} violates the {t.family}-parity constraint")
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+def test_orbit_check_accepts_and_refuses_what_the_sorting_check_did():
+    cells = [tuple(p) for k in range(6) for p in product(range(-1, 5), repeat=k)]
+    cells += [list(p) for p in cells]
+    cells += [
+        (2.5, 1.5), (3.0, 1), (3, 1.0), (2.0, 2.0), (True, True, True, True), (2, True, True), (3, True),
+        ("2", "1", "1"), ("a",), "211", (2, "1", 1), (2, 1, 0), (1, 1, 1, 1, 0, 0), (3, 0, 1), (Fraction(3), 1), 4,
+    ]
+    accepted = 0
+    for t, p in product([lie_type("A", 3), lie_type("B", 2), lie_type("C", 2), lie_type("D", 3)], cells):
+        want = _check_outcome(_reference_orbit_check, t, p)
+        assert _check_outcome(NilpotentOrbit, t, p) == want, (t, p)
+        accepted += want == "accepted"
+    assert not is_canonical((2.5, 1.5)) and not is_canonical((2, True)) and not is_canonical(()) and is_canonical((2, 1))
+    assert accepted == 25
 
 
 def test_zero_orbit_is_built_once_per_type():

@@ -1,5 +1,7 @@
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import ge
@@ -7,6 +9,7 @@ from operator import ge
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from isods.checks import _random_adjoint
 from isods.coxeter import UnsupportedSlopeError
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, cone_contains, ls_induction
 from isods.partitions import (
@@ -23,7 +26,8 @@ from isods.partitions import (
     union_parts,
     valid_partitions,
 )
-from isods.root_data import defining_dim, is_regular, lie_type, slope, slope_cells
+from isods.rigidity import RigidityReport, rigidity_report
+from isods.root_data import Record, defining_dim, is_regular, lie_type, slope, slope_cells
 from isods.solver import (
     QCandidate,
     _anchor_bounds,
@@ -197,15 +201,22 @@ def test_ds_solve_examples():
     assert ds_solve(C3, slope(1, 6), a).affirmative is True
 
 
+def _counting(monkeypatch, cls, name):
+    """Record the arguments of each call of cls.name from now until
+    monkeypatch.undo()."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_a_repeated_query_at_nu_ge_1_builds_only_the_induced_orbit(monkeypatch):
     # the threshold at nu >= 1 is the zero orbit of the type, built once
-    built = []
-    init = NilpotentOrbit.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
     C3, B4, E8 = lie_type("C", 3), lie_type("B", 4), lie_type("E8")
     cells = [
         (C3, slope(7, 6), NilpotentOrbit(C3, (2, 2, 1, 1)), AdjointOrbit(C3, (Block("a", 2, (2,)),), (1, 1))),
@@ -214,7 +225,7 @@ def test_a_repeated_query_at_nu_ge_1_builds_only_the_induced_orbit(monkeypatch):
     ]
     for t, s, nil, adj in cells:
         ds_solve(t, s, nil)
-        monkeypatch.setattr(NilpotentOrbit, "__init__", counting_init)
+        built = _counting(monkeypatch, NilpotentOrbit, "__init__")
         assert ds_solve(t, s, nil).affirmative is True and built == [], (t, built)
         if adj is not None:
             ans = ds_solve(t, s, adj)
@@ -222,7 +233,58 @@ def test_a_repeated_query_at_nu_ge_1_builds_only_the_induced_orbit(monkeypatch):
             monkeypatch.undo()
             assert ans.affirmative is True and ans.o_nil == ls_induction(adj) and built[0][1] == ans.o_nil.partition
         monkeypatch.undo()
-        built.clear()
+
+
+def test_ds_solve_reads_delta_and_rigid_as_the_report_does_and_builds_no_report(monkeypatch):
+    # seeded A-D orbits at ranks <= 8 and their induced orbits: symbolic
+    # tags, rational tags of distinct absolute values (one per +- class), one
+    # mixed draw, whose undecidable resonance makes rigid "n/a", and a rigid
+    # rational and a rigid symbolic orbit
+    rng = random.Random(38)
+    A2, B2 = lie_type("A", 2), lie_type("B", 2)
+    mixed = AdjointOrbit(A2, (Block("a0", 1, (1,)), Block(Fraction(1, 3), 1, (1,))), (1,))
+    rational = AdjointOrbit(B2, (Block(Fraction(3, 2), 1, (1,)), Block(Fraction(1, 3), 1, (1,))), (1,))
+    symbolic = AdjointOrbit(B2, (Block("a0", 1, (1,)), Block("a1", 1, (1,))), (1,))
+    cells = [(A2, slope(1, 3), mixed), (B2, slope(1, 4), rational), (B2, slope(1, 4), symbolic)]
+    for fam in ("A", "B", "C", "D"):
+        for n in range(3 if fam == "D" else 2, 9):
+            for _ in range(12):
+                t, s, a = _random_adjoint(rng, fam, n)
+                cells += [(t, s, a), (t, s, ls_induction(a))]
+    reports = _counting(monkeypatch, RigidityReport, "__init__")
+    answers = [ds_solve(t, s, o) for t, s, o in cells]
+    monkeypatch.undo()
+    assert reports == []
+    outcomes = Counter()
+    for (t, s, o), ans in zip(cells, answers):
+        if ans.affirmative is not True:
+            continue
+        rep = rigidity_report(t, s, o)
+        assert (ans.delta, ans.rigid) == (rep.delta, "n/a" if rep.rigid is None else rep.rigid), (t, s, o)
+        tags = {type(b.tag).__name__ for b in o.blocks} if isinstance(o, AdjointOrbit) else {"nilpotent"}
+        outcomes["/".join(sorted(tags)), ans.rigid] += 1
+    assert [(ans.delta, ans.rigid) for ans in answers[:3]] == [(0, "n/a"), (0, True), (0, True)]
+    assert set(outcomes) == {
+        ("Fraction/str", "n/a"), ("nilpotent", False), ("nilpotent", True), ("", False), ("", True),
+        ("Fraction", False), ("Fraction", True), ("str", False), ("str", True),
+    }, outcomes
+
+
+def test_a_solve_on_shared_types_compares_no_records(monkeypatch):
+    # the types of the query and of its orbit are the same shared object
+    B8, E8 = lie_type("B", 8), lie_type("E8")
+    adjoint = AdjointOrbit(B8, (Block("a0", 2, (2,)), Block(Fraction(1, 3), 3, (2, 1))), (3, 3, 1))
+    cells = [
+        (B8, slope(3, 8), NilpotentOrbit(B8, (5, 5, 3, 1, 1, 1, 1))),
+        (B8, slope(3, 8), adjoint),
+        (B8, slope(17, 16), adjoint),
+        (E8, slope(7, 30), NilpotentOrbit(E8, label="E8")),
+    ]
+    calls = _counting(monkeypatch, Record, "__eq__")
+    answers = [ds_solve(t, s, o) for t, s, o in cells] + [ds_solve_q(B8, slope(3, 8), adjoint)]
+    monkeypatch.undo()
+    assert calls == []
+    assert [ans.affirmative for ans in answers] == [True] * 5
 
 
 def test_ds_solve_monotone_in_cone_order():
