@@ -6,7 +6,11 @@ In the classical types the closure order is dominance of partitions, and
 the orbit of J depends only on its tail, its mark-1 nodes and the sizes of
 its A-type runs; `_configuration_candidates` builds the partition of one
 dominance-least candidate per configuration, O(rank) of them in O(rank)
-time each, and only the answer becomes a `NilpotentOrbit`.  G2,
+time each, and only the answer becomes a `NilpotentOrbit`.  Most of the
+work per part runs in builtins: each candidate's parts are sorted once in
+one list, its prefix sums are one `itertools.accumulate`, and each of the
+O(rank) comparisons of the pick is one length test and one `map` over two
+such sums (`partitions.dominance_le_sums`).  G2,
 F4 and E6-E8 (rank <= 8) hold a subset of the finite diagram as a bit mask
 (node a is bit a - 1): `_minimal_masks` filters a table of the mark sum and
 least mark of every subset, and each label is read by mask from
@@ -19,10 +23,11 @@ the route reads none of the table code it is checked against.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, repeat
+from math import gcd, lcm
 
 from .orbits import NilpotentOrbit, closure_le, zero_orbit
-from .partitions import Partition, dominance_le, lambda_evenly, partition
+from .partitions import Partition, dominance_le_sums, lambda_evenly
 from .root_data import (
     FrozenRecord,
     LieType,
@@ -163,16 +168,20 @@ def _runs_partition(t: LieType, runs, tail: int) -> Partition:
     """Jordan type of a regular nilpotent of a classical Levi: A-type
     components with `runs` nodes each, plus a tail component of `tail` nodes
     (0 for none).  The tail is the component holding node n in B and C, and
-    in D the so(2*tail) spanned by the components meeting both fork nodes."""
+    in D the so(2*tail) spanned by the components meeting both fork nodes.
+
+    The runs come in any order, so the parts above 1 (each run's size plus
+    1, twice in B-D, and the tail's part 2*tail + 1 in B, 2*tail in C and
+    2*tail - 1 in D) are sorted once; they are all at least 2, so the 1s
+    (the D tail's 1 among them) follow as they are."""
     fam = t.family
-    if fam == "A":
-        parts = [r + 1 for r in runs]
-    else:
-        parts = [r + 1 for r in runs for _ in (0, 1)]
+    parts = [r + 1 for r in runs]
+    if fam != "A":
+        parts *= 2
         if tail:
-            parts += {"B": [2 * tail + 1], "C": [2 * tail], "D": [2 * tail - 1, 1]}[fam]
-    parts += [1] * (defining_dim(t) - sum(parts))
-    return partition(parts)
+            parts.append(2 * tail + 1 if fam == "B" else 2 * tail if fam == "C" else 2 * tail - 1)
+    parts.sort(reverse=True)
+    return (*parts, *(1,) * (defining_dim(t) - sum(parts)))
 
 
 def _classical_levi_partition(t: LieType, J: frozenset[int]) -> Partition:
@@ -211,6 +220,11 @@ def _configuration_candidates(t: LieType, d: int) -> list[Partition]:
     candidate, at the first of them.  Each candidate is a canonical
     partition (`_runs_partition`), and no `NilpotentOrbit` is built for it:
     `coxeter_solve` validates only the one it returns.
+
+    Cost: O(rank) configurations, each a constant number of integer steps
+    (the mark-1 nodes of the tails come from one running count) and one
+    `_runs_partition`: a comprehension over its k runs, then a builtin sort,
+    fill and dict insertion over its O(rank) parts.
     """
     fam, n = t.family, t.rank
     need = coxeter_number(t) - d
@@ -219,15 +233,19 @@ def _configuration_candidates(t: LieType, d: int) -> list[Partition]:
     if fam == "A":
         return [_runs_partition(t, lambda_evenly(need, min(need, n - need + 1)), 0)]
     marks = affine_marks(t).marks
-    ones = [a for a in range(1, n + 1) if marks[a] == 1]
-    # (tail length c, path length, mark-1 path ends)
-    shapes = [(c, max(n - c - 1, 0), n - c > 1 and marks[1] == 1) for c in range(n + 1) if fam != "D" or c > 1]
+    # (tail length c, path length, mark-1 path ends, mark-1 tail nodes); the
+    # last is one running count over the nodes n, n - 1, ..., 1
+    shapes, count = [], 0
+    for c in range(n + 1):
+        count += c > 0 and marks[n + 1 - c] == 1
+        if fam != "D" or c > 1:
+            shapes.append((c, max(n - c - 1, 0), n - c > 1 and marks[1] == 1, count))
     if fam == "D":
-        shapes.append((0, n - 1, 2))
+        shapes.append((0, n - 1, 2, 0))
     out = {}  # partition -> None, in order of first construction
-    for c, length, ends in shapes:
+    for c, length, ends, tail_ones in shapes:
         for p in range(ends + 1):  # p ends pinned, the others dropped
-            m1 = p + sum(a > n - c for a in ones)
+            m1 = p + tail_ones
             S = (need + m1 + 1) // 2 - c
             L = length - ends + p
             s = 2 * (S + c) - m1  # >= need by the choice of S
@@ -268,19 +286,17 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
     Exceptional types without embedded closure data (E6/E7/E8) fall back to
     the embedded Coxeter table after checking the candidate set is sane.
     In A-D the candidates are partitions, compared by dominance (the closure
-    order there), and only the least becomes a `NilpotentOrbit`.
+    order there) on prefix sums taken once per candidate
+    (`dominance_le_sums`), and only the least becomes a `NilpotentOrbit`.
     """
     h = coxeter_number(t)
     if d < 1:
         raise UnsupportedSlopeError(f"d={d} is not positive")
     if gcd(d, h) != 1:
         raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
-    if any(gcd(d, n) != 1 for n in affine_marks(t).marks):
+    if gcd(d, lcm(*affine_marks(t).marks)) != 1:  # d shares a factor with some mark
         raise UnsupportedSlopeError(f"d={d} shares a factor with a mark; stabilizers may be non-parabolic")
-    if t.is_exceptional:
-        cands, le = coxeter_candidates(t, d), closure_le
-    else:
-        cands, le = _configuration_candidates(t, d), dominance_le
+    cands = coxeter_candidates(t, d) if t.is_exceptional else _configuration_candidates(t, d)
     if d >= h:
         assert cands == [zero_orbit(t) if t.is_exceptional else (1,) * defining_dim(t)]
         return zero_orbit(t)
@@ -293,12 +309,16 @@ def coxeter_solve(t: LieType, d: int) -> NilpotentOrbit:
         if label not in [c.label for c in cands]:
             raise AssertionError(f"table orbit {label} missing from candidates for {key}")
         return NilpotentOrbit(t, label=label)
+    if t.is_exceptional:
+        keys, le = cands, closure_le
+    else:
+        keys, le = [list(accumulate(c)) for c in cands], dominance_le_sums
     # One pass moves to each candidate below the current one, so it ends on
     # the least candidate if there is one; a second pass checks that there is.
-    least = cands[0]
-    for c in cands[1:]:
-        if le(c, least):
-            least = c
-    if not all(le(least, c) for c in cands):
+    least = 0
+    for i in range(1, len(keys)):
+        if le(keys[i], keys[least]):
+            least = i
+    if not all(map(le, repeat(keys[least]), keys)):
         raise AssertionError(f"no unique closure-minimal candidate for {t}, d={d}: {cands}")
-    return least if t.is_exceptional else NilpotentOrbit(t, least)
+    return cands[least] if t.is_exceptional else NilpotentOrbit(t, cands[least])

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from operator import ge, neg
+from operator import ge, le, neg
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -66,6 +66,27 @@ def dominance_le(p: Partition, q: Partition) -> bool:
         if diff < 0:
             return False
     return True
+
+
+def dominance_le_sums(P: Sequence[int], Q: Sequence[int]) -> bool:
+    """`dominance_le(p, q)` read from the prefix sums P = accumulate(p) and
+    Q = accumulate(q) of two partitions with positive parts, so that a
+    caller comparing one partition many times sums it once.
+
+    For partitions of one total N, p <= q iff len(p) >= len(q) and
+    P_i <= Q_i for every i < len(q).  Past its last part a partition's
+    prefix sums stay at N, so for i >= len(q), Q_i = N >= P_i: the condition
+    is enough.  Conversely, if p <= q, then Q_i >= P_i = N at
+    i = len(p) - 1, while the parts of q are positive, so Q_i < N for
+    i < len(q) - 1; hence len(q) <= len(p).  `map` stops at the shorter
+    sequence, so it compares exactly the i < len(q) once the lengths are
+    checked.  The same index shows that the sums alone refuse a shorter p
+    (P_i = N > Q_i there), so the length test is a constant-time early
+    refusal, not a further condition.  Unequal totals (the last sums, 0
+    for ()) are refused with a ValueError."""
+    if (P[-1] if P else 0) != (Q[-1] if Q else 0):
+        raise ValueError(f"dominance needs equal totals: prefix sums {P} vs {Q}")
+    return len(P) >= len(Q) and all(map(le, P, Q))
 
 
 def least_clearing(n: int, bound: Sequence[int]) -> Partition | None:

@@ -33,22 +33,28 @@ class RigidityReport(FrozenRecord):
     __slots__ = ("delta", "nu_phi", "dim_c", "dim_tw", "rigid", "m_elliptic", "orbit_nonresonant")
 
 
-def _verdict_terms(t: LieType, s: Slope, orbit, o_nil: NilpotentOrbit) -> tuple:
+def _verdict_terms(t: LieType, s: Slope, orbit, o_nil: NilpotentOrbit, report: bool = False) -> tuple:
     """(2m * Delta, d|Phi|, dim t^w, non-resonance, rigid) of an orbit with
     induced nilpotent orbit o_nil, each term read once: the one place that
-    forms 2m * Delta = d|Phi| - m(dim C - dim t^w).  An UnsupportedSlopeError
-    when m is not regular; a regular m is elliptic iff dim t^w = 0.  A
-    nilpotent orbit is non-resonant; None marks an undecidable resonance."""
+    forms 2m * Delta = d|Phi| - m(dim C - dim t^w) and the rigid rule.  An
+    UnsupportedSlopeError when m is not regular; a regular m is elliptic iff
+    dim t^w = 0.  A nilpotent orbit is non-resonant; None marks an
+    undecidable resonance.  Rigid reads the non-resonance only where
+    dim t^w = 0 and Delta = 0, so only there, or for a report, is it
+    computed; elsewhere it is None."""
     m = s.m
     if not is_regular(t, m):
         raise UnsupportedSlopeError(f"{m} is not regular for {t}")
     d_phi, dim_tw = s.d * phi_count(t), dim_cartan_fixed(t, m)
     twice_m_delta = d_phi - m * (dim_centralizer(o_nil) - dim_tw)
-    try:
-        nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
-    except ValueError:
-        nonres = None
-    return twice_m_delta, d_phi, dim_tw, nonres, nonres if dim_tw == 0 and twice_m_delta == 0 else False
+    read = dim_tw == 0 and twice_m_delta == 0
+    nonres = None
+    if read or report:
+        try:
+            nonres = non_resonant(orbit) if isinstance(orbit, AdjointOrbit) else True
+        except ValueError:
+            pass
+    return twice_m_delta, d_phi, dim_tw, nonres, nonres if read else False
 
 
 def delta_of_orbit(t: LieType, s: Slope, o_nil: NilpotentOrbit) -> Fraction:
@@ -66,7 +72,7 @@ def rigidity_verdict(
     t: LieType, s: Slope, orbit: NilpotentOrbit | AdjointOrbit, o_nil: NilpotentOrbit
 ) -> RigidityReport:
     """The report of _verdict_terms, dim C read back from 2m * Delta."""
-    twice_m_delta, d_phi, dim_tw, nonres, rigid = _verdict_terms(t, s, orbit, o_nil)
+    twice_m_delta, d_phi, dim_tw, nonres, rigid = _verdict_terms(t, s, orbit, o_nil, report=True)
     return RigidityReport(
         Fraction(twice_m_delta, 2 * s.m), Fraction(d_phi, s.m), (d_phi - twice_m_delta) // s.m + dim_tw, dim_tw,
         rigid, dim_tw == 0, nonres,
@@ -301,11 +307,12 @@ def scan_rigid(family: str, max_rank: int):
         return out
     from .solver import o_nu
 
+    def elliptic(t):
+        # is_elliptic_regular refuses a non-regular m, so regularity is tested first
+        return [m for m in range(2, coxeter_number(t) + 1) if is_regular(t, m) and is_elliptic_regular(t, m)]
+
     out = []
-    cells = slope_cells(family, max_rank, lambda t: range(2, coxeter_number(t) + 1), lambda m: range(1, 2 * m))
-    for t, m, d, s in cells:
-        if not is_elliptic_regular(t, m):
-            continue
+    for t, m, d, s in slope_cells(family, max_rank, elliptic, lambda m: range(1, 2 * m)):
         orbit = o_nu(t, s)
         if _verdict_terms(t, s, orbit, orbit)[0] == 0:
             out.append({"rank": t.rank, "m": m, "d": d, "orbit": list(orbit.partition)})

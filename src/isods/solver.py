@@ -168,8 +168,9 @@ def ds_solve(
     """Existence of a connection with regular residue in the given orbit and
     isoclinic slope s: affirmative iff the threshold orbit lies below the
     orbit's induced nilpotent orbit.  An affirmative verdict carries Delta
-    and the rigid flag, read from rigidity._verdict_terms; no RigidityReport
-    is built."""
+    and the rigid flag, read from rigidity._verdict_terms, which computes the
+    non-resonance only where the rigid flag reads it; no RigidityReport is
+    built."""
     row = o_nu_rows(t, s)[0]
     threshold, path = row.orbit, "corollary:nu_ge_1"
     if row.row_id != "nu_ge_1":  # the classical rows are those of t_completecl

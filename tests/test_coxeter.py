@@ -19,8 +19,9 @@ from isods.coxeter import (
     minimal_allowable_in_finite,
     orbit_J_reg,
 )
-from isods.orbits import closure_le
-from isods.partitions import ParityClass, is_valid, partition
+from isods.cli import COXETER_MAX_RANK
+from isods.orbits import NilpotentOrbit, closure_le, zero_orbit
+from isods.partitions import ParityClass, dominance_le, is_valid, lambda_evenly, partition
 from isods.root_data import affine_marks, components, coxeter_number, defining_dim, lie_type
 
 
@@ -372,9 +373,9 @@ def test_chain_shape_walk_equals_subset_scan():
     assert cells == 1071
 
 
-def _outcome(t, d):
+def _outcome(t, d, solve=coxeter_solve):
     try:
-        return coxeter_solve(t, d)
+        return solve(t, d)
     except (UnsupportedSlopeError, AssertionError) as e:
         return type(e), str(e)
 
@@ -385,6 +386,93 @@ def _classical_cells(ranks):
             if n >= (1 if fam == "A" else (3 if fam == "D" else 2)):
                 t = lie_type(fam, n)
                 yield from ((t, d) for d in range(1, 3 * coxeter_number(t)))
+
+
+def _sorting_runs_partition(t, runs, tail):
+    """`_runs_partition` through `partition()`, with the tail's parts read
+    from a per-family list: the builder the one-sort builder replaced."""
+    fam = t.family
+    if fam == "A":
+        parts = [r + 1 for r in runs]
+    else:
+        parts = [r + 1 for r in runs for _ in (0, 1)]
+        if tail:
+            parts += {"B": [2 * tail + 1], "C": [2 * tail], "D": [2 * tail - 1, 1]}[fam]
+    parts += [1] * (defining_dim(t) - sum(parts))
+    return partition(parts)
+
+
+def _counting_candidates(t, d):
+    """`_configuration_candidates` with each tail's mark-1 nodes counted
+    afresh per configuration and the partitions of
+    `_sorting_runs_partition`: the candidate lists of the counting route."""
+    fam, n = t.family, t.rank
+    need = coxeter_number(t) - d
+    if need <= 0:
+        return [(1,) * defining_dim(t)]
+    if fam == "A":
+        return [_sorting_runs_partition(t, lambda_evenly(need, min(need, n - need + 1)), 0)]
+    marks = affine_marks(t).marks
+    ones = [a for a in range(1, n + 1) if marks[a] == 1]
+    shapes = [(c, max(n - c - 1, 0), n - c > 1 and marks[1] == 1) for c in range(n + 1) if fam != "D" or c > 1]
+    if fam == "D":
+        shapes.append((0, n - 1, 2))
+    out = {}
+    for c, length, ends in shapes:
+        for p in range(ends + 1):
+            m1 = p + sum(a > n - c for a in ones)
+            S = (need + m1 + 1) // 2 - c
+            L = length - ends + p
+            s = 2 * (S + c) - m1
+            if s - (1 if m1 else 2) < need and p <= S <= L and (p < 2 or 2 * S > L):
+                runs = lambda_evenly(S, min(S, L - S + 1)) if S else ()
+                out[_sorting_runs_partition(t, runs, c)] = None
+    return list(out)
+
+
+def _two_pass_solve(t, d):
+    """The classical `coxeter_solve` of the counting route: a gate per mark,
+    then the least of `_counting_candidates` by `dominance_le` in two
+    passes, one to it and one to check that it lies below them all."""
+    h = coxeter_number(t)
+    if d < 1:
+        raise UnsupportedSlopeError(f"d={d} is not positive")
+    if gcd(d, h) != 1:
+        raise UnsupportedSlopeError(f"d={d} is not coprime to the Coxeter number {h}")
+    if any(gcd(d, n) != 1 for n in affine_marks(t).marks):
+        raise UnsupportedSlopeError(f"d={d} shares a factor with a mark; stabilizers may be non-parabolic")
+    cands = _counting_candidates(t, d)
+    if d >= h:
+        assert cands == [(1,) * defining_dim(t)]
+        return zero_orbit(t)
+    least = cands[0]
+    for c in cands[1:]:
+        if dominance_le(c, least):
+            least = c
+    if not all(dominance_le(least, c) for c in cands):
+        raise AssertionError(f"no unique closure-minimal candidate for {t}, d={d}: {cands}")
+    return NilpotentOrbit(t, least)
+
+
+def test_candidates_and_outcomes_equal_the_counting_route():
+    # candidate lists, order included, and the solve or its exception type and
+    # text, on every classical cell of rank <= 20 with d < 3h
+    cells = solved = 0
+    for t, d in _classical_cells(range(1, 21)):
+        assert coxeter._configuration_candidates(t, d) == _counting_candidates(t, d), (t, d)
+        got = _outcome(t, d)
+        assert got == _outcome(t, d, _two_pass_solve), (t, d)
+        cells += 1
+        solved += isinstance(got, NilpotentOrbit)
+    assert (cells, solved) == (4256, 1917)
+
+
+def test_coxeter_solve_at_the_cli_rank_bound_is_the_closed_form():
+    for fam in "BCD":
+        t = lie_type(fam, COXETER_MAX_RANK)
+        h = coxeter_number(t)
+        for d in (1, 7, 659, h - 1):
+            assert coxeter_solve(t, d).partition == _coxeter_closed_form(t, d), (t, d)
 
 
 def test_configurations_give_the_least_scan_candidate(monkeypatch):

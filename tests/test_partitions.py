@@ -12,6 +12,7 @@ from isods.partitions import (
     ParityClass,
     collapse,
     dominance_le,
+    dominance_le_sums,
     is_valid,
     is_very_even,
     lambda_evenly,
@@ -102,6 +103,23 @@ def test_dominance_equals_the_index_walk():
     for p, q in (((2, 1), (2, 2)), ((), (1,)), ((1, -1), (1,))):
         with pytest.raises(ValueError, match=f"dominance needs equal totals: {re.escape(str(p))} vs"):
             dominance_le(p, q)
+
+
+def test_dominance_le_sums_equals_dominance_le():
+    # every ordered pair of partitions of one n <= 10, unequal lengths included
+    pairs = unequal = 0
+    for n in range(11):
+        ps = partitions_of(n)
+        sums = {p: list(accumulate(p)) for p in ps}
+        for p, q in product(ps, ps):
+            assert dominance_le_sums(sums[p], sums[q]) is dominance_le(p, q), (p, q)
+            pairs += 1
+            unequal += len(p) != len(q)
+    assert (pairs, unequal) == (3583, 3008)
+    # unequal totals are refused before the lengths are read
+    for p, q in (((2, 1), (2, 2)), ((), (1,)), ((1,), ()), ((3,), (1, 1)), ((1, 1), (3,))):
+        with pytest.raises(ValueError, match="dominance needs equal totals: prefix sums"):
+            dominance_le_sums(list(accumulate(p)), list(accumulate(q)))
 
 
 def test_lambda_evenly_examples():

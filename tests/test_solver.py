@@ -9,6 +9,7 @@ from operator import ge
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from isods import rigidity
 from isods.checks import _random_adjoint
 from isods.coxeter import UnsupportedSlopeError
 from isods.orbits import AdjointOrbit, Block, NilpotentOrbit, cone_contains, ls_induction
@@ -27,7 +28,7 @@ from isods.partitions import (
     valid_partitions,
 )
 from isods.rigidity import RigidityReport, rigidity_report
-from isods.root_data import Record, defining_dim, is_regular, lie_type, slope, slope_cells
+from isods.root_data import Record, defining_dim, dim_cartan_fixed, is_regular, lie_type, slope, slope_cells
 from isods.solver import (
     QCandidate,
     _anchor_bounds,
@@ -268,6 +269,36 @@ def test_ds_solve_reads_delta_and_rigid_as_the_report_does_and_builds_no_report(
         ("Fraction/str", "n/a"), ("nilpotent", False), ("nilpotent", True), ("", False), ("", True),
         ("Fraction", False), ("Fraction", True), ("str", False), ("str", True),
     }, outcomes
+
+
+def test_ds_solve_asks_non_resonance_only_where_rigid_reads_it(monkeypatch):
+    # rigid reads the non-resonance only at an elliptic m with Delta = 0;
+    # rigidity_report still reports it for every orbit
+    rng = random.Random(39)
+    B2 = lie_type("B", 2)
+    cells = [
+        (B2, slope(1, 4), AdjointOrbit(B2, (Block(Fraction(3, 2), 1, (1,)), Block(Fraction(1, 3), 1, (1,))), (1,))),
+        (B2, slope(1, 4), AdjointOrbit(B2, (Block("a0", 1, (1,)), Block("a1", 1, (1,))), (1,))),
+    ]
+    for fam in ("A", "B", "C", "D"):
+        for n in range(3 if fam == "D" else 2, 9):
+            cells += [_random_adjoint(rng, fam, n) for _ in range(12)]
+    calls = []
+    counted = rigidity.non_resonant
+    monkeypatch.setattr(rigidity, "non_resonant", lambda a: calls.append(a) or counted(a))
+    affirmative = read = 0
+    for t, s, a in cells:
+        ans = ds_solve(t, s, a)
+        reads = ans.affirmative is True and ans.delta == 0 and dim_cartan_fixed(t, s.m) == 0
+        assert calls == ([a] if reads else []), (t, s, a)
+        affirmative += ans.affirmative is True
+        read += reads
+        calls.clear()
+        if is_regular(t, s.m):
+            rigidity_report(t, s, a)
+            assert calls == [a], (t, s, a)
+            calls.clear()
+    assert (len(cells), affirmative, read) == (326, 304, 7)
 
 
 def test_a_solve_on_shared_types_compares_no_records(monkeypatch):
