@@ -231,15 +231,16 @@ SHOW_SUBSETS_MAX_RANK = 12
 
 # The classical Coxeter route builds O(rank) candidates of O(rank) parts
 # each, so its time grows about as rank^2.  In a cold process on a shared
-# 2-core host, the slowest d of B (the slowest family) took 0.16 s at rank
-# 250, 0.40 s at 500 and about 1.1 s (31 MB) at 1000.
+# 2-core host (best of 3), the slowest d of B (the slowest family) took
+# 0.07 s at rank 250, 0.13 s at 500 and 0.16 s at 1000, about 0.07 s of it
+# start-up.
 COXETER_MAX_RANK = 1000
 
 # `ds oracle` eliminates the image chain of a lattice model's operator and
 # its Q/L coordinates, whose integer entries grow with the rank.  The slowest
 # elliptic cells are B at m = 2 and 4: in a cold process on a shared 2-core
 # host, by a child-process timer (best of 7), the slowest (B at 1/2) took
-# 0.08 s at rank 30, 0.10 s at 40 and 0.11 s at 50, about 0.07 s of it start-up.
+# 0.07 s at rank 30, 0.08 s at 40 and 0.10 s at 50, about 0.07 s of it start-up.
 ORACLE_MAX_RANK = 50
 
 # `ds tables` and `ds rigid` sweep every classical rank up to --max-rank and

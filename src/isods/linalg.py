@@ -79,14 +79,13 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
     return out
 
 
-def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Jordan type of a nilpotent integer operator from the rank sequence of
-    its powers: multiplicity of part j is rank(N^(j-1)) - 2 rank(N^j) +
-    rank(N^(j+1)).  rank(N^(j+1)) is the rank of a basis of rowspace(N^j)
-    times N."""
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in op]
+def jordan_type_from_ranks(dim: int, rows: Sequence[Row]) -> tuple[int, ...]:
+    """Jordan type of a nilpotent integer operator, given as its dim sparse
+    rows, from the rank sequence of its powers: multiplicity of part j is
+    rank(N^(j-1)) - 2 rank(N^j) + rank(N^(j+1)).  rank(N^(j+1)) is the rank
+    of a basis of rowspace(N^j) times N."""
     ranks = [dim]
-    basis = row_basis(sparse)
+    basis = row_basis(rows)
     while True:
         ranks.append(len(basis))
         if not basis:
@@ -97,7 +96,7 @@ def jordan_type_from_ranks(dim: int, op: Sequence[Sequence[int]]) -> tuple[int, 
         for row in basis:
             out: dict[int, int] = {}
             for i, x in row.items():
-                for j, y in sparse[i].items():
+                for j, y in rows[i].items():
                     out[j] = out.get(j, 0) + x * y
             image.append(out)
         basis = row_basis(image)

@@ -252,6 +252,30 @@ def _shift_piece_rank(a: int, b: int, down: bool, sym: int = 0) -> int:
     return sparse_rank(rows)
 
 
+@lru_cache(maxsize=None)
+def _block_form_defect(k: int, paired: bool, symplectic: bool) -> str | None:
+    """What fails of B^T = eps·B and e^T B + B e = 0 for the form
+    `_form_blocks` builds on one self-dual Jordan block of size k, or on a
+    pair of them (paired), as a message about a partition {p}; None when
+    both hold.  The form of a partition is the direct sum of these pieces,
+    and e shifts within each block, so each block shape is checked once per
+    process."""
+    entries, form = _form_blocks((k, k) if paired else (k,), symplectic)
+    # from the nonzero entries of B, with e = sum of E_(r,r+1)
+    eps, ups = (-1 if symplectic else 1), {r for r, _ in entries}
+    skew: Counter = Counter()
+    for (i, j), v in form.items():
+        if form.get((j, i)) != eps * v:
+            return f"form built for {{p}} is not {'anti' * symplectic}symmetric"
+        if i in ups:
+            skew[(i + 1, j)] += v
+        if j in ups:
+            skew[(i, j + 1)] += v
+    if any(skew.values()):
+        return "shift of type {p} is not skew-adjoint for its form"
+    return None
+
+
 def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
     """Centralizer dimension in the matrix Lie algebra, by exact linear
     algebra: dimension of {X in g : [X, e] = 0} for an explicit nilpotent e of
@@ -261,7 +285,8 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
     block j, to itself, so its rank is a sum over block pairs.  The pairs of
     each shape are counted from the multiplicities c_a of the part sizes a,
     not listed; each shape's rank is eliminated once per process
-    (`_shift_piece_rank`)."""
+    (`_shift_piece_rank`), and in B/C/D each block shape's form is checked
+    once per process (`_block_form_defect`)."""
     t = o.type
     if t.is_exceptional:
         raise ValueError("matrix oracle is for classical types")
@@ -278,19 +303,14 @@ def dim_centralizer_oracle(o: NilpotentOrbit, bound: int = 14) -> int:
         down, dim = False, N * N - 1
     else:
         symplectic = t.family == "C"
-        entries, form = _form_blocks(p, symplectic)
-        # B^T = eps·B and e^T B + B e = 0, from the nonzero entries of B
-        eps, ups = (-1 if symplectic else 1), {r for r, _ in entries}  # e = sum of E_(r,r+1)
-        skew: Counter = Counter()
-        for (i, j), v in form.items():
-            if form.get((j, i)) != eps * v:
-                raise ValueError(f"form built for {p} is not {'anti' * symplectic}symmetric")
-            if i in ups:
-                skew[(i + 1, j)] += v
-            if j in ups:
-                skew[(i, j + 1)] += v
-        if any(skew.values()):
-            raise ValueError(f"shift of type {p} is not skew-adjoint for its form")
+        # the form is a direct sum of self-dual blocks of one parity of size
+        # and equal pairs of the other, as `_form_blocks` lays it out
+        self_dual = 0 if symplectic else 1
+        if any(a % 2 != self_dual and ca % 2 for a, ca in mult):
+            raise ValueError(f"partition {p} not valid for this form")
+        for a, _ in mult:
+            if defect := _block_form_defect(a, a % 2 != self_dual, symplectic):
+                raise ValueError(defect.format(p=p))
         # g = {B^-1 S}, S antisymmetric (B, D) or symmetric (C), and ad(e) is
         # S -> e^T S + S e: a free p_i×p_j piece S_ij for each pair of blocks
         # i < j, c_a·c_b of sizes a > b and c_a(c_a - 1)/2 of equal sizes a

@@ -227,6 +227,28 @@ def parse_slope(text: str) -> Slope:
 # ---------------------------------------------------------------------------
 
 
+def _cartan_edges(t: LieType) -> list[tuple[int, int, int, int]]:
+    """The off-diagonal entries of the Cartan matrix, one (i, j, A[i][j],
+    A[j][i]) per edge of the Dynkin diagram (0-based nodes)."""
+    r, fam = t.rank, t.family
+    if fam in ("A", "B", "C", "D"):
+        edges = [(i, i + 1, -1, -1) for i in range(r - 2 if fam != "A" else r - 1)]
+        if fam == "B":  # last node short: <alpha_{r-1}, alpha_r^vee> = -2
+            edges.append((r - 2, r - 1, -1, -2))
+        elif fam == "C":  # last node long
+            edges.append((r - 2, r - 1, -2, -1))
+        elif fam == "D":
+            edges.append((r - 3, r - 1, -1, -1))
+        return edges
+    if fam == "G2":
+        return [(0, 1, -1, -3)]
+    if fam == "F4":
+        return [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]
+    # E-series, Bourbaki
+    chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
+    return [(a - 1, b - 1, -1, -1) for a, b in zip(chain, chain[1:])] + [(2 - 1, 4 - 1, -1, -1)]
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with A[i][j] = <alpha_j, alpha_i^vee> (0-based nodes)."""
@@ -234,40 +256,9 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     A = [[0] * r for _ in range(r)]
     for i in range(r):
         A[i][i] = 2
-
-    def edge(i, j, aij=-1, aji=-1):
+    for i, j, aij, aji in _cartan_edges(t):
         A[i][j] = aij
         A[j][i] = aji
-
-    fam = t.family
-    if fam == "A":
-        for i in range(r - 1):
-            edge(i, i + 1)
-    elif fam == "B":
-        for i in range(r - 2):
-            edge(i, i + 1)
-        # last node short: <alpha_{r-1}, alpha_r^vee> = -2
-        edge(r - 2, r - 1, -1, -2)
-    elif fam == "C":
-        for i in range(r - 2):
-            edge(i, i + 1)
-        # last node long
-        edge(r - 2, r - 1, -2, -1)
-    elif fam == "D":
-        for i in range(r - 2):
-            edge(i, i + 1)
-        edge(r - 3, r - 1)
-    elif fam == "G2":
-        edge(0, 1, -1, -3)
-    elif fam == "F4":
-        edge(0, 1)
-        edge(1, 2, -1, -2)
-        edge(2, 3)
-    else:  # E-series, Bourbaki
-        chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
-        for a, b in zip(chain, chain[1:]):
-            edge(a - 1, b - 1)
-        edge(2 - 1, 4 - 1)
     return tuple(tuple(row) for row in A)
 
 
@@ -305,14 +296,35 @@ def positive_roots(t: LieType) -> tuple[tuple[int, ...], ...]:
 def highest_root(t: LieType) -> tuple[int, ...]:
     """The higher dominant root in the Weyl orbits of the two end simple
     roots, one of which is long, each raised by the s_i with
-    <beta, alpha_i^vee> < 0 until there is none."""
-    A, found = cartan_matrix(t), []
-    for end in (0, t.rank - 1):
-        beta, pair = [int(i == end) for i in range(t.rank)], [row[end] for row in A]
-        while (c := min(pair)) < 0:
-            i = pair.index(c)
+    <beta, alpha_i^vee> < 0 until there is none.
+
+    s_i changes beta_i only, so the pairings <beta, alpha_j^vee> change by
+    column i of the Cartan matrix, whose at most four nonzero entries are
+    kept sparse; the negative pairings wait in a worklist.  The dominant
+    root of a Weyl orbit is unique, so the order of the steps does not
+    change the result."""
+    r = t.rank
+    cols: list[dict[int, int]] = [{i: 2} for i in range(r)]  # column i: {j: A[j][i]}
+    for i, j, aij, aji in _cartan_edges(t):
+        cols[j][i] = aij
+        cols[i][j] = aji
+    found = []
+    for end in (0, r - 1):
+        beta, pair = [0] * r, [0] * r
+        beta[end] = 1
+        for j, a in cols[end].items():
+            pair[j] = a
+        todo = [j for j, a in cols[end].items() if a < 0]
+        while todo:
+            i = todo.pop()
+            c = pair[i]
+            if c >= 0:
+                continue
             beta[i] -= c
-            pair = [x - c * row[i] for x, row in zip(pair, A)]
+            for j, a in cols[i].items():
+                pair[j] -= c * a
+                if pair[j] < 0:
+                    todo.append(j)
         found.append(tuple(beta))
     return max(found, key=sum)
 

@@ -9,6 +9,11 @@ and D the models live on the quadratic space Q of (type, m), made once per
 pair: its zero-eigenvalue line and the killed line outside the grading
 window follow from the type and m, and its certified Lagrangian is built and
 checked isotropic once.
+
+Each operator is a list of sparse integer rows (`linalg.Row`, col -> entry),
+one per basis vector, with no stored zero: a shift of degrees has O(size)
+nonzero entries, and `linalg.jordan_type_from_ranks` eliminates the rows as
+they are built.
 """
 
 from __future__ import annotations
@@ -17,23 +22,21 @@ import random
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .linalg import jordan_type_from_ranks, sparse_rank
+from .linalg import Row, jordan_type_from_ranks, sparse_rank
 from .partitions import Partition, union_parts
 from .root_data import LieType, Record, Slope, UnsupportedSlopeError, defining_dim, is_elliptic_regular, is_regular
-
-Matrix = list[list[int]]
 
 
 class GradedModel(Record):
     """Degree-graded lattice quotient with an operator shifting degrees by d.
 
-    isolated_lines counts operator-killed one-dimensional summands outside
-    the grading window.
+    operator holds one sparse row per basis vector; isolated_lines counts
+    operator-killed one-dimensional summands outside the grading window.
     """
 
     __slots__ = ("type", "m", "d", "operator", "isolated_lines")
 
-    def __init__(self, type: LieType, m: int, d: int, operator: Matrix, isolated_lines: int = 0):
+    def __init__(self, type: LieType, m: int, d: int, operator: list[Row], isolated_lines: int = 0):
         self._store((type, m, d, operator, isolated_lines))
 
 
@@ -49,10 +52,6 @@ def jordan_type(model: GradedModel) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _zero(n: int) -> Matrix:
-    return [[0] * n for _ in range(n)]
-
-
 def model_blocks(t: LieType, m: int, d: int) -> GradedModel:
     """defining_dim(t) // m blocks of C[[t^(1/m)]]/(t), t^(d/m) scaled by
     b + 1 on block b: the single-point skeleton of type A at m = n + 1 (one
@@ -64,7 +63,7 @@ def model_blocks(t: LieType, m: int, d: int) -> GradedModel:
     threshold table (the zero orbit when d > m).  So the block model
     restates the table; it is not a route independent of it."""
     ell = defining_dim(t) // m
-    op = _zero(ell * m)
+    op: list[Row] = [{} for _ in range(ell * m)]
     for b in range(ell):
         for j in range(m - d):
             op[b * m + j + d][b * m + j] = b + 1
@@ -191,13 +190,13 @@ def model_orthogonal(
         return k + j * nmid
 
     qloff = k + (m - 1) * nmid
-    size = qloff + (q - k)
-    op = _zero(size)
-    # L -> degree d-1 middle piece
+    op: list[Row] = [{} for _ in range(qloff + (q - k))]
+    # L -> degree d-1 middle piece; mid holds the nonzero scalars
     if d - 1 <= m - 2:
         for a, v in enumerate(lag):
             for pos, i in enumerate(mid):
-                op[mid_off(d - 1) + pos][a] = space.c[i] * v[i]
+                if v[i]:
+                    op[mid_off(d - 1) + pos][a] = space.c[i] * v[i]
     # middle -> middle / quotient
     for j in range(m - 1):
         for pos, i in enumerate(mid):
@@ -206,10 +205,12 @@ def model_orthogonal(
             elif j + d == m - 1:
                 red = reduce([space.c[i] * (col == i) for col in range(q)])
                 for a, val in enumerate(red):
-                    op[qloff + a][mid_off(j) + pos] = val
+                    if val:
+                        op[qloff + a][mid_off(j) + pos] = val
     # dividing the Q/L rows by their content is a similarity, like the factor `reduce` leaves
-    g = gcd(*(x for row in op[qloff:] for x in row)) or 1
-    op[qloff:] = [[x // g for x in row] for row in op[qloff:]]
+    g = gcd(*(x for row in op[qloff:] for x in row.values()))
+    if g > 1:
+        op[qloff:] = [{c: x // g for c, x in row.items()} for row in op[qloff:]]
     return GradedModel(t, m, d, op, isolated)
 
 

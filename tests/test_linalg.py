@@ -90,6 +90,20 @@ def _dense_power_jordan_type(dim, op) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
+def _sparse(op) -> list[dict]:
+    """The sparse rows (col -> nonzero entry) of a dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in op]
+
+
+def _dense(dim, rows) -> list[list[int]]:
+    """The dense dim×dim matrix of sparse rows."""
+    op = [[0] * dim for _ in range(dim)]
+    for out, row in zip(op, rows):
+        for j, v in row.items():
+            out[j] = v
+    return op
+
+
 @st.composite
 def conjugated_jordan_forms(draw):
     """(partition, P·J·P⁻¹): J nilpotent in Jordan form with nonzero integer
@@ -117,24 +131,24 @@ def conjugated_jordan_forms(draw):
 @given(conjugated_jordan_forms())
 def test_jordan_type_of_rational_conjugates(case):
     parts, op = case
-    assert jordan_type_from_ranks(len(op), op) == _dense_power_jordan_type(len(op), op) == parts
+    assert jordan_type_from_ranks(len(op), _sparse(op)) == _dense_power_jordan_type(len(op), op) == parts
 
 
 def test_jordan_type_matches_dense_powers_on_the_lattice_models(monkeypatch):
     seen = []
 
-    def recording(dim, op):
-        seen.append((dim, op))
-        return jordan_type_from_ranks(dim, op)
+    def recording(dim, rows):
+        seen.append((dim, rows))
+        return jordan_type_from_ranks(dim, rows)
 
     monkeypatch.setattr(skeleton, "jordan_type_from_ranks", recording)
     assert check_skeleton(7) == (226, None)
     assert len(seen) == 458
-    for dim, op in seen:
-        assert jordan_type_from_ranks(dim, op) == _dense_power_jordan_type(dim, op)
+    for dim, rows in seen:
+        assert jordan_type_from_ranks(dim, rows) == _dense_power_jordan_type(dim, _dense(dim, rows))
 
 
 def test_non_nilpotent_operator_raises():
     for op in ([[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 2]]):
         with pytest.raises(ValueError, match="not nilpotent"):
-            jordan_type_from_ranks(len(op), op)
+            jordan_type_from_ranks(len(op), _sparse(op))

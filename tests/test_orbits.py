@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -336,18 +337,152 @@ def test_oracle_same_with_cold_and_warm_piece_cache():
     assert [dim_centralizer_oracle(o) for o in _oracle_types(14)] == cold
 
 
-def test_oracle_rejects_a_form_e_is_not_skew_adjoint_for(monkeypatch):
-    form_blocks = orbits._form_blocks
+_FORM_BLOCKS = orbits._form_blocks
 
-    def flipped(p, symplectic):  # one sign of the form flipped, on both sides
-        entries, form = form_blocks(p, symplectic)
-        (i, j), v = next((ij, v) for ij, v in form.items() if ij[0] != ij[1])
-        return entries, {**form, (i, j): -v, (j, i): -form[(j, i)]}
 
-    monkeypatch.setattr(orbits, "_form_blocks", flipped)
+def _flipped_form(p, symplectic):
+    """One sign of the form flipped, on both sides: still (anti)symmetric,
+    but e is no longer skew-adjoint for it."""
+    entries, form = _FORM_BLOCKS(p, symplectic)
+    (i, j), v = next((ij, v) for ij, v in form.items() if ij[0] != ij[1])
+    return entries, {**form, (i, j): -v, (j, i): -form[(j, i)]}
+
+
+def _swapped_form(p, symplectic):
+    """The entries below the diagonal negated: a symmetric form in C and an
+    antisymmetric one in B/D, the wrong kind for the type."""
+    entries, form = _FORM_BLOCKS(p, symplectic)
+    return entries, {(i, j): -v if i > j else v for (i, j), v in form.items()}
+
+
+@pytest.fixture
+def patch_form(monkeypatch):
+    """Patch `_form_blocks` with the per-shape memo cleared before and
+    after, so that no shape checked on the patched form stays cached."""
+    orbits._block_form_defect.cache_clear()
+    yield lambda builder: monkeypatch.setattr(orbits, "_form_blocks", builder)
+    monkeypatch.undo()
+    orbits._block_form_defect.cache_clear()
+
+
+def test_oracle_rejects_a_form_e_is_not_skew_adjoint_for(patch_form):
+    patch_form(_flipped_form)
     for fam, n, p in (("B", 3, (5, 1, 1)), ("C", 3, (4, 2)), ("D", 4, (3, 3, 1, 1))):
         with pytest.raises(ValueError, match="not skew-adjoint"):
             dim_centralizer_oracle(NilpotentOrbit(lie_type(fam, n), p))
+
+
+def test_oracle_rejects_a_form_of_the_wrong_symmetry(patch_form):
+    patch_form(_swapped_form)
+    for fam, n, p, kind in (("B", 3, (5, 1, 1), "symmetric"), ("C", 3, (4, 2), "antisymmetric"),
+                            ("C", 3, (3, 3), "antisymmetric"), ("D", 4, (4, 4), "symmetric")):
+        with pytest.raises(ValueError, match=re.escape(f"form built for {p} is not {kind}") + "$"):
+            dim_centralizer_oracle(NilpotentOrbit(lie_type(fam, n), p))
+
+
+def _whole_partition_oracle(o):
+    """Reference: B^T = eps·B and e^T B + B e = 0 checked on the form of the
+    whole partition, as the oracle once did, then the block-pair count."""
+    p, symplectic = o.partition, o.type.family == "C"
+    entries, form = orbits._form_blocks(p, symplectic)
+    eps, ups = (-1 if symplectic else 1), {r for r, _ in entries}
+    skew: Counter = Counter()
+    for (i, j), v in form.items():
+        if form.get((j, i)) != eps * v:
+            raise ValueError(f"form built for {p} is not {'anti' * symplectic}symmetric")
+        if i in ups:
+            skew[(i + 1, j)] += v
+        if j in ups:
+            skew[(i, j + 1)] += v
+    if any(skew.values()):
+        raise ValueError(f"shift of type {p} is not skew-adjoint for its form")
+    return _block_pair_oracle(o)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, StopIteration) as exc:
+        return type(exc), str(exc)
+
+
+def test_per_shape_form_check_equals_the_whole_partition_check(patch_form):
+    # every valid B/C/D type of total <= 19, and every partition of total
+    # <= 12 that no form admits, on the real form and on two wrong ones
+    cases = [o for o in _oracle_types(19) if o.type.family != "A"]
+    assert len(cases) == 1036
+    for fam, n in (("B", 2), ("B", 5), ("C", 3), ("C", 6), ("D", 4), ("D", 6)):
+        t = lie_type(fam, n)
+        cases += [SimpleNamespace(type=t, partition=p) for p in partitions_of(defining_dim(t))
+                  if not is_valid(p, ParityClass[fam])]
+    tally: Counter = Counter()
+    for builder in (_FORM_BLOCKS, _flipped_form, _swapped_form):
+        patch_form(builder)
+        for o in cases:
+            got = _outcome(dim_centralizer_oracle, o, 19)
+            assert got == _outcome(_whole_partition_oracle, o), (builder.__name__, o.type, o.partition)
+            kind = "ok" if isinstance(got, int) else got[0].__name__ if got[0] is StopIteration else \
+                re.search(r"not [\w-]+", got[1]).group()
+            tally[builder.__name__, kind] += 1
+        orbits._block_form_defect.cache_clear()
+    # the wrong forms are refused by each of the three texts.  Both routes
+    # pass the flip where the first block's form is only negated (C, parts
+    # at most 2) and find nothing to flip in a diagonal form (B/D, parts 1),
+    # which the swap leaves as it is
+    assert tally == {
+        ("_form_blocks", "ok"): 1036, ("_form_blocks", "not valid"): 139,
+        ("_flipped_form", "not skew-adjoint"): 969, ("_flipped_form", "ok"): 52,
+        ("_flipped_form", "not valid"): 139, ("_flipped_form", "StopIteration"): 15,
+        ("_swapped_form", "not symmetric"): 613, ("_swapped_form", "not antisymmetric"): 408,
+        ("_swapped_form", "not valid"): 139, ("_swapped_form", "ok"): 15,
+    }
+
+
+def _corners_flipped(size):
+    """A form builder that flips the corner pair of signs of every block of
+    one size, on both sides (of every pair of blocks, for a size of the
+    wrong parity): wrong on that block shape only, wherever it sits."""
+    def builder(p, symplectic):
+        entries, form = _FORM_BLOCKS(p, symplectic)
+        form = dict(form)
+        step = 2 * size if size % 2 == symplectic else size  # a pair, or one self-dual block
+        start = sum(x for x in p if x > size)
+        for j in range(start, start + size * p.count(size), step):
+            for ij in {(j, j + step - 1), (j + step - 1, j)}:
+                form[ij] = -form[ij]
+        return entries, form
+    return builder
+
+
+def test_a_wrong_form_on_any_one_block_shape_is_refused(patch_form):
+    # the wrong shape may be any of the partition's sizes, not only the first
+    tally: Counter = Counter()
+    for size in range(1, 20):
+        patch_form(_corners_flipped(size))
+        for o in _oracle_types(19):
+            if o.type.family != "A" and size in o.partition:
+                got = _outcome(dim_centralizer_oracle, o, 19)
+                assert got == _outcome(_whole_partition_oracle, o), (size, o.type, o.partition)
+                tally[min(size, 3), isinstance(got, int), o.partition[0] == size] += 1
+        orbits._block_form_defect.cache_clear()
+    # (size, capped at 3; accepted; the largest size).  Every shape of size
+    # at least 3 is refused, 412 times where it is not the largest size.  A
+    # block of size 1 has no off-diagonal corner (B, D) or e = 0 on it (C),
+    # and the flip negates the form of a C block of size 2
+    assert tally == {
+        (1, True, False): 734, (1, True, True): 23,
+        (2, False, False): 205, (2, False, True): 39, (2, True, False): 212, (2, True, True): 44,
+        (3, False, False): 412, (3, False, True): 930,
+    }
+
+
+def test_form_memo_is_keyed_on_block_shapes():
+    orbits._block_form_defect.cache_clear()
+    assert check_centralizer_oracle(18) == (2501, None)
+    shapes = {(a, a % 2 == (o.type.family == "C"), o.type.family == "C")  # (size, paired, symplectic)
+              for o in _oracle_types(18) if o.type.family != "A" for a in o.partition}
+    assert orbits._block_form_defect.cache_info().currsize <= len(shapes) == 27
+
 
 def test_ls_induction_examples():
     A3 = lie_type("A", 3)

@@ -145,6 +145,36 @@ def test_highest_root_is_the_top_of_the_root_closure():
         assert highest_root(t) == positive_roots(t)[-1], t
 
 
+def _dense_highest_root(t):
+    """Reference: the walk over the dense Cartan matrix, each step taking the
+    first least pairing and recomputing every pairing, as it once ran."""
+    A, found = cartan_matrix(t), []
+    for end in (0, t.rank - 1):
+        beta, pair = [int(i == end) for i in range(t.rank)], [row[end] for row in A]
+        while (c := min(pair)) < 0:
+            i = pair.index(c)
+            beta[i] -= c
+            pair = [x - c * row[i] for x, row in zip(pair, A)]
+        found.append(tuple(beta))
+    return max(found, key=sum)
+
+
+def test_highest_root_equals_the_dense_walk():
+    types = [lie_type(f, n) for f in "ABCD" for n in range({"A": 1, "D": 3}.get(f, 2), 61)]
+    types += [lie_type(f) for f in ("G2", "F4", "E6", "E7", "E8")]
+    assert len(types) == 241
+    for t in types:
+        assert highest_root(t) == _dense_highest_root(t), t
+
+
+def test_highest_root_at_the_cli_rank_bound_is_the_closed_form():
+    n = 1000
+    assert highest_root(lie_type("A", n)) == (1,) * n
+    assert highest_root(lie_type("B", n)) == (1,) + (2,) * (n - 1)
+    assert highest_root(lie_type("C", n)) == (2,) * (n - 1) + (1,)
+    assert highest_root(lie_type("D", n)) == (1,) + (2,) * (n - 3) + (1, 1)
+
+
 def test_classical_marks_at_high_rank():
     n = 100
     assert affine_marks(lie_type("A", n)).marks == (1,) * (n + 1)

@@ -11,7 +11,7 @@ from isods.cli import main
 from isods.coxeter import UnsupportedSlopeError
 from isods.linalg import sparse_rank
 from isods.partitions import lambda_evenly, partition
-from isods.root_data import is_elliptic_regular, is_regular, lie_type, slope, slope_cells
+from isods.root_data import defining_dim, is_elliptic_regular, is_regular, lie_type, slope, slope_cells
 from isods.skeleton import (
     QuadraticSpace,
     _orthogonal_space,
@@ -267,8 +267,94 @@ def test_models_are_built_over_the_integers(monkeypatch):
     cases, failure = check_skeleton(6)
     assert failure is None and cases
     assert {m.type.family for m in models} == set("ABCD")
-    bad = [(m.type, m.m, m.d) for m in models if any(type(x) is not int for row in m.operator for x in row)]
+    bad = [(m.type, m.m, m.d) for m in models
+           if any(type(x) is not int for row in m.operator for x in (*row, *row.values()))]
     assert not bad, bad[:5]
+
+
+def _dense_blocks(t, m, d):
+    """Reference: the block model's operator as a dense matrix, as the
+    oracle once built it."""
+    ell = defining_dim(t) // m
+    op = [[0] * (ell * m) for _ in range(ell * m)]
+    for b in range(ell):
+        for j in range(m - d):
+            op[b * m + j + d][b * m + j] = b + 1
+    return op
+
+
+def _dense_orthogonal(t, m, d, lag=None):
+    """Reference: the B/D model's operator as a dense matrix, every entry
+    written, as the oracle once built it."""
+    space, _ = _orthogonal_space(t, m)
+    q = space.q
+    k = q // 2
+    if lag is None:
+        lag = space.lagrangian
+    mid = list(range(1, q)) if space.c[0] == 0 else list(range(q))
+    nmid = len(mid)
+    reduce = _quotient_basis(q, lag)
+
+    def mid_off(j):
+        return k + j * nmid
+
+    qloff = k + (m - 1) * nmid
+    size = qloff + (q - k)
+    op = [[0] * size for _ in range(size)]
+    if d - 1 <= m - 2:
+        for a, v in enumerate(lag):
+            for pos, i in enumerate(mid):
+                op[mid_off(d - 1) + pos][a] = space.c[i] * v[i]
+    for j in range(m - 1):
+        for pos, i in enumerate(mid):
+            if j + d <= m - 2:
+                op[mid_off(j + d) + pos][mid_off(j) + pos] = space.c[i]
+            elif j + d == m - 1:
+                red = reduce([space.c[i] * (col == i) for col in range(q)])
+                for a, val in enumerate(red):
+                    op[qloff + a][mid_off(j) + pos] = val
+    g = gcd(*(x for row in op[qloff:] for x in row)) or 1
+    op[qloff:] = [[x // g for x in row] for row in op[qloff:]]
+    return op
+
+
+def _densified(model):
+    """The dense matrix of a model's sparse rows."""
+    size = len(model.operator)
+    op = [[0] * size for _ in range(size)]
+    for out, row in zip(op, model.operator):
+        for j, v in row.items():
+            out[j] = v
+    return op
+
+
+def test_sparse_models_are_the_dense_models():
+    # every elliptic A-D cell of rank <= 10, as check_skeleton walks them; in
+    # B/D on the certified Lagrangian, on three seeded random ones and on a
+    # basis of the certified one with a zero entry
+    cells = rows = 0
+    for fam in "ABCD":
+        for t, m, d, _ in slope_cells(fam, 10, lambda t: range(2, 2 * t.rank + 2), lambda m: range(1, 2 * m),
+                                      min_rank=1 if fam == "A" else None):
+            if not is_elliptic_regular(t, m):
+                continue
+            if fam in "AC":
+                models = [(model_blocks(t, m, d), _dense_blocks(t, m, d))]
+            else:
+                space = _orthogonal_space(t, m)[0]
+                rng = random.Random(cells)
+                lags = [None] + [space.random_lagrangian(rng) for _ in range(3)]
+                if len(space.lagrangian) > 1:  # a basis of L with a zero in its last coordinate, which mid holds
+                    (u, w, *rest), i = space.lagrangian, space.q - 1
+                    v = [w[i] * x - u[i] * y for x, y in zip(u, w)]
+                    lags.append([tuple(x // gcd(*v) for x in v), w, *rest])
+                models = [(model_orthogonal(t, m, d, lag), _dense_orthogonal(t, m, d, lag)) for lag in lags]
+            for model, dense in models:
+                assert _densified(model) == dense, (t, m, d)
+                assert all(v for row in model.operator for v in row.values()), (t, m, d)
+                rows += len(model.operator)
+            cells += 1
+    assert (cells, rows) == (490, 18976)
 
 
 def _kind(t, m):
